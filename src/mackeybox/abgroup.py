@@ -18,6 +18,7 @@ from .intlin import (
     kernel_basis,
     lattice_basis,
     lattice_contains,
+    lattice_contains_all,
     smith_normal_form,
     solve_linear,
 )
@@ -185,13 +186,27 @@ class AbHom:
         return AbHom(self.source, self.target, self.matrix.scaled(k))
 
     def power(self, k: int) -> "AbHom":
+        """The k-th iterate, by repeated squaring: ``f^k`` is the product of
+        the squares ``f^(2^i)`` over the set bits i of k, so it takes
+        O(log k) matrix products.
+
+        >>> swap = AbHom(FpAbGroup.free(2), FpAbGroup.free(2),
+        ...              IntMatrix.from_rows([[0, 1], [1, 0]]))
+        >>> swap.power(5).matrix
+        IntMatrix([[0, 1], [1, 0]])
+        """
         if self.source != self.target:
             raise ValueError("powers need an endomorphism")
         if k < 0:
             raise ValueError("negative power")
         out = IntMatrix.identity(self.source.ngens)
-        for _ in range(k):
-            out = self.matrix @ out
+        square = self.matrix
+        while k:
+            if k & 1:
+                out = square @ out
+            k >>= 1
+            if k:
+                square = square @ square
         return AbHom(self.source, self.target, out)
 
     def is_well_defined(self) -> bool:
@@ -204,19 +219,13 @@ class AbHom:
         False
         """
         rel = self.source.relations
-        for j in range(rel.cols):
-            if not lattice_contains(self.target.relations, self.matrix.apply(rel.column(j))):
-                return False
-        return True
+        return rel.cols == 0 or lattice_contains_all(self.target.relations, self.matrix @ rel)
 
     def equals(self, other: "AbHom") -> bool:
         """Equality as maps on the presented groups (not of matrices)."""
         if (self.source, self.target) != (other.source, other.target):
             return False
-        diff = self.matrix - other.matrix
-        return all(
-            lattice_contains(self.target.relations, diff.column(j)) for j in range(diff.cols)
-        )
+        return lattice_contains_all(self.target.relations, self.matrix - other.matrix)
 
 
 def _preimage_gens(matrix: IntMatrix, modulo: IntMatrix) -> IntMatrix:

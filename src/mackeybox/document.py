@@ -21,6 +21,7 @@ reproduced entry for entry.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .intlin import IntMatrix
@@ -66,6 +67,8 @@ _FIELDS = (
     "res",
     "tr",
 )
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 _HEADER = (
     "# Mackey functor presentation for a cyclic group of prime order.",
@@ -204,10 +207,10 @@ def parse_document(text: str) -> MackeyDocument:
         if key in seen:
             raise DocumentSyntaxError(f"duplicate field '{key}'", lineno)
         if key in ("p", "top.generators", "bottom.generators"):
-            try:
-                seen[key] = int(value)
-            except ValueError:
-                raise DocumentSyntaxError(f"field '{key}' must be an integer", lineno) from None
+            # int() would also take "1_1", "+5" and non-ASCII digits
+            if not _INTEGER.fullmatch(value):
+                raise DocumentSyntaxError(f"field '{key}' must be an integer", lineno)
+            seen[key] = int(value)
         else:
             try:
                 parsed = json.loads(value)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class IntMatrix:
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
         for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool):
+            if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
                 raise TypeError("matrix entries must be Python ints")
 
     # -- construction -----------------------------------------------------
@@ -115,26 +117,29 @@ class IntMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Product that skips zeros: each nonzero ``a[i][k]`` adds
+        ``a[i][k]`` times the nonzero entries of row k of ``other``."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        brows = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
         flat = []
         for i in range(self.rows):
-            row = self.row(i)
-            for j in range(other.cols):
-                flat.append(sum(row[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
+            out = [0] * other.cols
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in brows[k]:
+                        out[j] += a * b
+            flat.extend(out)
         return IntMatrix(self.rows, other.cols, tuple(flat))
 
     def apply(self, vec) -> tuple[int, ...]:
-        """The image of a column vector, as a tuple."""
+        """The image of a column vector, as a tuple; zero entries are skipped."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
-        return tuple(
-            sum(self.entries[i * self.cols + k] * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
-        )
+        return tuple(_dot(self.row(i), vec) for i in range(self.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -214,6 +219,11 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
+def _dot(row, vec) -> int:
+    """The sum of ``row[k] * vec[k]`` over the nonzero entries of row."""
+    return sum(map(mul, compress(row, row), compress(vec, row)))
+
+
 def hstack(*mats: IntMatrix) -> IntMatrix:
     if not mats:
         raise ValueError("hstack of nothing")
@@ -274,7 +284,7 @@ class SmithDecomposition:
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.s.rows, self.s.cols)
-        return tuple(self.s.at(i, i) for i in range(n))
+        return self.s.entries[:: self.s.cols + 1][:n]
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
@@ -352,6 +362,8 @@ def _smith(a: IntMatrix) -> SmithDecomposition:
             # make the pivot divide everything that remains, so the final
             # diagonal automatically forms a divisibility chain
             piv = s[t][t]
+            if piv in (1, -1):  # a unit divides everything
+                break
             viol = None
             for i in range(t + 1, m):
                 if any(s[i][j] % piv for j in range(t + 1, n)):
@@ -472,9 +484,43 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     return dec.v.apply(y)
 
 
+def lattice_contains_all(a: IntMatrix, m: IntMatrix) -> bool:
+    """Whether every column of m lies in the column lattice of a.
+
+    With ``U @ A @ V == S`` a column b is in the lattice exactly when each
+    entry of ``U @ b`` is divisible by the matching diagonal entry of S
+    (zero past the diagonal), so one Smith form answers for all columns;
+    rows with invariant factor 1 need no check.
+
+    >>> a = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
+    >>> lattice_contains_all(a, IntMatrix.from_columns([(4, 3), (2, -6)], rows=2))
+    True
+    >>> lattice_contains_all(a, IntMatrix.from_columns([(4, 3), (1, 0)], rows=2))
+    False
+    """
+    if m.rows != a.rows:
+        raise ValueError(f"columns of length {m.rows} for a lattice in Z^{a.rows}")
+    if m.cols == 0:
+        return True
+    if a.cols == 0:
+        return m.is_zero()
+    dec = smith_normal_form(a)
+    diag = dec.diagonal()
+    for i in range(a.rows):
+        d = diag[i] if i < len(diag) else 0
+        if d == 1:
+            continue
+        urow = dec.u.row(i)
+        for j in range(m.cols):
+            x = _dot(urow, m.column(j))
+            if x % d if d else x:  # past the rank (d == 0) the entry must vanish
+                return False
+    return True
+
+
 def lattice_contains(a: IntMatrix, vec) -> bool:
     """Whether vec lies in the column lattice of a."""
-    return solve_linear(a, vec) is not None
+    return lattice_contains_all(a, IntMatrix.column_vector(vec))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

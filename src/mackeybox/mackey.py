@@ -30,31 +30,64 @@ from .abgroup import (
 )
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError from PRIME_LIMIT on.
+
+    >>> is_prime(1000000007), is_prime(561)
+    (True, False)
+    """
     if n < 2:
         return False
-    if n < 4:
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"p = {n} is too large: primality is decided only below {PRIME_LIMIT}")
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:  # a composite this small has a prime factor of at most 41
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def action_norm(gamma: AbHom, p: int) -> AbHom:
-    """The norm 1 + gamma + ... + gamma^(p-1) of an order-p action."""
+    """The norm 1 + gamma + ... + gamma^(p-1) of an order-p action.
+
+    Computed by doubling over the bits of p, in O(log p) matrix products:
+    with ``N_k = 1 + gamma + ... + gamma^(k-1)``, ``N_2k = N_k + gamma^k N_k``
+    and ``N_(2k+1) = N_2k + gamma^(2k)``.
+    """
     if gamma.source != gamma.target:
         raise ValueError("the action must be an endomorphism")
     n = gamma.source.ngens
-    total = IntMatrix.zeros(n, n)
-    power = IntMatrix.identity(n)
-    for _ in range(p):
-        total = total + power
-        power = gamma.matrix @ power
+    if p < 1:
+        return AbHom(gamma.source, gamma.target, IntMatrix.zeros(n, n))
+    total, power = IntMatrix.identity(n), gamma.matrix  # N_1 and gamma^1
+    for bit in bin(p)[3:]:
+        total = total + power @ total
+        power = power @ power
+        if bit == "1":
+            total = total + power
+            power = gamma.matrix @ power
     return AbHom(gamma.source, gamma.target, total)
 
 
@@ -402,6 +435,7 @@ __all__ = [
     "MackeyMorphism",
     "GSet",
     "is_prime",
+    "PRIME_LIMIT",
     "action_norm",
     "check_axioms",
     "zero_functor",

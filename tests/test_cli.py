@@ -76,6 +76,23 @@ def test_make_rejects_non_prime(capsys):
     assert "prime" in err
 
 
+def test_large_primes(capsys, monkeypatch):
+    code, doc, _ = cli(["make", "burnside", "--p", "1000000007"], capsys)
+    assert code == 0
+    code, out, _ = cli(["invert"], capsys, monkeypatch, stdin_text=doc)
+    assert code == 0
+    assert parse_functor(out) == burnside(1000000007)
+    code, _, _ = cli(["make", "burnside", "--p", "1000000000000000003"], capsys)
+    assert code == 0
+    code, _, err = cli(["make", "burnside", "--p", "3317044064679887385961981"], capsys)
+    assert code == 2
+    assert "decided only below 3317044064679887385961981" in err
+    code, _, err = cli(["check"], capsys, monkeypatch,
+                       stdin_text=doc.replace("p: 1000000007", "p: 10000000000000000000000000"))
+    assert code == 2
+    assert "decided only below" in err
+
+
 def test_make_text_format(capsys):
     code, out, _ = cli(["make", "burnside", "--p", "2", "--format", "text"], capsys)
     assert code == 0

@@ -102,6 +102,23 @@ def test_syntax_errors():
     assert "missing field 'action'" in str(exc2.value)
 
 
+@pytest.mark.parametrize("field", ["p", "top.generators", "bottom.generators"])
+@pytest.mark.parametrize("value", ["1_1", "\u0661\u0661", "+2", "0x2", "2.0", " ", "1 1"])
+def test_integer_fields_are_ascii_digits_only(field, value):
+    # int() accepts underscores, a sign, and non-ASCII digits such as "١١"
+    line = {"p": "p: 2", "top.generators": "top.generators: 2",
+            "bottom.generators": "bottom.generators: 1"}[field]
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_document(GOOD.replace(line, f"{field}: {value}"))
+    assert f"field '{field}' must be an integer" in str(exc.value)
+
+
+def test_integer_fields_accept_negative_and_leading_zeros():
+    assert parse_document(GOOD.replace("p: 2", "p: 02")).p == 2
+    with pytest.raises(DimensionMismatchError):
+        parse_document(GOOD.replace("top.generators: 2", "top.generators: -2"))
+
+
 def test_syntax_error_reports_line():
     bad = "p: 2\nnonsense line\n"
     with pytest.raises(DocumentSyntaxError) as exc:

@@ -24,6 +24,7 @@ from mackeybox.mackey import (
     fixed_point_functor,
     gset_product,
     is_mackey_isomorphism,
+    PRIME_LIMIT,
     is_prime,
     orbit_functor,
     permutation_functor,
@@ -50,6 +51,26 @@ def test_is_prime():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-3)
+
+
+def test_is_prime_large_and_pseudoprimes():
+    assert is_prime(1000000007)
+    assert is_prime(10**18 + 3)
+    assert not is_prime(10**18 + 1)
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(2047)  # strong pseudoprime to base 2
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(41 * 43)
+    assert is_prime(PRIME_LIMIT - 1) is False  # 3317044064679887385961980 is even
+    with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+        is_prime(PRIME_LIMIT)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if trial(n)]
 
 
 def test_action_norm_of_cycle():
