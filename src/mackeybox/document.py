@@ -218,6 +218,8 @@ def parse_document(text: str) -> MackeyDocument:
                 raise DocumentSyntaxError(
                     f"field '{key}' is not a bracketed integer matrix: {exc.msg}", lineno
                 ) from None
+            except RecursionError:
+                raise DocumentSyntaxError(f"field '{key}' is nested too deeply", lineno) from None
             seen[key] = _int_rows(parsed, key)
     missing = [f for f in _FIELDS if f not in seen]
     if missing:

@@ -54,7 +54,7 @@ class IntMatrix:
             width = 0 if cols is None else cols
         if cols is not None and rows and width != cols:
             raise ValueError(f"rows have length {width}, expected {cols}")
-        flat = tuple(int(e) for row in rows for e in row)
+        flat = tuple(e for row in rows for e in row)
         return cls(len(rows), width, flat)
 
     @classmethod
@@ -68,7 +68,7 @@ class IntMatrix:
             height = 0 if rows is None else rows
         if rows is not None and columns and height != rows:
             raise ValueError(f"columns have length {height}, expected {rows}")
-        flat = tuple(int(columns[j][i]) for i in range(height) for j in range(len(columns)))
+        flat = tuple(columns[j][i] for i in range(height) for j in range(len(columns)))
         return cls(height, len(columns), flat)
 
     @classmethod
@@ -81,7 +81,7 @@ class IntMatrix:
 
     @classmethod
     def column_vector(cls, vec) -> "IntMatrix":
-        vec = tuple(int(x) for x in vec)
+        vec = tuple(vec)
         return cls(len(vec), 1, vec)
 
     # -- access ------------------------------------------------------------

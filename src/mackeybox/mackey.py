@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlin import IntMatrix, block_diagonal, lattice_basis, solve_linear, vstack
+from .intlin import IntMatrix, block_diagonal, hstack, lattice_basis, solve_linear, vstack
 from .abgroup import (
     AbHom,
     FpAbGroup,
     coinvariants,
     direct_sum,
-    quotient_by,
     tensor_product,
     _preimage_gens,
 )
@@ -308,35 +307,22 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
     if m.p != n.p:
         raise ValueError("mismatched primes")
     p = m.p
-    bt = tensor_product(m.bottom, n.bottom)
-    bottom = bt.group
+    bottom = tensor_product(m.bottom, n.bottom).group
     gamma = AbHom(bottom, bottom, m.gamma.matrix.kron(n.gamma.matrix))
     coinv, _ = coinvariants(bottom, gamma, p)
-    tt = tensor_product(m.top, n.top)
-    nt, nb = tt.group.ngens, bottom.ngens
-    top0 = direct_sum(tt.group, coinv)
+    tops = tensor_product(m.top, n.top).group
+    nt, nb = tops.ngens, bottom.ngens
+    top0 = direct_sum(tops, coinv)
 
-    frobenius = []
     res_m, tr_m = m.res.matrix, m.tr.matrix
     res_n, tr_n = n.res.matrix, n.tr.matrix
-    for i in range(m.top.ngens):
-        for l in range(n.bottom.ngens):
-            v = [0] * (nt + nb)
-            for j in range(n.top.ngens):
-                v[tt.index(i, j)] += tr_n.at(j, l)
-            for k in range(m.bottom.ngens):
-                v[nt + bt.index(k, l)] -= res_m.at(k, i)
-            frobenius.append(v)
-    for k in range(m.bottom.ngens):
-        for j in range(n.top.ngens):
-            v = [0] * (nt + nb)
-            for i in range(m.top.ngens):
-                v[tt.index(i, j)] += tr_m.at(i, k)
-            for l in range(n.bottom.ngens):
-                v[nt + bt.index(k, l)] -= res_n.at(l, j)
-            frobenius.append(v)
-
-    top, _ = quotient_by(top0, frobenius)
+    eye = IntMatrix.identity
+    # one column per a ⊗ tr(y) = t(res(a) ⊗ y), then per tr(x) ⊗ b = t(x ⊗ res(b))
+    frobenius = vstack(
+        eye(m.top.ngens).kron(tr_n).hstack(tr_m.kron(eye(n.top.ngens))),
+        -res_m.kron(eye(n.bottom.ngens)).hstack(eye(m.bottom.ngens).kron(res_n)),
+    )
+    top = FpAbGroup(nt + nb, top0.relations.hstack(frobenius))
     tr = AbHom(bottom, top, vstack(IntMatrix.zeros(nt, nb), IntMatrix.identity(nb)))
     res_matrix = res_m.kron(res_n).hstack(action_norm(gamma, p).matrix)
     res = AbHom(top, bottom, res_matrix)
@@ -415,18 +401,9 @@ def unit_isomorphism(m: MackeyFunctor) -> MackeyMorphism:
     M this is a Mackey isomorphism (the Burnside functor is the box unit).
     """
     src = box_product(burnside(m.p), m)
-    nt, nb = m.top.ngens, m.bottom.ngens
-    cols = []
-    eye = IntMatrix.identity(nt)
-    trres = (m.tr @ m.res).matrix
-    for j in range(nt):  # u ⊗ a_j
-        cols.append(eye.column(j))
-    for j in range(nt):  # t ⊗ a_j
-        cols.append(trres.column(j))
-    for l in range(nb):  # t(1 ⊗ x_l)
-        cols.append(m.tr.matrix.column(l))
-    phi_top = AbHom(src.top, m.top, IntMatrix.from_columns(cols, rows=nt))
-    phi_bottom = AbHom(src.bottom, m.bottom, IntMatrix.identity(nb))
+    top = hstack(IntMatrix.identity(m.top.ngens), (m.tr @ m.res).matrix, m.tr.matrix)
+    phi_top = AbHom(src.top, m.top, top)
+    phi_bottom = AbHom(src.bottom, m.bottom, IntMatrix.identity(m.bottom.ngens))
     return MackeyMorphism(src, m, phi_top, phi_bottom)
 
 

@@ -14,15 +14,14 @@ with a verified isomorphism box(M, inverse) → burnside(p).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
 from .intlin import (
     IntMatrix,
+    block_diagonal,
     extended_gcd,
     invert_unimodular,
-    kernel_basis,
     lattice_basis,
     smith_normal_form,
     solve_linear,
@@ -339,13 +338,6 @@ class IsoSearchResult:
     detail: str = ""
 
 
-def _matrix_candidates(rows: int, cols: int, bound: int):
-    """All integer matrices with entries in [-bound, bound], lexicographically."""
-    values = range(-bound, bound + 1)
-    for flat in itertools.product(values, repeat=rows * cols):
-        yield IntMatrix(rows, cols, flat)
-
-
 def _bounded_points(offset, basis: IntMatrix, bound: int):
     """All vectors offset + basis·k with every entry in [-bound, bound].
 
@@ -389,75 +381,66 @@ def _bounded_points(offset, basis: IntMatrix, bound: int):
     yield from rec(0, offset)
 
 
-def _top_maps(m: MackeyFunctor, n: MackeyFunctor, phi_b: IntMatrix, bound: int):
-    """All top matrices within the bound making both squares commute exactly.
+def _bounded_maps(shape: tuple[int, int], constraints, bound: int):
+    """All matrices X of the given shape with entries in [-bound, bound] that
+    satisfy every constraint, lexicographically in the row-major entries.
 
-    Solves the combined linear system over Z: the restriction square, the
-    transfer square, and well-definedness on the top relations, each modulo
-    the target relation lattice (auxiliary unknowns supply the lattice
-    parts).  Candidates are the solutions projected to the top-matrix block.
+    A constraint ``(terms, const, modulus)`` asks that every column of
+    ``Σ L·X·R - const`` over the ``(L, R)`` pairs in ``terms`` lie in the
+    column lattice of ``modulus`` (``const`` None means zero).  With X
+    flattened row-major, vec(L·X·R) = (L ⊗ Rᵀ)·vec(X), and the lattice part
+    modulus·Y adds the block modulus ⊗ I on auxiliary unknowns Y, so the
+    solutions form a lattice coset whose in-bound points are walked exactly.
     """
-    nt_m, nt_n = m.top.ngens, n.top.ngens
-    nb_m, nb_n = m.bottom.ngens, n.bottom.ngens
-    rel_bn, rel_tn, rel_tm = n.bottom.relations, n.top.relations, m.top.relations
-    nx = nt_n * nt_m
-    ny1 = rel_bn.cols * nt_m
-    ny2 = rel_tn.cols * nb_m
-    ny3 = rel_tn.cols * rel_tm.cols
-    width = nx + ny1 + ny2 + ny3
-
-    rows, rhs = [], []
-
-    def x_index(r, c):
-        return r * nt_m + c
-
-    rhs1 = phi_b @ m.res.matrix
-    for r in range(nb_n):
-        for c in range(nt_m):
-            row = [0] * width
-            for k in range(nt_n):
-                row[x_index(k, c)] += n.res.matrix.at(r, k)
-            for s in range(rel_bn.cols):
-                row[nx + s * nt_m + c] -= rel_bn.at(r, s)
-            rows.append(row)
-            rhs.append(rhs1.at(r, c))
-    rhs2 = n.tr.matrix @ phi_b
-    for r in range(nt_n):
-        for l in range(nb_m):
-            row = [0] * width
-            for k in range(nt_m):
-                row[x_index(r, k)] += m.tr.matrix.at(k, l)
-            for s in range(rel_tn.cols):
-                row[nx + ny1 + s * nb_m + l] -= rel_tn.at(r, s)
-            rows.append(row)
-            rhs.append(rhs2.at(r, l))
-    for r in range(nt_n):
-        for c in range(rel_tm.cols):
-            row = [0] * width
-            for k in range(nt_m):
-                row[x_index(r, k)] += rel_tm.at(k, c)
-            for s in range(rel_tn.cols):
-                row[nx + ny1 + ny2 + s * rel_tm.cols + c] -= rel_tn.at(r, s)
-            rows.append(row)
-            rhs.append(0)
-
-    system = IntMatrix.from_rows(rows, cols=width)
-    particular = solve_linear(system, rhs)
+    rows, cols = shape
+    maps = IntMatrix.zeros(0, rows * cols)
+    modulus = IntMatrix.zeros(0, 0)
+    rhs = []
+    for terms, const, mod in constraints:
+        (left, right), *more = terms
+        block = left.kron(right.transpose())
+        for l, r in more:
+            block = block + l.kron(r.transpose())
+        maps = maps.vstack(block)
+        # Y has one column per column of L·X·R
+        modulus = block_diagonal(modulus, mod.kron(IntMatrix.identity(right.cols)))
+        rhs.extend(const.entries if const is not None else (0,) * block.rows)
+    particular = solve_linear(maps.hstack(modulus), rhs)
     if particular is None:
         return
-    free_part = lattice_basis(kernel_basis(system).take_rows(range(nx)))
-    for flat in _bounded_points(particular[:nx], free_part, bound):
-        yield IntMatrix(nt_n, nt_m, flat)
+    free_part = lattice_basis(_preimage_gens(maps, modulus))
+    for flat in _bounded_points(particular[: rows * cols], free_part, bound):
+        yield IntMatrix(rows, cols, flat)
+
+
+def _matrix_candidates(m: MackeyFunctor, n: MackeyFunctor, bound: int):
+    """Bottom maps within the bound that are well defined and equivariant:
+    X·rel_m ≡ 0 and X·γ_m - γ_n·X ≡ 0 modulo the relations of N's bottom."""
+    eye_m = IntMatrix.identity(m.bottom.ngens)
+    eye_n = IntMatrix.identity(n.bottom.ngens)
+    rel_n = n.bottom.relations
+    return _bounded_maps(
+        (n.bottom.ngens, m.bottom.ngens),
+        (
+            (((eye_n, m.bottom.relations),), None, rel_n),
+            (((eye_n, m.gamma.matrix), (-n.gamma.matrix, eye_m)), None, rel_n),
+        ),
+        bound,
+    )
 
 
 def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoSearchResult:
     """Bounded, deterministic search for an isomorphism M → N.
 
-    Tier invariant factors rule out quickly; otherwise bottom maps with
-    entries in [-bound, bound] are enumerated, and for each equivariant
-    bottom isomorphism the commuting-square constraints pin the top map to a
-    lattice coset whose in-bound points are enumerated exactly.  Exhaustion
-    without a witness yields UNKNOWN (the bound may simply be too small).
+    Tier invariant factors rule out quickly.  Otherwise both tiers come from
+    the same lattice-coset walk over maps with entries in [-bound, bound],
+    in lexicographic order.  Bottom maps are pinned by well-definedness on
+    the bottom relations and equivariance (φ_b·γ_M = γ_N·φ_b); for each
+    bottom isomorphism, top maps are pinned by the restriction square
+    (res_N·φ_t = φ_b·res_M), the transfer square (φ_t·tr_M = tr_N·φ_b) and
+    well-definedness on the top relations, each modulo the target's
+    relations.  Exhaustion without a witness yields UNKNOWN (the bound may
+    simply be too small).
     """
     if m.p != n.p:
         return IsoSearchResult(NOT_ISOMORPHIC, detail="different primes")
@@ -468,15 +451,19 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
                 detail=f"{name} tiers have different invariant factors "
                 f"{invariant_factors(gm)} vs {invariant_factors(gn)}",
             )
-    for phi_b_mat in _matrix_candidates(n.bottom.ngens, m.bottom.ngens, bound):
+    eye_m = IntMatrix.identity(m.top.ngens)
+    eye_n = IntMatrix.identity(n.top.ngens)
+    rel_n = n.top.relations
+    for phi_b_mat in _matrix_candidates(m, n, bound):
         phi_b = AbHom(m.bottom, n.bottom, phi_b_mat)
-        if not phi_b.is_well_defined():
-            continue
-        if not (phi_b @ m.gamma).equals(n.gamma @ phi_b):
-            continue
         if not is_isomorphism(phi_b):
             continue
-        for phi_t_mat in _top_maps(m, n, phi_b_mat, bound):
+        squares = (
+            (((n.res.matrix, eye_m),), phi_b_mat @ m.res.matrix, n.bottom.relations),
+            (((eye_n, m.tr.matrix),), n.tr.matrix @ phi_b_mat, rel_n),
+            (((eye_n, m.top.relations),), None, rel_n),
+        )
+        for phi_t_mat in _bounded_maps((n.top.ngens, m.top.ngens), squares, bound):
             candidate = MackeyMorphism(
                 m, n, AbHom(m.top, n.top, phi_t_mat), phi_b
             )

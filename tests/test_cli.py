@@ -135,6 +135,13 @@ def test_check_syntax_error(capsys, monkeypatch):
     assert "syntax error" in err
 
 
+def test_check_deeply_nested_matrix_is_syntax_error(capsys, monkeypatch):
+    deep = BROKEN.replace("res: [[1]]", "res: " + "[" * 200000)
+    code, _, err = cli(["check"], capsys, monkeypatch, stdin_text=deep)
+    assert code == 2
+    assert "syntax error" in err and "nested too deeply" in err
+
+
 def test_check_non_prime(capsys, monkeypatch):
     doc = render_machine(burnside(2)).replace("p: 2", "p: 9")
     code, _, err = cli(["check"], capsys, monkeypatch, stdin_text=doc)

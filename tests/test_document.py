@@ -96,6 +96,8 @@ def test_syntax_errors():
         parse_document(GOOD.replace("res: [[1, 2]]", "res: [[1, 2.5]]"))
     with pytest.raises(DocumentSyntaxError):
         parse_document(GOOD.replace("res: [[1, 2]]", "res: [1, 2]"))
+    with pytest.raises(DocumentSyntaxError):  # json.loads raises RecursionError
+        parse_document(GOOD.replace("res: [[1, 2]]", "res: " + "[" * 200000))
     missing = GOOD.replace("action: [[1]]\n", "")
     with pytest.raises(DocumentSyntaxError) as exc2:
         parse_document(missing)

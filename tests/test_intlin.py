@@ -117,6 +117,23 @@ def test_shape_errors():
         IntMatrix.from_rows([[1]]) @ IntMatrix.from_rows([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix(1, 1, (1.5,)),
+        lambda: IntMatrix.from_rows([[1.5, True]]),
+        lambda: IntMatrix.from_rows([[1, True]]),
+        lambda: IntMatrix.from_columns([["7"]]),
+        lambda: IntMatrix.column_vector([2.0]),
+    ],
+)
+def test_entries_must_be_ints(build):
+    # every constructor leaves the check to __post_init__, so none of them
+    # rounds a float, reads a string or turns a bool into 1
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_kron_indexing():
     a = IntMatrix.from_rows([[2, 3]])
     b = IntMatrix.from_rows([[1], [5]])
