@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 from .intlin import (
     IntMatrix,
+    _smith,
     block_diagonal,
     hstack,
     kernel_basis,
     lattice_basis,
     lattice_contains,
     lattice_contains_all,
-    smith_normal_form,
     solve_linear,
 )
 
@@ -118,7 +118,7 @@ def invariant_factors(g: FpAbGroup) -> tuple[int, tuple[int, ...]]:
     >>> invariant_factors(FpAbGroup(2, IntMatrix.from_columns([(2, 0), (0, 6)])))
     (0, (2, 6))
     """
-    diag = smith_normal_form(g.relations).diagonal()
+    diag = _smith(g.relations, want_u=False, want_v=False).diagonal()
     nonzero = [d for d in diag if d != 0]
     torsion = tuple(d for d in nonzero if d > 1)
     return g.ngens - len(nonzero), torsion

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 
 from .intlin import IntMatrix
@@ -78,18 +79,33 @@ _HEADER = (
 )
 
 
-def _int_rows(value, field: str) -> tuple[tuple[int, ...], ...]:
+def _int_rows(value, field: str, line: int) -> tuple[tuple[int, ...], ...]:
     if not isinstance(value, list):
-        raise DocumentSyntaxError(f"field '{field}' must be a bracketed list")
+        raise DocumentSyntaxError(f"field '{field}' must be a bracketed list", line)
     rows = []
     for row in value:
         if not isinstance(row, list):
-            raise DocumentSyntaxError(f"field '{field}' must be a list of rows")
+            raise DocumentSyntaxError(f"field '{field}' must be a list of rows", line)
         for e in row:
             if not isinstance(e, int) or isinstance(e, bool):
-                raise DocumentSyntaxError(f"field '{field}' has a non-integer entry {e!r}")
+                raise DocumentSyntaxError(
+                    f"field '{field}' has a non-integer entry {_quote(e)}", line
+                )
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _quote(value) -> str:
+    """A short repr of an offending value: nesting and length are cut
+    (reprlib), then the text is cut to 40 characters.
+
+    >>> _quote([[[[[[[[]]]]]]]])
+    '[[[[[[[...]]]]]]]'
+    >>> _quote([[1, 2, 3]] * 10)
+    '[[1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2…'
+    """
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else text[:39] + "…"
 
 
 def _shape_check(rows, nrows: int, ncols: int, field: str):
@@ -220,7 +236,7 @@ def parse_document(text: str) -> MackeyDocument:
                 ) from None
             except RecursionError:
                 raise DocumentSyntaxError(f"field '{key}' is nested too deeply", lineno) from None
-            seen[key] = _int_rows(parsed, key)
+            seen[key] = _int_rows(parsed, key, lineno)
     missing = [f for f in _FIELDS if f not in seen]
     if missing:
         raise DocumentSyntaxError(f"missing field '{missing[0]}'")

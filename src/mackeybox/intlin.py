@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from operator import mul
 
@@ -54,8 +54,7 @@ class IntMatrix:
             width = 0 if cols is None else cols
         if cols is not None and rows and width != cols:
             raise ValueError(f"rows have length {width}, expected {cols}")
-        flat = tuple(e for row in rows for e in row)
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
@@ -68,8 +67,7 @@ class IntMatrix:
             height = 0 if rows is None else rows
         if rows is not None and columns and height != rows:
             raise ValueError(f"columns have length {height}, expected {rows}")
-        flat = tuple(columns[j][i] for i in range(height) for j in range(len(columns)))
-        return cls(height, len(columns), flat)
+        return cls(height, len(columns), tuple(chain.from_iterable(zip(*columns))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -275,12 +273,13 @@ class SmithDecomposition:
     """Unimodular U, V and diagonal S with ``U @ A @ V == S``.
 
     The diagonal is nonnegative, each entry divides the next, and zeros come
-    last.
+    last.  ``smith_normal_form`` always fills in U and V; inside this module
+    ``_smith`` leaves out (as None) a transform its caller does not read.
     """
 
-    u: IntMatrix
+    u: IntMatrix | None
     s: IntMatrix
-    v: IntMatrix
+    v: IntMatrix | None
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.s.rows, self.s.cols)
@@ -295,43 +294,63 @@ def _swap_rows(m, i, j):
 
 
 def _add_row(m, dst, src, q):
+    """Row dst += q * row src, in place, over the nonzero entries of row src."""
     if q:
-        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
+        row = m[dst]
+        for k, b in enumerate(m[src]):
+            if b:
+                row[k] += q * b
 
 
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _least_entry(s, t):
+    """Position of the first entry of least nonzero absolute value in the
+    block ``s[t:][t:]``, scanned row by row; None if the block is zero.  An
+    entry of absolute value 1 ends the scan, since only a strictly smaller
+    one could replace it."""
+    best, at = 0, None
+    for i in range(t, len(s)):
+        row = s[i]
+        for j in range(t, len(row)):
+            e = row[j]
+            if e and (best == 0 or abs(e) < best):
+                best, at = abs(e), (i, j)
+                if best == 1:
+                    return at
+    return at
 
 
-def _add_col(m, dst, src, q):
-    if q:
-        for row in m:
-            row[dst] += q * row[src]
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith(a: IntMatrix) -> SmithDecomposition:
+def _smith(a: IntMatrix, want_u: bool = True, want_v: bool = True) -> SmithDecomposition:
+    """S, and U and V only when asked, by one fixed sequence of operations.
+
+    Every step is a row operation on a list of rows.  A column operation on
+    S touches only rows ``t`` and below, since the rows above the pivot are
+    already zero in the columns that remain; V is held as the rows of its
+    transpose, so a column operation on V is a row operation there.  S and
+    each transform built are the same whichever transforms are asked for.
+    """
     m, n = a.rows, a.cols
     s = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = _identity_rows(m) if want_u else None
+    vt = _identity_rows(n) if want_v else None  # row j is column j of V
 
     for t in range(min(m, n)):
-        # pivot: entry of least absolute value in the remaining block
-        best, pi, pj = 0, -1, -1
-        for i in range(t, m):
-            for j in range(t, n):
-                e = s[i][j]
-                if e and (best == 0 or abs(e) < best):
-                    best, pi, pj = abs(e), i, j
-        if best == 0:
+        at = _least_entry(s, t)
+        if at is None:
             break
+        pi, pj = at
         if pi != t:
             _swap_rows(s, t, pi)
-            _swap_rows(u, t, pi)
+            if u is not None:
+                _swap_rows(u, t, pi)
         if pj != t:
-            _swap_cols(s, t, pj)
-            _swap_cols(v, t, pj)
+            for row in s[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            if vt is not None:
+                _swap_rows(vt, t, pj)
         while True:
             dirty = True
             while dirty:
@@ -340,10 +359,12 @@ def _smith(a: IntMatrix) -> SmithDecomposition:
                     if s[i][t]:
                         q = s[i][t] // s[t][t]
                         _add_row(s, i, t, -q)
-                        _add_row(u, i, t, -q)
+                        if u is not None:
+                            _add_row(u, i, t, -q)
                         if s[i][t]:  # nonzero remainder becomes the smaller pivot
                             _swap_rows(s, t, i)
-                            _swap_rows(u, t, i)
+                            if u is not None:
+                                _swap_rows(u, t, i)
                             dirty = True
             dirty = True
             while dirty:
@@ -351,11 +372,16 @@ def _smith(a: IntMatrix) -> SmithDecomposition:
                 for j in range(t + 1, n):
                     if s[t][j]:
                         q = s[t][j] // s[t][t]
-                        _add_col(s, j, t, -q)
-                        _add_col(v, j, t, -q)
+                        for row in s[t:]:
+                            if row[t]:
+                                row[j] -= q * row[t]
+                        if vt is not None:
+                            _add_row(vt, j, t, -q)
                         if s[t][j]:
-                            _swap_cols(s, t, j)
-                            _swap_cols(v, t, j)
+                            for row in s[t:]:
+                                row[t], row[j] = row[j], row[t]
+                            if vt is not None:
+                                _swap_rows(vt, t, j)
                             dirty = True
             if any(s[i][t] for i in range(t + 1, m)):
                 continue  # a column swap disturbed the cleared column
@@ -372,18 +398,30 @@ def _smith(a: IntMatrix) -> SmithDecomposition:
             if viol is None:
                 break
             _add_row(s, t, viol, 1)
-            _add_row(u, t, viol, 1)
+            if u is not None:
+                _add_row(u, t, viol, 1)
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
 
-    mk = IntMatrix.from_rows
-    return SmithDecomposition(mk(u, cols=m), mk(s, cols=n), mk(v, cols=n))
+    return SmithDecomposition(
+        None if u is None else IntMatrix.from_rows(u, cols=m),
+        IntMatrix.from_rows(s, cols=n),
+        None if vt is None else IntMatrix.from_columns(vt, rows=n),
+    )
 
 
 @lru_cache(maxsize=4096)
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
+    """Smith normal form with both transforms.
+
+    This is the full decomposition, for callers that read U and V both
+    (``solve_linear``, ``invert_unimodular``).  Callers that read less go to
+    the uncached ``_smith`` directly: ``invariant_factors`` reads only the
+    diagonal, ``kernel_basis`` only V, and ``lattice_contains_all`` and the
+    isotropy quotient only U.  Every elimination step is a row operation on
+    a list of rows (see ``_smith``).
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
     (2, 4)
@@ -395,46 +433,45 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def _hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Column reduction of A, run on the transposes of H and U so that each
+    column operation is a row operation on a list."""
     m, n = a.rows, a.cols
-    h = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    h = [list(a.column(j)) for j in range(n)]  # h[j] is column j of H
+    u = _identity_rows(n)  # u[j] is column j of U
     pc = 0  # next pivot column
     for r in range(m):
         if pc == n:
             break
         while True:
-            nz = [j for j in range(pc, n) if h[r][j]]
+            nz = [j for j in range(pc, n) if h[j][r]]
             if not nz:
                 break
-            jmin = min(nz, key=lambda j: (abs(h[r][j]), j))
+            jmin = min(nz, key=lambda j: (abs(h[j][r]), j))
             if jmin != pc:
-                _swap_cols(h, pc, jmin)
-                _swap_cols(u, pc, jmin)
+                _swap_rows(h, pc, jmin)
+                _swap_rows(u, pc, jmin)
             done = True
             for j in range(pc + 1, n):
-                if h[r][j]:
-                    q = h[r][j] // h[r][pc]
-                    _add_col(h, j, pc, -q)
-                    _add_col(u, j, pc, -q)
-                    if h[r][j]:
+                if h[j][r]:
+                    q = h[j][r] // h[pc][r]
+                    _add_row(h, j, pc, -q)
+                    _add_row(u, j, pc, -q)
+                    if h[j][r]:
                         done = False
             if done:
                 break
-        if h[r][pc] == 0:
+        if h[pc][r] == 0:
             continue  # no pivot in this row
-        if h[r][pc] < 0:
-            for row in h:
-                row[pc] = -row[pc]
-            for row in u:
-                row[pc] = -row[pc]
-        piv = h[r][pc]
+        if h[pc][r] < 0:
+            h[pc] = [-x for x in h[pc]]
+            u[pc] = [-x for x in u[pc]]
+        piv = h[pc][r]
         for l in range(pc):  # reduce earlier columns: 0 <= h[r][l] < pivot
-            q = h[r][l] // piv
-            _add_col(h, l, pc, -q)
-            _add_col(u, l, pc, -q)
+            q = h[l][r] // piv
+            _add_row(h, l, pc, -q)
+            _add_row(u, l, pc, -q)
         pc += 1
-    mk = IntMatrix.from_rows
-    return mk(h, cols=n), mk(u, cols=n)
+    return IntMatrix.from_columns(h, rows=m), IntMatrix.from_columns(u, rows=n)
 
 
 @lru_cache(maxsize=4096)
@@ -504,7 +541,7 @@ def lattice_contains_all(a: IntMatrix, m: IntMatrix) -> bool:
         return True
     if a.cols == 0:
         return m.is_zero()
-    dec = smith_normal_form(a)
+    dec = _smith(a, want_v=False)
     diag = dec.diagonal()
     for i in range(a.rows):
         d = diag[i] if i < len(diag) else 0
@@ -529,7 +566,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     >>> kernel_basis(IntMatrix.from_rows([[1, 2, 3]])).cols
     2
     """
-    dec = smith_normal_form(a)
+    dec = _smith(a, want_u=False)
     return dec.v.take_columns(range(dec.rank(), a.cols))
 
 

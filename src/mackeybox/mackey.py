@@ -17,6 +17,7 @@ coinvariants of the bottom tensor, glued by Frobenius reciprocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .intlin import IntMatrix, block_diagonal, hstack, lattice_basis, solve_linear, vstack
 from .abgroup import (
@@ -36,8 +37,12 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 
 
+@lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError from PRIME_LIMIT on.
+
+    Memoised: every functor built re-checks its prime, and a box product or
+    a classification builds many functors at one p.
 
     >>> is_prime(1000000007), is_prime(561)
     (True, False)

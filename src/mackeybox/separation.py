@@ -19,11 +19,11 @@ from math import gcd
 
 from .intlin import (
     IntMatrix,
+    _smith,
     block_diagonal,
     extended_gcd,
     invert_unimodular,
     lattice_basis,
-    smith_normal_form,
     solve_linear,
 )
 from .abgroup import (
@@ -209,7 +209,7 @@ def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
     The projection is a ``rank x ngens`` matrix inducing an isomorphism onto
     Z^rank; the section satisfies projection @ section = identity.
     """
-    dec = smith_normal_form(group.relations)
+    dec = _smith(group.relations, want_v=False)
     r = dec.rank()
     if group.ngens - r != rank:
         raise ValueError("group does not have the expected free rank")

@@ -142,6 +142,16 @@ def test_check_deeply_nested_matrix_is_syntax_error(capsys, monkeypatch):
     assert "syntax error" in err and "nested too deeply" in err
 
 
+def test_check_nested_entry_error_is_short_and_located(capsys, monkeypatch):
+    nested = "[" * 500 + "]" * 500
+    doc = BROKEN.replace("action: [[1]]", "action: " + nested)
+    code, _, err = cli(["check"], capsys, monkeypatch, stdin_text=doc)
+    assert code == 2
+    message = err.removeprefix("mackeybox: ")
+    assert message.startswith("syntax error: line 6: field 'action' has a non-integer entry ")
+    assert len(message) < 200
+
+
 def test_check_non_prime(capsys, monkeypatch):
     doc = render_machine(burnside(2)).replace("p: 2", "p: 9")
     code, _, err = cli(["check"], capsys, monkeypatch, stdin_text=doc)

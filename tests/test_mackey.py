@@ -66,6 +66,31 @@ def test_is_prime_large_and_pseudoprimes():
         is_prime(PRIME_LIMIT)
 
 
+def test_is_prime_runs_once_per_prime_in_a_box_product(monkeypatch):
+    from mackeybox import mackey
+
+    bodies = []
+
+    def counting_pow(base, exp, mod):
+        if base == 2:  # the first Miller-Rabin witness: one per run of the body
+            bodies.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(mackey, "pow", counting_pow, raising=False)
+    is_prime.cache_clear()
+    box_product(burnside(10007), twisted_burnside(10007, 3))
+    assert bodies == [10007]
+    assert is_prime.cache_info().hits >= 2
+
+
+def test_is_prime_does_not_cache_a_refusal():
+    is_prime.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_prime(PRIME_LIMIT)
+    assert is_prime.cache_info().currsize == 0
+
+
 def test_is_prime_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))

@@ -3,16 +3,31 @@
 Powers and norms are compared with the p-step loops, sparse products with a
 dense triple loop, and batched lattice membership with one ``solve_linear``
 per column.  The operation-count test pins the logarithmic cost in p.  The
-Kronecker-built Frobenius relations are compared with the hand-indexed loop,
-and the isomorphism search with a brute force over both tiers.
+Smith form built without one or both transforms is compared with the full
+decomposition, the row-operation Hermite form with the column-operation
+version kept here, and the Smith diagonal of dense matrices with the Bareiss
+determinant.  The Kronecker-built Frobenius relations are compared with the
+hand-indexed loop, and the isomorphism search with a brute force over both
+tiers.
 """
 
 import itertools
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackeybox.intlin import IntMatrix, lattice_contains_all, solve_linear
+from mackeybox import abgroup, intlin, separation
+from mackeybox.intlin import (
+    IntMatrix,
+    _hermite,
+    _smith,
+    kernel_basis,
+    lattice_contains_all,
+    smith_normal_form,
+    solve_linear,
+)
 from mackeybox.abgroup import (
     AbHom,
     FpAbGroup,
@@ -178,6 +193,132 @@ def test_lattice_contains_all_equals_solve_per_column(case):
     rel, m = case
     expected = all(solve_linear(rel, m.column(j)) is not None for j in range(m.cols))
     assert lattice_contains_all(rel, m) == expected
+
+
+# -- Smith forms that build only what is read ----------------------------------------------
+
+
+FLAG_PAIRS = ((False, False), (True, False), (False, True), (True, True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_dim=7))
+def test_smith_without_transforms_equals_the_full_decomposition(a):
+    full = smith_normal_form(a)
+    assert full.u @ a @ full.v == full.s
+    for want_u, want_v in FLAG_PAIRS:
+        part = _smith(a, want_u=want_u, want_v=want_v)
+        assert part.s.entries == full.s.entries
+        assert part.u == (full.u if want_u else None)
+        assert part.v == (full.v if want_v else None)
+
+
+def column_hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The Hermite form by column operations on row-major lists, as
+    ``intlin._hermite`` computed it before it moved to the transposes."""
+
+    def swap_cols(m, i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(m, dst, src, q):
+        if q:
+            for row in m:
+                row[dst] += q * row[src]
+
+    m, n = a.rows, a.cols
+    h = a.to_rows()
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pc = 0
+    for r in range(m):
+        if pc == n:
+            break
+        while True:
+            nz = [j for j in range(pc, n) if h[r][j]]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: (abs(h[r][j]), j))
+            if jmin != pc:
+                swap_cols(h, pc, jmin)
+                swap_cols(u, pc, jmin)
+            done = True
+            for j in range(pc + 1, n):
+                if h[r][j]:
+                    q = h[r][j] // h[r][pc]
+                    add_col(h, j, pc, -q)
+                    add_col(u, j, pc, -q)
+                    if h[r][j]:
+                        done = False
+            if done:
+                break
+        if h[r][pc] == 0:
+            continue
+        if h[r][pc] < 0:
+            for row in h:
+                row[pc] = -row[pc]
+            for row in u:
+                row[pc] = -row[pc]
+        piv = h[r][pc]
+        for l in range(pc):
+            q = h[r][l] // piv
+            add_col(h, l, pc, -q)
+            add_col(u, l, pc, -q)
+        pc += 1
+    return IntMatrix(m, n, tuple(itertools.chain(*h))), IntMatrix(n, n, tuple(itertools.chain(*u)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_dim=7))
+def test_row_operation_hermite_equals_the_column_version(a):
+    h, u = _hermite(a)
+    assert (h, u) == column_hermite(a)
+    assert a @ u == h
+
+
+def test_each_caller_asks_for_the_transforms_it_reads(monkeypatch):
+    """The flags each caller passes to ``_smith`` through its own module."""
+    asked = []
+    original = intlin._smith
+
+    def recorder(module):
+        def recording(a, want_u=True, want_v=True):
+            asked.append((module.__name__, want_u, want_v))
+            return original(a, want_u, want_v)
+
+        return recording
+
+    for module in (intlin, abgroup, separation):
+        monkeypatch.setattr(module, "_smith", recorder(module))
+    rel = IntMatrix.from_columns([(2, 0, 0), (0, 4, 0)], rows=3)
+
+    def flags(module, call):
+        asked.clear()
+        call()
+        return {(u, v) for name, u, v in asked if name == module.__name__}
+
+    assert flags(abgroup, lambda: abgroup.invariant_factors(FpAbGroup(3, rel))) == {(False, False)}
+    assert flags(intlin, lambda: kernel_basis(rel.transpose())) == {(False, True)}
+    assert flags(intlin, lambda: lattice_contains_all(rel, IntMatrix.identity(3))) == {(True, False)}
+    assert flags(separation, lambda: separation._quotient_iso(FpAbGroup(3, rel), 1)) == {(True, False)}
+
+
+def test_dense_smith_diagonal_is_the_determinant():
+    """Uniform dense n x n matrices, n <= 12, entries in [-9, 9]: the product
+    of the diagonal-only Smith form is |det| (Bareiss), and a rank-deficient
+    matrix has a zero on its diagonal.  No timing bound: the coefficients of
+    this elimination grow fast on dense input."""
+    for n in range(1, 13):
+        rng = random.Random(n)
+        a = IntMatrix(n, n, tuple(rng.randint(-9, 9) for _ in range(n * n)))
+        diag = _smith(a, want_u=False, want_v=False).diagonal()
+        assert math.prod(diag) == abs(a.det())
+        if n < 2:
+            continue
+        rows = a.to_rows()
+        rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[-2])]
+        deficient = IntMatrix.from_rows(rows)
+        diag = _smith(deficient, want_u=False, want_v=False).diagonal()
+        assert deficient.det() == 0 and diag[-1] == 0
 
 
 # -- cost in p ------------------------------------------------------------------------------
