@@ -5,22 +5,26 @@ A group is presented by a generator count and a relation matrix whose
 A homomorphism is a ``target.ngens x source.ngens`` integer matrix acting on
 coordinate columns.  Every question (element equality, well-definedness,
 kernels, cokernels) reduces to integer linear algebra from :mod:`.intlin`.
+
+Groups and homomorphisms are frozen, so a fact derived from one is computed
+at most once and kept on it (``functools.cached_property``; the memo is not a
+field, so ``==`` and ``hash`` ignore it): a group's Smith decomposition and
+Hermite basis, and an endomorphism's order-p orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlin import (
     IntMatrix,
+    SmithDecomposition,
+    _reduce_columns,
     _smith,
     block_diagonal,
-    hstack,
     kernel_basis,
     lattice_basis,
-    lattice_contains,
-    lattice_contains_all,
-    solve_linear,
 )
 
 
@@ -61,6 +65,25 @@ class FpAbGroup:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.ngens)
 
+    @cached_property
+    def smith(self) -> SmithDecomposition:
+        """``U @ relations @ V == S`` with U kept and V left out, memoised.
+
+        The invariant factors and every membership question about the
+        relation lattice (is an element zero, is a map well defined, are two
+        maps equal) read this one decomposition.  A group with no relations
+        needs no elimination: U is the identity and S has no columns.
+        """
+        if self.relations.cols == 0:
+            return SmithDecomposition(IntMatrix.identity(self.ngens), self.relations, None)
+        return _smith(self.relations, want_v=False)
+
+    @cached_property
+    def hermite_basis(self) -> IntMatrix:
+        """The canonical (Hermite) basis of the relation lattice, memoised;
+        products in an orbit are reduced modulo it."""
+        return lattice_basis(self.relations)
+
     def is_trivial(self) -> bool:
         return invariant_factors(self) == (0, ())
 
@@ -95,7 +118,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
-        return lattice_contains(self.group.relations, self.coords)
+        return self.group.smith.contains_all(IntMatrix.column_vector(self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement) or self.group != other.group:
@@ -118,7 +141,7 @@ def invariant_factors(g: FpAbGroup) -> tuple[int, tuple[int, ...]]:
     >>> invariant_factors(FpAbGroup(2, IntMatrix.from_columns([(2, 0), (0, 6)])))
     (0, (2, 6))
     """
-    diag = _smith(g.relations, want_u=False, want_v=False).diagonal()
+    diag = g.smith.diagonal()
     nonzero = [d for d in diag if d != 0]
     torsion = tuple(d for d in nonzero if d > 1)
     return g.ngens - len(nonzero), torsion
@@ -219,13 +242,62 @@ class AbHom:
         False
         """
         rel = self.source.relations
-        return rel.cols == 0 or lattice_contains_all(self.target.relations, self.matrix @ rel)
+        return rel.cols == 0 or self.target.smith.contains_all(self.matrix @ rel)
 
     def equals(self, other: "AbHom") -> bool:
         """Equality as maps on the presented groups (not of matrices)."""
         if (self.source, self.target) != (other.source, other.target):
             return False
-        return lattice_contains_all(self.target.relations, self.matrix - other.matrix)
+        return self.target.smith.contains_all(self.matrix - other.matrix)
+
+    @cached_property
+    def _orbits(self) -> dict:
+        return {}
+
+    def orbit(self, p: int) -> tuple["AbHom", "AbHom"]:
+        """``(f^p, 1 + f + ... + f^(p-1))`` for p >= 1, memoised per p.
+
+        Both come from one doubling pass over the bits of p, in O(log p)
+        matrix products: with ``N_k = 1 + f + ... + f^(k-1)``,
+        ``N_2k = N_k + f^k N_k`` and ``N_(2k+1) = N_2k + f^(2k)``, and the
+        pass ends holding ``f^p``.  The identity has the orbit ``(1, p)``
+        with no product at all.  When the group has relations and f is well
+        defined, each step of the pass ends by reducing both matrices modulo
+        the Hermite basis of the relations, so the entries stay small however
+        large p is; both results then equal the exact ones as maps of the
+        group.  Otherwise the products are exact.
+
+        >>> z5 = FpAbGroup.cyclic(5)
+        >>> power, norm = AbHom(z5, z5, IntMatrix.from_rows([[6]])).orbit(1000000007)
+        >>> power.matrix, norm.matrix
+        (IntMatrix([[1]]), IntMatrix([[2]]))
+        """
+        found = self._orbits.get(p)
+        if found is None:
+            found = self._orbits[p] = self._orbit(p)
+        return found
+
+    def _orbit(self, p: int) -> tuple["AbHom", "AbHom"]:
+        if self.source != self.target:
+            raise ValueError("orbits need an endomorphism")
+        if p < 1:
+            raise ValueError("orbits need p >= 1")
+        g = self.source
+        eye = IntMatrix.identity(g.ngens)
+        if self.matrix == eye:
+            return AbHom(g, g, eye), AbHom(g, g, eye.scaled(p))
+        basis = g.hermite_basis if g.relations.cols and self.is_well_defined() else None
+        gamma = self.matrix
+        total, power = eye, gamma  # N_1 and f^1
+        for bit in bin(p)[3:]:
+            total = total + power @ total
+            power = power @ power
+            if bit == "1":
+                total = total + power
+                power = gamma @ power
+            if basis is not None:
+                total, power = _reduce_columns(total, basis), _reduce_columns(power, basis)
+        return AbHom(g, g, power), AbHom(g, g, total)
 
 
 def _preimage_gens(matrix: IntMatrix, modulo: IntMatrix) -> IntMatrix:
@@ -292,7 +364,7 @@ def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
         raise ValueError("gamma must be an endomorphism of the group")
     if not gamma.is_well_defined():
         raise ValueError("gamma is not well-defined")
-    if not gamma.power(p).equals(AbHom.identity(g)):
+    if not gamma.orbit(p)[0].equals(AbHom.identity(g)):
         raise ValueError("gamma does not have order dividing p")
     diff = gamma.matrix - IntMatrix.identity(g.ngens)
     return quotient_by(g, [diff.column(j) for j in range(diff.cols)])
@@ -342,7 +414,7 @@ def same_lattice(a: IntMatrix, b: IntMatrix) -> bool:
     """Whether two generating sets span the same column lattice."""
     if a.rows != b.rows:
         raise ValueError("lattices in different ambient spaces")
-    return lattice_basis(a) == lattice_basis(b)
+    return a == b or lattice_basis(a) == lattice_basis(b)
 
 
 __all__ = [

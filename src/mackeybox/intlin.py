@@ -9,7 +9,6 @@ matrix is the set of integer combinations of its columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, compress
 from math import gcd
 from operator import mul
@@ -288,6 +287,45 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
+    def contains_all(self, m: IntMatrix) -> bool:
+        """Whether every column of m lies in the column lattice of A (reads U).
+
+        A column b is in the lattice exactly when each entry of ``U @ b`` is
+        divisible by the matching diagonal entry of S (zero past the
+        diagonal), so one decomposition answers for all columns; rows with
+        invariant factor 1 need no check, and with no relations at all the
+        columns must vanish.
+        """
+        if self.s.cols == 0:
+            return m.is_zero()
+        diag = self.diagonal()
+        columns = [m.column(j) for j in range(m.cols)]
+        for i in range(self.u.rows):
+            d = diag[i] if i < len(diag) else 0
+            if d == 1:
+                continue
+            urow = self.u.row(i)
+            for col in columns:
+                x = _dot(urow, col)
+                if x % d if d else x:  # past the rank (d == 0) the entry must vanish
+                    return False
+        return True
+
+    def solve(self, b) -> tuple[int, ...] | None:
+        """An integer solution x of ``A x = b``, or None (reads U and V)."""
+        c = self.u.apply(b)
+        diag = self.diagonal()
+        y = [0] * self.v.rows
+        for i, ci in enumerate(c):
+            d = diag[i] if i < len(diag) else 0
+            if d:
+                if ci % d:
+                    return None
+                y[i] = ci // d
+            elif ci:
+                return None
+        return self.v.apply(y)
+
 
 def _swap_rows(m, i, j):
     m[i], m[j] = m[j], m[i]
@@ -412,16 +450,16 @@ def _smith(a: IntMatrix, want_u: bool = True, want_v: bool = True) -> SmithDecom
     )
 
 
-@lru_cache(maxsize=4096)
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms.
+    """Smith normal form with both transforms, computed afresh on each call.
 
     This is the full decomposition, for callers that read U and V both
     (``solve_linear``, ``invert_unimodular``).  Callers that read less go to
-    the uncached ``_smith`` directly: ``invariant_factors`` reads only the
-    diagonal, ``kernel_basis`` only V, and ``lattice_contains_all`` and the
-    isotropy quotient only U.  Every elimination step is a row operation on
-    a list of rows (see ``_smith``).
+    ``_smith`` directly: ``kernel_basis`` reads only V and
+    ``lattice_contains_all`` only U, and a presented group keeps one
+    decomposition of its relations, U without V, memoised on the group
+    (``FpAbGroup.smith``).  Every elimination step is a row operation on a
+    list of rows (see ``_smith``).
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
     (2, 4)
@@ -474,13 +512,14 @@ def _hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_columns(h, rows=m), IntMatrix.from_columns(u, rows=n)
 
 
-@lru_cache(maxsize=4096)
 def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column-style Hermite normal form ``(H, U)`` with ``A @ U == H``.
 
     U is unimodular; H is the canonical lower column echelon form (positive
     pivots, entries left of a pivot reduced into [0, pivot), zero columns
     last), so two matrices span the same column lattice iff their H agree.
+    Computed afresh on each call; a presented group keeps the basis of its
+    relation lattice memoised (``FpAbGroup.hermite_basis``).
 
     >>> hermite_normal_form(IntMatrix.from_rows([[2, 3]]))[0]
     IntMatrix([[1, 0]])
@@ -495,6 +534,33 @@ def lattice_basis(a: IntMatrix) -> IntMatrix:
     return h.take_columns(keep)
 
 
+def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
+    """Each column of a reduced modulo the column lattice of ``basis``.
+
+    ``basis`` is a Hermite basis (``lattice_basis``): the first nonzero
+    entry of column j is positive and sits in row r_j, with r_0 < r_1 < ....
+    Subtracting multiples of the basis columns in that order brings row r_j
+    of every column into [0, pivot) without disturbing the rows already
+    reduced, so columns congruent modulo the lattice reduce to the same one.
+
+    >>> _reduce_columns(IntMatrix.from_rows([[7, -1], [9, 4]]),
+    ...                 IntMatrix.from_columns([(2, 1), (0, 3)], rows=2))
+    IntMatrix([[1, 1], [0, 2]])
+    """
+    cols = [list(a.column(j)) for j in range(a.cols)]
+    for j in range(basis.cols):
+        b = basis.column(j)
+        r = next(i for i, x in enumerate(b) if x)
+        piv = b[r]
+        for col in cols:
+            q = col[r] // piv
+            if q:
+                for i in range(r, len(b)):
+                    if b[i]:
+                        col[i] -= q * b[i]
+    return IntMatrix.from_columns(cols, rows=a.rows)
+
+
 def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     """An integer solution x of ``A x = b``, or None.
 
@@ -506,28 +572,14 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     b = tuple(int(x) for x in b)
     if len(b) != a.rows:
         raise ValueError(f"right-hand side of length {len(b)} for {a.rows} rows")
-    dec = smith_normal_form(a)
-    c = dec.u.apply(b)
-    diag = dec.diagonal()
-    y = [0] * a.cols
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return dec.v.apply(y)
+    return smith_normal_form(a).solve(b)
 
 
 def lattice_contains_all(a: IntMatrix, m: IntMatrix) -> bool:
     """Whether every column of m lies in the column lattice of a.
 
-    With ``U @ A @ V == S`` a column b is in the lattice exactly when each
-    entry of ``U @ b`` is divisible by the matching diagonal entry of S
-    (zero past the diagonal), so one Smith form answers for all columns;
-    rows with invariant factor 1 need no check.
+    One Smith form, U without V, answers for all columns (see
+    ``SmithDecomposition.contains_all``).
 
     >>> a = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
     >>> lattice_contains_all(a, IntMatrix.from_columns([(4, 3), (2, -6)], rows=2))
@@ -537,22 +589,9 @@ def lattice_contains_all(a: IntMatrix, m: IntMatrix) -> bool:
     """
     if m.rows != a.rows:
         raise ValueError(f"columns of length {m.rows} for a lattice in Z^{a.rows}")
-    if m.cols == 0:
-        return True
-    if a.cols == 0:
+    if m.cols == 0 or a.cols == 0:
         return m.is_zero()
-    dec = _smith(a, want_v=False)
-    diag = dec.diagonal()
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        urow = dec.u.row(i)
-        for j in range(m.cols):
-            x = _dot(urow, m.column(j))
-            if x % d if d else x:  # past the rank (d == 0) the entry must vanish
-                return False
-    return True
+    return _smith(a, want_v=False).contains_all(m)
 
 
 def lattice_contains(a: IntMatrix, vec) -> bool:

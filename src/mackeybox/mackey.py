@@ -17,9 +17,9 @@ coinvariants of the bottom tensor, glued by Frobenius reciprocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .intlin import IntMatrix, block_diagonal, hstack, lattice_basis, solve_linear, vstack
+from .intlin import IntMatrix, block_diagonal, hstack, lattice_basis, smith_normal_form, vstack
 from .abgroup import (
     AbHom,
     FpAbGroup,
@@ -76,23 +76,15 @@ def is_prime(n: int) -> bool:
 def action_norm(gamma: AbHom, p: int) -> AbHom:
     """The norm 1 + gamma + ... + gamma^(p-1) of an order-p action.
 
-    Computed by doubling over the bits of p, in O(log p) matrix products:
-    with ``N_k = 1 + gamma + ... + gamma^(k-1)``, ``N_2k = N_k + gamma^k N_k``
-    and ``N_(2k+1) = N_2k + gamma^(2k)``.
+    It is the second half of the action's memoised orbit
+    (:meth:`AbHom.orbit`): O(log p) matrix products, once per action and p.
     """
     if gamma.source != gamma.target:
         raise ValueError("the action must be an endomorphism")
-    n = gamma.source.ngens
     if p < 1:
+        n = gamma.source.ngens
         return AbHom(gamma.source, gamma.target, IntMatrix.zeros(n, n))
-    total, power = IntMatrix.identity(n), gamma.matrix  # N_1 and gamma^1
-    for bit in bin(p)[3:]:
-        total = total + power @ total
-        power = power @ power
-        if bit == "1":
-            total = total + power
-            power = gamma.matrix @ power
-    return AbHom(gamma.source, gamma.target, total)
+    return gamma.orbit(p)[1]
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,8 @@ class MackeyFunctor:
 
     Construction validates shapes and primality only; semantic axioms are
     checked by :func:`check_axioms`, so axiom-violating diagrams can be built
-    and diagnosed.
+    and diagnosed.  The axiom verdict and the classification are memoised
+    on the functor (``_memo``, not a field, so ``==`` and ``hash`` ignore it).
     """
 
     p: int
@@ -121,13 +114,26 @@ class MackeyFunctor:
         if self.tr.source != self.bottom or self.tr.target != self.top:
             raise ValueError("tr must map the bottom tier to the top tier")
 
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
 
 def check_axioms(m: MackeyFunctor) -> tuple[str, ...]:
     """All violated axioms, as human-readable strings; empty means valid.
 
+    The verdict is memoised on m, so checking a functor again is free.
+
     >>> check_axioms(burnside(3))
     ()
     """
+    found = m._memo.get("axioms")
+    if found is None:
+        found = m._memo["axioms"] = _violations(m)
+    return found
+
+
+def _violations(m: MackeyFunctor) -> tuple[str, ...]:
     problems = []
     if not m.gamma.is_well_defined():
         problems.append("action is not well-defined on the bottom presentation")
@@ -135,14 +141,14 @@ def check_axioms(m: MackeyFunctor) -> tuple[str, ...]:
         problems.append("restriction is not well-defined")
     if not m.tr.is_well_defined():
         problems.append("transfer is not well-defined")
-    ident = AbHom.identity(m.bottom)
-    if not m.gamma.power(m.p).equals(ident):
+    power, norm = m.gamma.orbit(m.p)
+    if not power.equals(AbHom.identity(m.bottom)):
         problems.append(f"action's {m.p}-th power is not the identity")
     if not (m.gamma @ m.res).equals(m.res):
         problems.append("restrictions are not fixed by the action")
     if not (m.tr @ m.gamma).equals(m.tr):
         problems.append("transfers are not invariant under the action")
-    if not (m.res @ m.tr).equals(action_norm(m.gamma, m.p)):
+    if not (m.res @ m.tr).equals(norm):
         problems.append("res of a transfer differs from the action norm")
     return tuple(problems)
 
@@ -197,7 +203,7 @@ def _check_module(module: FpAbGroup, gamma: AbHom, p: int) -> None:
         raise ValueError("the action must be an endomorphism of the module")
     if not gamma.is_well_defined():
         raise ValueError("the action is not well-defined")
-    if not gamma.power(p).equals(AbHom.identity(module)):
+    if not gamma.orbit(p)[0].equals(AbHom.identity(module)):
         raise ValueError("the action does not have order dividing p")
 
 
@@ -216,10 +222,10 @@ def fixed_point_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFuncto
     top = FpAbGroup(basis.cols, _preimage_gens(basis, module.relations))
     res = AbHom(top, module, basis)
     norm = action_norm(gamma, p).matrix
-    span = basis.hstack(module.relations)
+    span = smith_normal_form(basis.hstack(module.relations))
     tr_cols = []
     for j in range(n):
-        sol = solve_linear(span, norm.column(j))
+        sol = span.solve(norm.column(j))
         if sol is None:  # unreachable: norm values are fixed by the action
             raise ValueError("norm image does not land in the fixed points")
         tr_cols.append(sol[: basis.cols])

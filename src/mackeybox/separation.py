@@ -19,7 +19,6 @@ from math import gcd
 
 from .intlin import (
     IntMatrix,
-    _smith,
     block_diagonal,
     extended_gcd,
     invert_unimodular,
@@ -209,7 +208,7 @@ def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
     The projection is a ``rank x ngens`` matrix inducing an isomorphism onto
     Z^rank; the section satisfies projection @ section = identity.
     """
-    dec = _smith(group.relations, want_v=False)
+    dec = group.smith
     r = dec.rank()
     if group.ngens - r != rank:
         raise ValueError("group does not have the expected free rank")
@@ -291,12 +290,19 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
 def classify_invertible(m: MackeyFunctor) -> ClassificationResult:
     """Decide invertibility for the box product.
 
+    The verdict is memoised on m, so :func:`invert` after it, or a second
+    call, does not classify m again.  The witness is not kept: only
+    :func:`invert` reads one, that of a fresh product.
+
     >>> classify_invertible(twisted_burnside(5, 7)).d_class
     2
     >>> classify_invertible(twisted_burnside(3, 6)).reason
     'twist-not-coprime'
     """
-    return _classify(m)[0]
+    found = m._memo.get("classification")
+    if found is None:
+        found = m._memo["classification"] = _classify(m)[0]
+    return found
 
 
 def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
@@ -304,7 +310,7 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
 
     Returns None when M is not invertible.
     """
-    result, _ = _classify(m)
+    result = classify_invertible(m)
     if not result.invertible:
         return None
     p = m.p

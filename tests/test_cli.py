@@ -9,7 +9,16 @@ import pytest
 
 from mackeybox.cli import run
 from mackeybox.document import parse_functor, render_machine
-from mackeybox.mackey import GSet, burnside, constant_z, permutation_functor, twisted_burnside
+from mackeybox.abgroup import AbHom, FpAbGroup
+from mackeybox.intlin import IntMatrix
+from mackeybox.mackey import (
+    GSet,
+    burnside,
+    constant_z,
+    orbit_functor,
+    permutation_functor,
+    twisted_burnside,
+)
 
 
 BROKEN = """\
@@ -127,6 +136,17 @@ def test_check_ill_defined_is_input_error(capsys, monkeypatch):
     code, _, err = cli(["check"], capsys, monkeypatch, stdin_text=ILL_DEFINED)
     assert code == 2
     assert "ill-defined error" in err
+
+
+def test_check_torsion_action_at_a_large_prime(capsys, monkeypatch):
+    """Z/5 with the action [[6]] has order p only modulo the relations; its
+    orbit is reduced modulo them, so the check stays small at p near 10^9."""
+    z5 = FpAbGroup.cyclic(5)
+    m = orbit_functor(1000000007, z5, AbHom(z5, z5, IntMatrix.from_rows([[6]])))
+    code, out, _ = cli(["check"], capsys, monkeypatch, stdin_text=render_machine(m))
+    assert code == 0
+    assert "status: pass" in out
+    assert "res: [[2]]" in render_machine(m)  # the norm is 1000000007 ≡ 2 (mod 5)
 
 
 def test_check_syntax_error(capsys, monkeypatch):

@@ -1,0 +1,136 @@
+"""Facts memoised on the frozen objects they describe.
+
+A group keeps its Smith decomposition and Hermite basis, an action its
+order-p orbit, a functor its axiom verdict and its classification.  Each
+memo must equal a fresh recomputation on an equal copy built from scratch,
+must leave ``==`` and ``hash`` alone, and must spare the second reader the
+work.
+"""
+
+import random
+
+import pytest
+
+from mackeybox import abgroup, mackey, separation
+from mackeybox.cli import run
+from mackeybox.document import render_machine
+from mackeybox.intlin import IntMatrix, _smith, lattice_basis
+from mackeybox.abgroup import AbHom, FpAbGroup
+from mackeybox.mackey import MackeyFunctor, check_axioms, constant_z, twisted_burnside
+from mackeybox.separation import classify_invertible, invert
+
+from helpers import PRIMES, random_functor
+
+
+def fresh_copy(m: MackeyFunctor) -> MackeyFunctor:
+    """An equal functor that shares no group, map or memo with m."""
+    top = FpAbGroup(m.top.ngens, m.top.relations)
+    bottom = FpAbGroup(m.bottom.ngens, m.bottom.relations)
+    return MackeyFunctor(
+        m.p,
+        top,
+        bottom,
+        AbHom(bottom, bottom, m.gamma.matrix),
+        AbHom(top, bottom, m.res.matrix),
+        AbHom(bottom, top, m.tr.matrix),
+    )
+
+
+def fill_memos(m: MackeyFunctor) -> None:
+    check_axioms(m)
+    if not check_axioms(m):
+        classify_invertible(m)
+    m.top.smith, m.bottom.smith, m.bottom.hermite_basis
+    m.gamma.orbit(m.p)
+
+
+def test_memos_equal_a_fresh_recomputation():
+    rng = random.Random(20)
+    for _ in range(120):
+        p = rng.choice(PRIMES)
+        m = random_functor(rng, p)
+        fill_memos(m)
+        fill_memos(m)  # the second pass reads the memos
+        copy = fresh_copy(m)
+        assert copy == m and copy is not m
+        assert check_axioms(m) == mackey._violations(copy)
+        if not check_axioms(m):
+            assert classify_invertible(m) == separation._classify(copy)[0]
+        for g, fresh in ((m.top, copy.top), (m.bottom, copy.bottom)):
+            assert g.smith == _smith(fresh.relations, want_v=False)
+        assert m.bottom.hermite_basis == lattice_basis(copy.bottom.relations)
+        power, norm = m.gamma.orbit(p)
+        fresh_power, fresh_norm = copy.gamma._orbit(p)
+        assert power.matrix == fresh_power.matrix and norm.matrix == fresh_norm.matrix
+
+
+def test_a_filled_memo_leaves_equality_and_hash_unchanged():
+    rng = random.Random(21)
+    for _ in range(60):
+        m = random_functor(rng, rng.choice(PRIMES))
+        before = (hash(m), hash(m.top), hash(m.bottom), hash(m.gamma), repr(m))
+        fill_memos(m)
+        assert (hash(m), hash(m.top), hash(m.bottom), hash(m.gamma), repr(m)) == before
+        copy = fresh_copy(m)
+        assert m == copy and copy == m and hash(copy) == before[0]
+        assert m.top == copy.top and m.gamma == copy.gamma
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper counting calls per first argument."""
+    counts = {}
+    original = getattr(module, name)
+
+    def counting(x, *args):
+        counts[id(x)] = counts.get(id(x), 0) + 1
+        return original(x, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("p, d", [(5, 2), (101, 7), (10007, 3)])
+def test_classify_then_invert_checks_each_functor_once(monkeypatch, p, d):
+    """The input and the product with its inverse: two functors, each
+    checked once and classified once."""
+    axioms = count_calls(monkeypatch, mackey, "_violations")
+    classified = count_calls(monkeypatch, separation, "_classify")
+    m = twisted_burnside(p, d)
+    assert classify_invertible(m).invertible
+    assert invert(m) is not None
+    assert classify_invertible(m).invertible
+    assert sorted(axioms.values()) == [1, 1]
+    assert sorted(classified.values()) == [1, 1]
+
+
+def test_cli_invert_of_a_non_invertible_functor_classifies_once(monkeypatch, tmp_path, capsys):
+    """``invert`` checks the axioms, tries to invert, then reads the reason:
+    one axiom check and one classification."""
+    axioms = count_calls(monkeypatch, mackey, "_violations")
+    classified = count_calls(monkeypatch, separation, "_classify")
+    path = tmp_path / "c.mk"
+    path.write_text(render_machine(constant_z(3)))
+    assert run(["invert", str(path)]) == 1
+    assert "not invertible: top-not-rank-2" in capsys.readouterr().err
+    assert list(axioms.values()) == [1]
+    assert list(classified.values()) == [1]
+
+
+def test_orbit_of_the_identity_needs_no_product(monkeypatch):
+    calls = []
+    original = IntMatrix.__matmul__
+    monkeypatch.setattr(IntMatrix, "__matmul__", lambda a, b: calls.append(1) or original(a, b))
+    g = FpAbGroup(2, IntMatrix.from_columns([(4, 0)], rows=2))
+    power, norm = AbHom.identity(g).orbit(1000000007)
+    assert calls == []
+    assert power.matrix == IntMatrix.identity(2)
+    assert norm.matrix == IntMatrix.identity(2).scaled(1000000007)
+
+
+
+def test_a_group_without_relations_needs_no_elimination(monkeypatch):
+    monkeypatch.setattr(abgroup, "_smith", None)  # any elimination would fail
+    g = FpAbGroup.free(3)
+    assert abgroup.invariant_factors(g) == (3, ())
+    assert g.element((0, 0, 0)).is_zero() and not g.element((0, 1, 0)).is_zero()
+    assert AbHom.identity(g).equals(AbHom(g, g, IntMatrix.identity(3)))

@@ -1,6 +1,7 @@
 """The fast linear-algebra kernel against naive reference implementations.
 
-Powers and norms are compared with the p-step loops, sparse products with a
+Powers and norms are compared with the p-step loops (on torsion modules, as
+maps, since the orbit is reduced modulo the relations), sparse products with a
 dense triple loop, and batched lattice membership with one ``solve_linear``
 per column.  The operation-count test pins the logarithmic cost in p.  The
 Smith form built without one or both transforms is compared with the full
@@ -47,6 +48,7 @@ from mackeybox.mackey import (
     burnside,
     check_axioms,
     is_mackey_isomorphism,
+    orbit_functor,
     permutation_functor,
 )
 from mackeybox.separation import (
@@ -287,7 +289,7 @@ def test_each_caller_asks_for_the_transforms_it_reads(monkeypatch):
 
         return recording
 
-    for module in (intlin, abgroup, separation):
+    for module in (intlin, abgroup):
         monkeypatch.setattr(module, "_smith", recorder(module))
     rel = IntMatrix.from_columns([(2, 0, 0), (0, 4, 0)], rows=3)
 
@@ -296,10 +298,10 @@ def test_each_caller_asks_for_the_transforms_it_reads(monkeypatch):
         call()
         return {(u, v) for name, u, v in asked if name == module.__name__}
 
-    assert flags(abgroup, lambda: abgroup.invariant_factors(FpAbGroup(3, rel))) == {(False, False)}
+    assert flags(abgroup, lambda: abgroup.invariant_factors(FpAbGroup(3, rel))) == {(True, False)}
     assert flags(intlin, lambda: kernel_basis(rel.transpose())) == {(False, True)}
     assert flags(intlin, lambda: lattice_contains_all(rel, IntMatrix.identity(3))) == {(True, False)}
-    assert flags(separation, lambda: separation._quotient_iso(FpAbGroup(3, rel), 1)) == {(True, False)}
+    assert flags(abgroup, lambda: separation._quotient_iso(FpAbGroup(3, rel), 1)) == {(True, False)}
 
 
 def test_dense_smith_diagonal_is_the_determinant():
@@ -326,7 +328,9 @@ def test_dense_smith_diagonal_is_the_determinant():
 
 def test_check_axioms_uses_logarithmically_many_products(monkeypatch):
     """``check_axioms(burnside(p))`` makes at most 5 * bit_length(p) matrix
-    products; the p-step loops made more than 2p."""
+    products; the p-step loops made more than 2p.  Burnside's action is the
+    identity, whose orbit needs no product, so the action [[6]] on Z/5 pins
+    the doubling pass, with its products reduced modulo the relations."""
     calls = []
     original = IntMatrix.__matmul__
 
@@ -339,6 +343,53 @@ def test_check_axioms_uses_logarithmically_many_products(monkeypatch):
         calls.clear()
         assert check_axioms(burnside(p)) == ()
         assert 0 < len(calls) <= 5 * p.bit_length()
+    z5 = FpAbGroup.cyclic(5)
+    six = IntMatrix.from_rows([[6]])
+    for p in (5, 1000000007):
+        built = orbit_functor(p, z5, AbHom(z5, z5, six))
+        # a fresh action, so the orbit memoised while building is not read
+        m = MackeyFunctor(p, built.top, z5, AbHom(z5, z5, six), built.res, built.tr)
+        calls.clear()
+        assert check_axioms(m) == ()
+        assert 2 * (p.bit_length() - 1) <= len(calls) <= 5 * p.bit_length()
+        assert all(0 <= e < 5 for e in m.res.matrix.entries)
+
+
+# -- orbits reduced modulo the relations ---------------------------------------------------
+
+
+@st.composite
+def torsion_modules(draw):
+    """(Z/d)^n modulo the cyclic submodule of a random v under a random
+    matrix gamma, with a small prime.  By Cayley-Hamilton v, gamma·v, ...,
+    gamma^(n-1)·v span a gamma-stable lattice, so gamma is well defined."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 12))
+    gamma = IntMatrix(n, n, draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(tuple)))
+    cols = [[d if i == j else 0 for i in range(n)] for j in range(n)]
+    v = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    for _ in range(n):
+        cols.append(v)
+        v = list(gamma.apply(v))
+    group = FpAbGroup(n, IntMatrix.from_columns(cols, rows=n))
+    return AbHom(group, group, gamma), draw(st.sampled_from(SMALL_PRIMES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(torsion_modules())
+def test_reduced_orbit_equals_the_exact_one(case):
+    """On a torsion module the orbit is reduced modulo the relations: it
+    equals the exact p-step power and norm as maps, and its entries lie in
+    [0, d) because the relations contain d times every generator."""
+    gamma, p = case
+    g = gamma.source
+    assert gamma.is_well_defined()
+    power, norm = gamma.orbit(p)
+    assert power.equals(AbHom(g, g, loop_power(gamma.matrix, p)))
+    assert norm.equals(AbHom(g, g, loop_norm(gamma.matrix, p)))
+    d = g.relations.at(0, 0)
+    if gamma.matrix != IntMatrix.identity(g.ngens):
+        assert all(0 <= e < d for m in (power, norm) for e in m.matrix.entries)
 
 
 # -- Frobenius relations of the box product ---------------------------------------------------
