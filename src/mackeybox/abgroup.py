@@ -9,7 +9,8 @@ kernels, cokernels) reduces to integer linear algebra from :mod:`.intlin`.
 Groups and homomorphisms are frozen, so a fact derived from one is computed
 at most once and kept on it (``functools.cached_property``; the memo is not a
 field, so ``==`` and ``hash`` ignore it): a group's Smith decomposition and
-Hermite basis, and an endomorphism's order-p orbit.
+Hermite basis, a homomorphism's Smith decomposition and kernel lattice, and an
+endomorphism's order-p orbit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cached_property
 from .intlin import (
     IntMatrix,
     SmithDecomposition,
+    _int_vector,
     _reduce_columns,
     _smith,
     block_diagonal,
@@ -97,7 +99,7 @@ class GroupElement:
     __slots__ = ("group", "coords")
 
     def __init__(self, group: FpAbGroup, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = _int_vector(coords)
         if len(coords) != group.ngens:
             raise ValueError(f"{len(coords)} coordinates for {group.ngens} generators")
         self.group = group
@@ -251,6 +253,34 @@ class AbHom:
         return self.target.smith.contains_all(self.matrix - other.matrix)
 
     @cached_property
+    def smith(self) -> SmithDecomposition:
+        """``U @ [matrix | target.relations] @ V == S``, both transforms kept,
+        memoised.
+
+        Its column lattice is the image plus the target relations, so the
+        diagonal says whether f is onto, V gives the kernel lattice and U
+        answers membership in the image (``contains_all``).
+        """
+        return _smith(self.matrix.hstack(self.target.relations))
+
+    @cached_property
+    def kernel_lattice(self) -> IntMatrix:
+        """Generators of ``{x : matrix·x ∈ target relations}``: the top
+        ``source.ngens`` rows of the columns of V past the rank, memoised."""
+        dec = self.smith
+        return dec.v.take_columns(range(dec.rank(), dec.v.cols)).take_rows(range(self.source.ngens))
+
+    def is_surjective(self) -> bool:
+        """Whether the image and the target relations span Z^target.ngens,
+        i.e. whether the Smith diagonal is ``target.ngens`` ones."""
+        diag = self.smith.diagonal()
+        return len(diag) == self.target.ngens and all(d == 1 for d in diag)
+
+    def is_injective(self) -> bool:
+        """Whether the kernel lattice lies in the source relation lattice."""
+        return self.source.smith.contains_all(self.kernel_lattice)
+
+    @cached_property
     def _orbits(self) -> dict:
         return {}
 
@@ -344,7 +374,7 @@ def quotient_by(g: FpAbGroup, extra) -> tuple[FpAbGroup, AbHom]:
     """Quotient by further relations; returns the quotient and the projection."""
     cols = []
     for item in extra:
-        coords = item.coords if isinstance(item, GroupElement) else tuple(int(c) for c in item)
+        coords = item.coords if isinstance(item, GroupElement) else _int_vector(item)
         if len(coords) != g.ngens:
             raise ValueError("relation of the wrong length")
         cols.append(coords)
@@ -373,10 +403,11 @@ def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
 def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     """A presentation of ker f and its inclusion into the source.
 
-    The kernel lattice is ``{x : f(x) ∈ target relations}``; the presentation
-    is that lattice modulo the source relations.
+    The kernel lattice is ``{x : f(x) ∈ target relations}`` (memoised on f,
+    ``AbHom.kernel_lattice``); the presentation is that lattice modulo the
+    source relations.
     """
-    gens = _preimage_gens(f.matrix, f.target.relations)
+    gens = f.kernel_lattice
     rels = _preimage_gens(gens, f.source.relations)
     k = FpAbGroup(gens.cols, rels)
     return k, AbHom(k, f.source, gens)
@@ -393,17 +424,19 @@ def kernel_and_cokernel(f: AbHom) -> tuple[FpAbGroup, FpAbGroup]:
 
 
 def is_isomorphism(f: AbHom) -> bool:
-    """Whether f is well-defined with trivial kernel and cokernel.
+    """Whether f is well-defined, surjective and injective.
+
+    These are three lattice inclusions: ``matrix · source relations`` in the
+    target relation lattice, Z^target.ngens in the image plus the target
+    relations, and the kernel lattice in the source relation lattice.  The
+    last two read f's one memoised Smith decomposition (``AbHom.smith``).
 
     >>> shear = AbHom(FpAbGroup.free(2), FpAbGroup.free(2),
     ...               IntMatrix.from_rows([[1, 5], [0, 1]]))
     >>> is_isomorphism(shear)
     True
     """
-    if not f.is_well_defined():
-        return False
-    k, c = kernel_and_cokernel(f)
-    return k.is_trivial() and c.is_trivial()
+    return f.is_well_defined() and f.is_surjective() and f.is_injective()
 
 
 def is_torsion_free(g: FpAbGroup) -> bool:

@@ -4,6 +4,13 @@ Matrices are immutable, row-major, and hold arbitrary-precision Python ints,
 so nothing here can overflow.  Throughout the package a matrix acts on column
 vectors: ``A @ B`` means "apply B, then A", and the *column lattice* of a
 matrix is the set of integer combinations of its columns.
+
+Entries are checked once, where they come in: the public constructors
+(``IntMatrix(...)``, ``from_rows``, ``from_columns``, ``column_vector``) and
+the vectors handed to ``apply`` and ``solve_linear`` accept only Python ints,
+not bools.  A matrix this module computes from checked matrices (products,
+sums, stacks, transposes, identities and the outputs of the eliminations) is
+built by ``_trusted``, which skips the per-entry check.
 """
 
 from __future__ import annotations
@@ -30,15 +37,13 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_size(self.rows)
+        _check_size(self.cols)
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        for e in self.entries:
-            if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
-                raise TypeError("matrix entries must be Python ints")
+        _check_ints(self.entries, "matrix entries")
 
     # -- construction -----------------------------------------------------
 
@@ -70,11 +75,14 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        _check_size(n)
+        return _trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        _check_size(rows)
+        _check_size(cols)
+        return _trusted(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def column_vector(cls, vec) -> "IntMatrix":
@@ -129,11 +137,11 @@ class IntMatrix:
                     for j, b in brows[k]:
                         out[j] += a * b
             flat.extend(out)
-        return IntMatrix(self.rows, other.cols, tuple(flat))
+        return _trusted(self.rows, other.cols, tuple(flat))
 
     def apply(self, vec) -> tuple[int, ...]:
         """The image of a column vector, as a tuple; zero entries are skipped."""
-        vec = tuple(vec)
+        vec = _int_vector(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
         return tuple(_dot(self.row(i), vec) for i in range(self.rows))
@@ -141,19 +149,22 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _trusted(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _trusted(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scaled(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(k * a for a in self.entries))
+        _check_ints((k,), "scale factors")
+        return _trusted(self.rows, self.cols, tuple(k * a for a in self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([list(self.column(j)) for j in range(self.cols)], cols=self.rows)
+        return _trusted(
+            self.cols, self.rows, tuple(chain.from_iterable(map(self.column, range(self.cols))))
+        )
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -162,12 +173,12 @@ class IntMatrix:
         for i in range(self.rows):
             flat.extend(self.row(i))
             flat.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(flat))
+        return _trusted(self.rows, self.cols + other.cols, tuple(flat))
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return _trusted(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product: entry at ((i, k), (j, l)) is self[i,j] * other[k,l]."""
@@ -183,7 +194,7 @@ class IntMatrix:
                     orow = other.row(k)
                     for l in range(other.cols):
                         flat[base + l] = a * orow[l]
-        return IntMatrix(r, c, tuple(flat))
+        return _trusted(r, c, tuple(flat))
 
     def det(self) -> int:
         """Determinant by the Bareiss fraction-free algorithm.
@@ -214,6 +225,41 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
+
+
+def _trusted(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
+    """An IntMatrix built without ``__post_init__``: only for entries this
+    module computed as Python ints, in a tuple of length ``rows * cols``."""
+    m = object.__new__(IntMatrix)
+    m.__dict__.update(rows=rows, cols=cols, entries=entries)
+    return m
+
+
+def _from_row_lists(rows: list[list[int]], ncols: int) -> IntMatrix:
+    return _trusted(len(rows), ncols, tuple(chain.from_iterable(rows)))
+
+
+def _from_column_lists(cols: list[list[int]], nrows: int) -> IntMatrix:
+    return _trusted(nrows, len(cols), tuple(chain.from_iterable(zip(*cols))))
+
+
+def _check_ints(values, what: str) -> None:
+    for e in values:
+        if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
+            raise TypeError(f"{what} must be Python ints, got {type(e).__name__}")
+
+
+def _check_size(n) -> None:
+    _check_ints((n,), "matrix dimensions")
+    if n < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
+def _int_vector(vec) -> tuple[int, ...]:
+    """vec as a tuple, checked like matrix entries."""
+    vec = tuple(vec)
+    _check_ints(vec, "vector entries")
+    return vec
 
 
 def _dot(row, vec) -> int:
@@ -444,9 +490,9 @@ def _smith(a: IntMatrix, want_u: bool = True, want_v: bool = True) -> SmithDecom
                 u[t] = [-x for x in u[t]]
 
     return SmithDecomposition(
-        None if u is None else IntMatrix.from_rows(u, cols=m),
-        IntMatrix.from_rows(s, cols=n),
-        None if vt is None else IntMatrix.from_columns(vt, rows=n),
+        None if u is None else _from_row_lists(u, m),
+        _from_row_lists(s, n),
+        None if vt is None else _from_column_lists(vt, n),
     )
 
 
@@ -456,9 +502,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     This is the full decomposition, for callers that read U and V both
     (``solve_linear``, ``invert_unimodular``).  Callers that read less go to
     ``_smith`` directly: ``kernel_basis`` reads only V and
-    ``lattice_contains_all`` only U, and a presented group keeps one
+    ``lattice_contains_all`` only U, a presented group keeps one
     decomposition of its relations, U without V, memoised on the group
-    (``FpAbGroup.smith``).  Every elimination step is a row operation on a
+    (``FpAbGroup.smith``), and a homomorphism one of ``[matrix | target
+    relations]`` with both (``AbHom.smith``).  Every elimination step is a row operation on a
     list of rows (see ``_smith``).
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
@@ -509,7 +556,7 @@ def _hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             _add_row(h, l, pc, -q)
             _add_row(u, l, pc, -q)
         pc += 1
-    return IntMatrix.from_columns(h, rows=m), IntMatrix.from_columns(u, rows=n)
+    return _from_column_lists(h, m), _from_column_lists(u, n)
 
 
 def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -558,7 +605,7 @@ def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
                 for i in range(r, len(b)):
                     if b[i]:
                         col[i] -= q * b[i]
-    return IntMatrix.from_columns(cols, rows=a.rows)
+    return _from_column_lists(cols, a.rows)
 
 
 def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
@@ -569,7 +616,7 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     >>> solve_linear(IntMatrix.from_rows([[2]]), (3,)) is None
     True
     """
-    b = tuple(int(x) for x in b)
+    b = _int_vector(b)
     if len(b) != a.rows:
         raise ValueError(f"right-hand side of length {len(b)} for {a.rows} rows")
     return smith_normal_form(a).solve(b)

@@ -1,0 +1,196 @@
+"""Yes/no questions about maps, answered from one memoised Smith form each.
+
+``AbHom.is_injective`` and ``is_surjective`` are compared with the trivial
+kernel and cokernel presentations they replace, the two lattice inclusions
+of the middle-exactness test with the Hermite-form comparison
+(``same_lattice``) it replaces, and ``isotropy_sequence`` with a copy of its
+former version, kept below as the reference.  Maps are drawn between groups
+with and without torsion, and include maps that are not well defined, pairs
+that are not exact and diagrams that break the axioms.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mackeybox.abgroup import (
+    AbHom,
+    FpAbGroup,
+    _preimage_gens,
+    cokernel,
+    is_isomorphism,
+    kernel,
+    same_lattice,
+)
+from mackeybox.intlin import IntMatrix
+from mackeybox.mackey import MackeyFunctor, MackeyMorphism, action_norm, verify_morphism
+from mackeybox.separation import _exact_in_middle, _tier_maps, isotropy_sequence, phi_functor
+
+ENTRY = st.sampled_from((0, 0, 0, 0, -3, -2, -1, 1, 2, 3, 4))
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    return IntMatrix(rows, cols, tuple(draw(st.lists(ENTRY, min_size=rows * cols, max_size=rows * cols))))
+
+
+@st.composite
+def groups(draw, max_gens=3):
+    """Free groups, groups with torsion and groups with redundant relations."""
+    n = draw(st.integers(0, max_gens))
+    return FpAbGroup(n, draw(matrices(n, draw(st.integers(0, 3)))))
+
+
+@st.composite
+def maps(draw, source=None, target=None):
+    """A map between presented groups; often not well defined."""
+    a = draw(groups()) if source is None else source
+    b = draw(groups()) if target is None else target
+    return AbHom(a, b, draw(matrices(b.ngens, a.ngens)))
+
+
+@st.composite
+def composable_pairs(draw):
+    """(f, g) with g ∘ f defined: exact by construction, a complex that is
+    not exact, or two arbitrary maps."""
+    b = draw(groups())
+    kind = draw(st.sampled_from(("kernel", "cokernel", "scaled kernel", "arbitrary")))
+    if kind == "cokernel":
+        f = draw(maps(target=b))
+        return f, cokernel(f)[1]
+    g = draw(maps(source=b))
+    if kind == "arbitrary":
+        return draw(maps(target=b)), g
+    inc = kernel(g)[1]
+    return (inc if kind == "kernel" else inc.scaled(draw(st.integers(0, 3)))), g
+
+
+# -- injective, surjective, isomorphism ------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps())
+def test_is_injective_is_a_trivial_kernel(f):
+    assert f.is_injective() == kernel(f)[0].is_trivial() == former_kernel_is_trivial(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps())
+def test_is_surjective_is_a_trivial_cokernel(f):
+    assert f.is_surjective() == cokernel(f)[0].is_trivial()
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps())
+def test_is_isomorphism_matches_kernel_and_cokernel(f):
+    expected = f.is_well_defined() and kernel(f)[0].is_trivial() and cokernel(f)[0].is_trivial()
+    assert is_isomorphism(f) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps())
+def test_kernel_lattice_is_the_preimage_of_the_relations(f):
+    assert f.kernel_lattice == _preimage_gens(f.matrix, f.target.relations)
+    dec = f.smith
+    assert dec.u @ f.matrix.hstack(f.target.relations) @ dec.v == dec.s
+
+
+# -- middle exactness ------------------------------------------------------------------------
+
+
+def same_lattice_exact(f: AbHom, g: AbHom) -> bool:
+    """The former test: ker g and im f + relations have equal Hermite bases."""
+    ker_lattice = _preimage_gens(g.matrix, g.target.relations)
+    return same_lattice(ker_lattice, f.matrix.hstack(f.target.relations))
+
+
+@settings(max_examples=400, deadline=None)
+@given(composable_pairs())
+def test_middle_exactness_matches_same_lattice(pair):
+    f, g = pair
+    assert _exact_in_middle(f, g) == same_lattice_exact(f, g)
+
+
+Z = FpAbGroup.free(1)
+Z2 = FpAbGroup.cyclic(2)
+
+
+def hom(source, target, entry):
+    return AbHom(source, target, IntMatrix.from_rows([[entry]]))
+
+
+@pytest.mark.parametrize(
+    "f, g, exact",
+    [
+        (hom(Z, Z, 2), hom(Z, Z2, 1), True),  # 0 → Z → Z → Z/2 → 0
+        (hom(Z, Z, 4), hom(Z, Z2, 1), False),  # ker g = 2Z is not in 4Z
+        (hom(Z, Z, 1), hom(Z, Z, 1), False),  # im f = Z is not in ker g = 0
+    ],
+)
+def test_middle_exactness_examples(f, g, exact):
+    # each failing case breaks exactly one of the two inclusions
+    assert _exact_in_middle(f, g) is exact
+    assert same_lattice_exact(f, g) is exact
+
+
+# -- isotropy sequences ------------------------------------------------------------------
+
+
+def former_kernel_is_trivial(f: AbHom) -> bool:
+    """The former ``kernel(f)[0].is_trivial()``: two fresh preimage
+    eliminations, then the invariant factors."""
+    gens = _preimage_gens(f.matrix, f.target.relations)
+    return FpAbGroup(gens.cols, _preimage_gens(gens, f.source.relations)).is_trivial()
+
+
+def reference_isotropy_report(m: MackeyFunctor) -> tuple[str, ...]:
+    """The former ``isotropy_sequence`` report: kernel and cokernel
+    presentations and a Hermite comparison of lattices, with Γ(M) built from
+    a fresh preimage elimination."""
+    nb = m.bottom.ngens
+    top = FpAbGroup(nb, _preimage_gens(m.tr.matrix, m.top.relations))
+    part = MackeyFunctor(
+        m.p,
+        top,
+        m.bottom,
+        m.gamma,
+        AbHom(top, m.bottom, action_norm(m.gamma, m.p).matrix),
+        AbHom(m.bottom, top, IntMatrix.identity(nb)),
+    )
+    inclusion = MackeyMorphism(part, m, AbHom(top, m.top, m.tr.matrix), AbHom.identity(m.bottom))
+    _, projection = phi_functor(m)
+    report = [f"inclusion: {msg}" for msg in verify_morphism(inclusion)]
+    report.extend(f"projection: {msg}" for msg in verify_morphism(projection))
+    for name, f in _tier_maps(inclusion):
+        if not former_kernel_is_trivial(f):
+            report.append(f"inclusion is not injective on the {name} tier")
+    for name, f in _tier_maps(projection):
+        if not cokernel(f)[0].is_trivial():
+            report.append(f"projection is not surjective on the {name} tier")
+    for (name, inc), (_, proj) in zip(_tier_maps(inclusion), _tier_maps(projection)):
+        if not same_lattice_exact(inc, proj):
+            report.append(f"sequence is not exact at the middle {name} tier")
+    return tuple(report)
+
+
+@st.composite
+def diagrams(draw):
+    """Arbitrary two-tier diagrams: most break some axiom, and their maps
+    need not be well defined."""
+    top, bottom = draw(groups()), draw(groups())
+    return MackeyFunctor(
+        draw(st.sampled_from((2, 3, 5))),
+        top,
+        bottom,
+        draw(maps(bottom, bottom)),
+        draw(maps(top, bottom)),
+        draw(maps(bottom, top)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagrams())
+def test_isotropy_report_matches_the_reference(m):
+    seq = isotropy_sequence(m)
+    assert seq.report == reference_isotropy_report(m)
+    assert seq.exact == (seq.report == ())

@@ -1,0 +1,160 @@
+"""Integer checks at the public boundary, and none inside ``intlin``.
+
+Every public way to make a matrix or hand in a vector accepts only Python
+ints (not bools) and raises ``TypeError`` otherwise, instead of truncating or
+passing the value on.  Matrices that ``intlin`` computes itself skip the
+per-entry check (``_trusted``); each one must still pass it.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mackeybox.abgroup import AbHom, FpAbGroup, quotient_by
+from mackeybox.intlin import (
+    IntMatrix,
+    _hermite,
+    _reduce_columns,
+    _smith,
+    lattice_basis,
+    solve_linear,
+)
+
+# -- non-integer vectors are rejected, not truncated ------------------------------------
+
+NON_INTS = [1.9, 2.5, True, False, "2"]
+
+
+@pytest.mark.parametrize("bad", NON_INTS)
+def test_solve_linear_rejects_a_non_int_right_hand_side(bad):
+    with pytest.raises(TypeError):
+        solve_linear(IntMatrix.from_rows([[2]]), (bad,))
+
+
+@pytest.mark.parametrize("bad", NON_INTS)
+def test_group_element_rejects_non_int_coordinates(bad):
+    with pytest.raises(TypeError):
+        FpAbGroup.cyclic(4).element([bad])
+
+
+@pytest.mark.parametrize("bad", NON_INTS)
+def test_quotient_by_rejects_a_non_int_relation(bad):
+    with pytest.raises(TypeError):
+        quotient_by(FpAbGroup.free(1), [[bad]])
+
+
+@pytest.mark.parametrize("bad", NON_INTS)
+def test_hom_call_rejects_non_int_coordinates(bad):
+    with pytest.raises(TypeError):
+        AbHom.identity(FpAbGroup.free(1))([bad])
+
+
+@pytest.mark.parametrize("bad", NON_INTS)
+def test_apply_rejects_a_non_int_vector(bad):
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1]]).apply((bad,))
+
+
+# -- the public constructors keep their checks --------------------------------------------
+
+
+@pytest.mark.parametrize("bad", NON_INTS)
+def test_constructors_reject_non_int_entries(bad):
+    for build in (
+        lambda: IntMatrix(1, 1, (bad,)),
+        lambda: IntMatrix.from_rows([[1, bad]]),
+        lambda: IntMatrix.from_columns([[bad], [1]]),
+        lambda: IntMatrix.column_vector([bad]),
+        lambda: IntMatrix.identity(2).scaled(bad),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("bad", NON_INTS)
+def test_sizes_must_be_ints(bad):
+    for build in (
+        lambda: IntMatrix.identity(bad),
+        lambda: IntMatrix.zeros(bad, 1),
+        lambda: IntMatrix.zeros(1, bad),
+        lambda: IntMatrix(bad, 1, (0,)),
+        lambda: IntMatrix(1, bad, (0,)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_negative_sizes_are_rejected():
+    for build in (
+        lambda: IntMatrix.identity(-1),
+        lambda: IntMatrix.zeros(-1, 2),
+        lambda: IntMatrix.zeros(2, -1),
+        lambda: IntMatrix(-1, 0, ()),
+        lambda: IntMatrix(0, -2, ()),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_scaled_empty_matrix_still_checks_the_factor():
+    with pytest.raises(TypeError):
+        IntMatrix.zeros(0, 3).scaled(1.5)
+
+
+# -- matrices built inside intlin pass the public check ----------------------------------------
+
+
+def rechecked(m: IntMatrix) -> IntMatrix:
+    """m, rebuilt through the checked constructor."""
+    assert type(m.rows) is int and type(m.cols) is int
+    assert all(type(e) is int for e in m.entries)
+    return IntMatrix(m.rows, m.cols, m.entries)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, max_dim=4):
+    r = draw(st.integers(0, max_dim)) if rows is None else rows
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
+    return IntMatrix(r, c, tuple(draw(st.lists(st.integers(-5, 5), min_size=r * c, max_size=r * c))))
+
+
+@st.composite
+def operands(draw):
+    """a, a matrix b of its shape, matrices c, d and e with as many rows as a
+    has columns, as many columns as a, and as many rows as a, and a scale."""
+    a = draw(matrices())
+    return (
+        a,
+        draw(matrices(a.rows, a.cols)),
+        draw(matrices(rows=a.cols)),
+        draw(matrices(cols=a.cols)),
+        draw(matrices(rows=a.rows)),
+        draw(st.integers(-4, 4)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands())
+def test_every_operation_gives_a_checked_matrix(ops):
+    a, b, c, d, e, k = ops
+    results = [
+        a @ c,
+        a + b,
+        a - b,
+        -a,
+        a.hstack(e),
+        a.vstack(d),
+        a.kron(b),
+        a.transpose(),
+        a.scaled(k),
+        IntMatrix.identity(a.rows),
+        IntMatrix.zeros(a.rows, a.cols),
+        *_hermite(a),
+        _reduce_columns(e, lattice_basis(a)),
+    ]
+    for want_u in (False, True):
+        for want_v in (False, True):
+            dec = _smith(a, want_u, want_v)
+            results += [t for t in (dec.u, dec.s, dec.v) if t is not None]
+    for m in results:
+        assert rechecked(m) == m

@@ -134,3 +134,33 @@ def test_a_group_without_relations_needs_no_elimination(monkeypatch):
     assert abgroup.invariant_factors(g) == (3, ())
     assert g.element((0, 0, 0)).is_zero() and not g.element((0, 1, 0)).is_zero()
     assert AbHom.identity(g).equals(AbHom(g, g, IntMatrix.identity(3)))
+
+
+def test_hom_memos_equal_a_fresh_recomputation_and_leave_hash_alone():
+    rng = random.Random(22)
+    for _ in range(80):
+        m = random_functor(rng, rng.choice(PRIMES))
+        f = m.tr
+        before = (hash(f), repr(f))
+        f.is_surjective(), f.is_injective()
+        assert (hash(f), repr(f)) == before
+        copy = fresh_copy(m).tr
+        assert f == copy and hash(f) == hash(copy)
+        assert f.smith == _smith(copy.matrix.hstack(copy.target.relations))
+        assert f.kernel_lattice == abgroup._preimage_gens(copy.matrix, copy.target.relations)
+
+
+def test_a_map_answers_its_questions_from_one_elimination(monkeypatch):
+    """Surjectivity, the kernel lattice, injectivity, image membership and
+    ``is_isomorphism`` all read the map's one decomposition (a free source
+    needs none of its own)."""
+    calls = []
+    original = abgroup._smith
+    monkeypatch.setattr(abgroup, "_smith", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
+    z4 = FpAbGroup.cyclic(4)
+    f = AbHom(FpAbGroup.free(2), z4, IntMatrix.from_rows([[2, 6]]))
+    for _ in range(2):
+        assert not f.is_surjective() and not f.is_injective()
+        assert f.smith.contains_all(IntMatrix.from_rows([[2]]))
+        assert not abgroup.is_isomorphism(f)
+    assert calls == [f.matrix.hstack(z4.relations)]
