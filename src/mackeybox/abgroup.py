@@ -25,7 +25,6 @@ from .intlin import (
     _reduce_columns,
     _smith,
     block_diagonal,
-    kernel_basis,
     lattice_basis,
 )
 
@@ -266,9 +265,9 @@ class AbHom:
     @cached_property
     def kernel_lattice(self) -> IntMatrix:
         """Generators of ``{x : matrix·x ∈ target relations}``: the top
-        ``source.ngens`` rows of the columns of V past the rank, memoised."""
-        dec = self.smith
-        return dec.v.take_columns(range(dec.rank(), dec.v.cols)).take_rows(range(self.source.ngens))
+        ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``,
+        memoised."""
+        return self.smith.kernel().take_rows(range(self.source.ngens))
 
     def is_surjective(self) -> bool:
         """Whether the image and the target relations span Z^target.ngens,
@@ -330,13 +329,6 @@ class AbHom:
         return AbHom(g, g, power), AbHom(g, g, total)
 
 
-def _preimage_gens(matrix: IntMatrix, modulo: IntMatrix) -> IntMatrix:
-    """Generators of the lattice ``{x : matrix·x ∈ column lattice of modulo}``."""
-    stacked = matrix.hstack(modulo)
-    k = kernel_basis(stacked)
-    return k.take_rows(range(matrix.cols))
-
-
 @dataclass(frozen=True)
 class TensorProduct:
     """A tensor product presentation plus the generator-pair indexing."""
@@ -384,7 +376,8 @@ def quotient_by(g: FpAbGroup, extra) -> tuple[FpAbGroup, AbHom]:
 
 
 def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
-    """Largest quotient on which the order-p action gamma becomes trivial.
+    """Largest quotient on which the order-p action gamma becomes trivial:
+    the cokernel of gamma - 1.
 
     >>> sign = AbHom(FpAbGroup.free(1), FpAbGroup.free(1), IntMatrix.from_rows([[-1]]))
     >>> invariant_factors(coinvariants(FpAbGroup.free(1), sign, 2)[0])
@@ -396,8 +389,7 @@ def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
         raise ValueError("gamma is not well-defined")
     if not gamma.orbit(p)[0].equals(AbHom.identity(g)):
         raise ValueError("gamma does not have order dividing p")
-    diff = gamma.matrix - IntMatrix.identity(g.ngens)
-    return quotient_by(g, [diff.column(j) for j in range(diff.cols)])
+    return cokernel(gamma - AbHom.identity(g))
 
 
 def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
@@ -405,10 +397,11 @@ def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
 
     The kernel lattice is ``{x : f(x) ∈ target relations}`` (memoised on f,
     ``AbHom.kernel_lattice``); the presentation is that lattice modulo the
-    source relations.
+    source relations, whose coordinates are the kernel lattice of the
+    inclusion.
     """
     gens = f.kernel_lattice
-    rels = _preimage_gens(gens, f.source.relations)
+    rels = AbHom(FpAbGroup.free(gens.cols), f.source, gens).kernel_lattice
     k = FpAbGroup(gens.cols, rels)
     return k, AbHom(k, f.source, gens)
 

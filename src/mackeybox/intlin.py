@@ -9,8 +9,9 @@ Entries are checked once, where they come in: the public constructors
 (``IntMatrix(...)``, ``from_rows``, ``from_columns``, ``column_vector``) and
 the vectors handed to ``apply`` and ``solve_linear`` accept only Python ints,
 not bools.  A matrix this module computes from checked matrices (products,
-sums, stacks, transposes, identities and the outputs of the eliminations) is
-built by ``_trusted``, which skips the per-entry check.
+sums, stacks, transposes, row and column selections, identities and the
+outputs of the eliminations) is built by ``_trusted``, which skips the
+per-entry check.
 """
 
 from __future__ import annotations
@@ -97,21 +98,23 @@ class IntMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside [0, {self.rows})")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside [0, {self.cols})")
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def take_rows(self, indices) -> "IntMatrix":
-        indices = list(indices)
-        return IntMatrix.from_rows([self.row(i) for i in indices], cols=self.cols)
+        return _from_row_lists([self.row(i) for i in indices], self.cols)
 
     def take_columns(self, indices) -> "IntMatrix":
-        indices = list(indices)
-        return IntMatrix.from_columns([self.column(j) for j in indices], rows=self.rows)
+        return _from_column_lists([self.column(j) for j in indices], self.rows)
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -333,6 +336,11 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
+    def kernel(self) -> IntMatrix:
+        """A basis of the integer kernel ``{x : A x = 0}``: the columns of V
+        past the rank (reads V)."""
+        return self.v.take_columns(range(self.rank(), self.v.cols))
+
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the column lattice of A (reads U).
 
@@ -499,14 +507,16 @@ def _smith(a: IntMatrix, want_u: bool = True, want_v: bool = True) -> SmithDecom
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transforms, computed afresh on each call.
 
-    This is the full decomposition, for callers that read U and V both
-    (``solve_linear``, ``invert_unimodular``).  Callers that read less go to
+    This is the full decomposition, for callers that read U and V both, to
+    take a particular solution and the kernel of one system from one
+    elimination (``solve_linear``, the fixed points, the isomorphism search,
+    the sections of a classification).  Callers that read less go to
     ``_smith`` directly: ``kernel_basis`` reads only V and
     ``lattice_contains_all`` only U, a presented group keeps one
     decomposition of its relations, U without V, memoised on the group
     (``FpAbGroup.smith``), and a homomorphism one of ``[matrix | target
-    relations]`` with both (``AbHom.smith``).  Every elimination step is a row operation on a
-    list of rows (see ``_smith``).
+    relations]`` with both (``AbHom.smith``).  Every elimination step is a
+    row operation on a list of rows (see ``_smith``).
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
     (2, 4)
@@ -652,15 +662,4 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     >>> kernel_basis(IntMatrix.from_rows([[1, 2, 3]])).cols
     2
     """
-    dec = _smith(a, want_u=False)
-    return dec.v.take_columns(range(dec.rank(), a.cols))
-
-
-def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a determinant-±1 integer matrix."""
-    if a.rows != a.cols:
-        raise ValueError("only square matrices can be unimodular")
-    dec = smith_normal_form(a)
-    if dec.s != IntMatrix.identity(a.rows):
-        raise ValueError("matrix is not unimodular")
-    return dec.v @ dec.u
+    return _smith(a, want_u=False).kernel()

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .intlin import IntMatrix, block_diagonal, hstack, lattice_basis, smith_normal_form, vstack
-from .abgroup import (
-    AbHom,
-    FpAbGroup,
-    coinvariants,
-    direct_sum,
-    tensor_product,
-    _preimage_gens,
-)
+from .abgroup import AbHom, FpAbGroup, coinvariants, direct_sum, tensor_product
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -210,21 +203,22 @@ def _check_module(module: FpAbGroup, gamma: AbHom, p: int) -> None:
 def fixed_point_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFunctor:
     """Top = fixed points of the action, res = inclusion, tr = the norm.
 
+    The fixed points are the kernel lattice of gamma - 1.  One Smith form of
+    ``[basis | relations]`` gives both the relations of the top (its kernel)
+    and the transfer (a particular solution per norm column).
+
     >>> z = FpAbGroup.free(1)
     >>> fixed_point_functor(3, z, AbHom.identity(z)) == constant_z(3)
     True
     """
     _check_module(module, gamma, p)
-    n = module.ngens
-    delta = gamma.matrix - IntMatrix.identity(n)
-    fixed_gens = _preimage_gens(delta, module.relations)
-    basis = lattice_basis(fixed_gens)
-    top = FpAbGroup(basis.cols, _preimage_gens(basis, module.relations))
+    basis = lattice_basis((gamma - AbHom.identity(module)).kernel_lattice)
+    span = smith_normal_form(basis.hstack(module.relations))
+    top = FpAbGroup(basis.cols, span.kernel().take_rows(range(basis.cols)))
     res = AbHom(top, module, basis)
     norm = action_norm(gamma, p).matrix
-    span = smith_normal_form(basis.hstack(module.relations))
     tr_cols = []
-    for j in range(n):
+    for j in range(module.ngens):
         sol = span.solve(norm.column(j))
         if sol is None:  # unreachable: norm values are fixed by the action
             raise ValueError("norm image does not land in the fixed points")

@@ -19,20 +19,13 @@ from math import gcd
 
 from .intlin import (
     IntMatrix,
+    _reduce_columns,
     block_diagonal,
     extended_gcd,
-    invert_unimodular,
     lattice_basis,
-    solve_linear,
+    smith_normal_form,
 )
-from .abgroup import (
-    AbHom,
-    FpAbGroup,
-    cokernel,
-    invariant_factors,
-    is_isomorphism,
-    _preimage_gens,
-)
+from .abgroup import AbHom, FpAbGroup, cokernel, invariant_factors, is_isomorphism
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -221,15 +214,18 @@ def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
     """For a group known free of the given rank: (projection, section) matrices.
 
     The projection is a ``rank x ngens`` matrix inducing an isomorphism onto
-    Z^rank; the section satisfies projection @ section = identity.
+    Z^rank: the rows of the group's U past the rank.  The section satisfies
+    projection @ section = identity.  The projection's invariant factors are
+    all 1, so its Smith form ``U' @ pi @ V' = [I | 0]`` gives the section
+    ``V'[:, :rank] @ U'``.
     """
     dec = group.smith
     r = dec.rank()
     if group.ngens - r != rank:
         raise ValueError("group does not have the expected free rank")
     pi = dec.u.take_rows(range(r, group.ngens))
-    sec = invert_unimodular(dec.u).take_columns(range(r, group.ngens))
-    return pi, sec
+    span = smith_normal_form(pi)
+    return pi, span.v.take_columns(range(rank)) @ span.u
 
 
 def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | None]:
@@ -363,23 +359,11 @@ def _bounded_points(offset, basis: IntMatrix, bound: int):
     """All vectors offset + basis·k with every entry in [-bound, bound].
 
     The basis columns come from a Hermite form, so pivot rows are triangular
-    and each coefficient is pinned to a finite window in turn.
+    and each coefficient is pinned to a finite window in turn, starting from
+    the offset size-reduced modulo the basis (pivot entries near zero).
     """
     n, s = basis.rows, basis.cols
-    pivots = []
-    for j in range(s):
-        col = basis.column(j)
-        lead = min(i for i in range(n) if col[i])
-        pivots.append(lead)
-
-    offset = list(offset)
-    # size-reduce the offset so the pivot entries start near zero
-    for j in range(s):
-        piv = basis.at(pivots[j], j)
-        q = offset[pivots[j]] // piv
-        if q:
-            for i in range(n):
-                offset[i] -= q * basis.at(i, j)
+    pivots = [next(i for i, x in enumerate(basis.column(j)) if x) for j in range(s)]
 
     def rec(j, current):
         if j == s:
@@ -395,11 +379,7 @@ def _bounded_points(offset, basis: IntMatrix, bound: int):
             nxt = [current[i] + k * col[i] for i in range(n)]
             yield from rec(j + 1, nxt)
 
-    if s == 0:
-        if all(-bound <= x <= bound for x in offset):
-            yield tuple(offset)
-        return
-    yield from rec(0, offset)
+    yield from rec(0, list(_reduce_columns(IntMatrix.column_vector(offset), basis).entries))
 
 
 def _bounded_maps(shape: tuple[int, int], constraints, bound: int):
@@ -412,6 +392,8 @@ def _bounded_maps(shape: tuple[int, int], constraints, bound: int):
     flattened row-major, vec(L·X·R) = (L ⊗ Rᵀ)·vec(X), and the lattice part
     modulus·Y adds the block modulus ⊗ I on auxiliary unknowns Y, so the
     solutions form a lattice coset whose in-bound points are walked exactly.
+    One Smith form of ``[maps | modulus]`` gives both a point of the coset
+    and the lattice.
     """
     rows, cols = shape
     maps = IntMatrix.zeros(0, rows * cols)
@@ -426,10 +408,11 @@ def _bounded_maps(shape: tuple[int, int], constraints, bound: int):
         # Y has one column per column of L·X·R
         modulus = block_diagonal(modulus, mod.kron(IntMatrix.identity(right.cols)))
         rhs.extend(const.entries if const is not None else (0,) * block.rows)
-    particular = solve_linear(maps.hstack(modulus), rhs)
+    span = smith_normal_form(maps.hstack(modulus))
+    particular = span.solve(rhs)
     if particular is None:
         return
-    free_part = lattice_basis(_preimage_gens(maps, modulus))
+    free_part = lattice_basis(span.kernel().take_rows(range(rows * cols)))
     for flat in _bounded_points(particular[: rows * cols], free_part, bound):
         yield IntMatrix(rows, cols, flat)
 
@@ -461,8 +444,10 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
     (res_N·φ_t = φ_b·res_M), the transfer square (φ_t·tr_M = tr_N·φ_b) and
     well-definedness on the top relations, each modulo the target's
     relations.  Exhaustion without a witness yields UNKNOWN (the bound may
-    simply be too small).
+    simply be too small).  A negative bound raises ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"the search bound must be nonnegative, got {bound}")
     if m.p != n.p:
         return IsoSearchResult(NOT_ISOMORPHIC, detail="different primes")
     for name, gm, gn in (("top", m.top, n.top), ("bottom", m.bottom, n.bottom)):

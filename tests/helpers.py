@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from mackeybox.intlin import IntMatrix, solve_linear
+from mackeybox.intlin import IntMatrix, kernel_basis, solve_linear
 from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.mackey import (
     GSet,
@@ -21,6 +21,13 @@ from mackeybox.mackey import (
 )
 
 PRIMES = (2, 3, 5, 7)
+
+
+def preimage_gens(matrix: IntMatrix, modulo: IntMatrix) -> IntMatrix:
+    """Generators of ``{x : matrix·x ∈ column lattice of modulo}`` by a
+    fresh elimination of its own: the top rows of ``kernel_basis([matrix |
+    modulo])``.  An oracle for the kernel lattices the library memoises."""
+    return kernel_basis(matrix.hstack(modulo)).take_rows(range(matrix.cols))
 
 
 def random_presentation(rng, max_gens=3, max_rels=3, entry=4) -> FpAbGroup:

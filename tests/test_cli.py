@@ -338,6 +338,95 @@ def test_iso_text_format(tmp_path, capsys):
     assert out.splitlines()[0] == "isomorphic"
 
 
+def test_iso_negative_bound_is_input_error(tmp_path, capsys):
+    a = tmp_path / "a.mk"
+    a.write_text(render_machine(burnside(2)))
+    code, out, err = cli(["iso", str(a), str(a), "--bound", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+    code, _, _ = cli(["iso", str(a), str(a), "--bound", "0"], capsys)
+    assert code == 1  # bound 0 is valid: only the zero map is searched
+
+
+# -- outputs that depend on a chosen basis, byte for byte ----------------------------------
+
+HEADER = """\
+# Mackey functor presentation for a cyclic group of prime order.
+# Matrix entry [i][j] is the coefficient of target generator i in the
+# image of source generator j; relation lists hold one relation per row,
+# one integer per generator.
+"""
+
+PERMUTATION_3_1_1 = HEADER + """\
+p: 3
+top.generators: 2
+top.relations: []
+bottom.generators: 4
+bottom.relations: []
+action: [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+res: [[1, 0], [0, 1], [0, 1], [0, 1]]
+tr: [[3, 0, 0, 0], [0, 1, 1, 1]]
+"""
+
+# twisted_burnside(3, 6) with an extra top generator and an extra bottom
+# generator, each tied down by one relation, in sheared coordinates
+SHEARED_TWIST_3_6 = HEADER + """\
+p: 3
+top.generators: 3
+top.relations: [[3, 2, 1]]
+bottom.generators: 2
+bottom.relations: [[2, 3]]
+action: [[1, 0], [0, 1]]
+res: [[-18, 21, 12], [-18, 21, 12]]
+tr: [[3, -2], [3, -2], [0, 0]]
+"""
+
+
+def test_make_permutation_output_is_byte_identical(capsys):
+    code, out, _ = cli(["make", "permutation", "--p", "3", "--fixed", "1", "--free", "1"], capsys)
+    assert (code, out) == (0, PERMUTATION_3_1_1)
+
+
+def test_gamma_output_with_relations_is_byte_identical(capsys, monkeypatch):
+    """The top of Γ(M) is presented by the kernel lattice of the transfer."""
+    code, out, _ = cli(["gamma", "-"], capsys, monkeypatch, stdin_text=PERMUTATION_3_1_1)
+    assert (code, out) == (0, HEADER + """\
+p: 3
+top.generators: 4
+top.relations: [[0, -1, 1, 0], [0, -1, 0, 1]]
+bottom.generators: 4
+bottom.relations: []
+action: [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+res: [[3, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 1], [0, 1, 1, 1]]
+tr: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+""")
+
+
+def test_iso_witnesses_are_byte_identical(tmp_path, capsys):
+    """The first witness in the walk's order, from the lattice found by one
+    elimination per tier, on canonical and on sheared presentations."""
+    a, b, c = tmp_path / "a.mk", tmp_path / "b.mk", tmp_path / "c.mk"
+    a.write_text(render_machine(twisted_burnside(5, 2)))
+    b.write_text(render_machine(twisted_burnside(5, 7)))
+    c.write_text(SHEARED_TWIST_3_6)
+    code, out, _ = cli(["iso", str(a), str(b), "--bound", "2"], capsys)
+    assert (code, out) == (0, "status: found\nphi_top: [[-1, 0], [1, -1]]\nphi_bottom: [[-1]]\n")
+    code, out, _ = cli(["iso", str(c), str(c), "--bound", "1", "--format", "text"], capsys)
+    assert (code, out) == (
+        0,
+        "isomorphic\nphi_top: [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]\nphi_bottom: [[-1, 0], [0, -1]]\n",
+    )
+
+
+def test_classify_sheared_twist_is_byte_identical(capsys, monkeypatch):
+    """The twist read through the projection and section of each tier."""
+    code, out, _ = cli(["classify", "-"], capsys, monkeypatch, stdin_text=SHEARED_TWIST_3_6)
+    assert (code, out) == (1, "verdict: not-invertible\nreason: twist-not-coprime\ntwist_found: 21\n")
+    code, out, _ = cli(["classify", "-", "--format", "text"], capsys, monkeypatch, stdin_text=SHEARED_TWIST_3_6)
+    assert (code, out) == (1, "NotInvertible(twist-not-coprime, twist=21)\n")
+
+
 # -- argparse plumbing ----------------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from mackeybox.abgroup import (
     AbHom,
     FpAbGroup,
-    _preimage_gens,
     cokernel,
     is_isomorphism,
     kernel,
@@ -25,6 +24,8 @@ from mackeybox.abgroup import (
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import MackeyFunctor, MackeyMorphism, action_norm, verify_morphism
 from mackeybox.separation import _exact_in_middle, _tier_maps, isotropy_sequence, phi_functor
+
+from helpers import preimage_gens
 
 ENTRY = st.sampled_from((0, 0, 0, 0, -3, -2, -1, 1, 2, 3, 4))
 
@@ -90,7 +91,7 @@ def test_is_isomorphism_matches_kernel_and_cokernel(f):
 @settings(max_examples=200, deadline=None)
 @given(maps())
 def test_kernel_lattice_is_the_preimage_of_the_relations(f):
-    assert f.kernel_lattice == _preimage_gens(f.matrix, f.target.relations)
+    assert f.kernel_lattice == preimage_gens(f.matrix, f.target.relations)
     dec = f.smith
     assert dec.u @ f.matrix.hstack(f.target.relations) @ dec.v == dec.s
 
@@ -100,7 +101,7 @@ def test_kernel_lattice_is_the_preimage_of_the_relations(f):
 
 def same_lattice_exact(f: AbHom, g: AbHom) -> bool:
     """The former test: ker g and im f + relations have equal Hermite bases."""
-    ker_lattice = _preimage_gens(g.matrix, g.target.relations)
+    ker_lattice = preimage_gens(g.matrix, g.target.relations)
     return same_lattice(ker_lattice, f.matrix.hstack(f.target.relations))
 
 
@@ -139,8 +140,8 @@ def test_middle_exactness_examples(f, g, exact):
 def former_kernel_is_trivial(f: AbHom) -> bool:
     """The former ``kernel(f)[0].is_trivial()``: two fresh preimage
     eliminations, then the invariant factors."""
-    gens = _preimage_gens(f.matrix, f.target.relations)
-    return FpAbGroup(gens.cols, _preimage_gens(gens, f.source.relations)).is_trivial()
+    gens = preimage_gens(f.matrix, f.target.relations)
+    return FpAbGroup(gens.cols, preimage_gens(gens, f.source.relations)).is_trivial()
 
 
 def reference_isotropy_report(m: MackeyFunctor) -> tuple[str, ...]:
@@ -148,7 +149,7 @@ def reference_isotropy_report(m: MackeyFunctor) -> tuple[str, ...]:
     presentations and a Hermite comparison of lattices, with Γ(M) built from
     a fresh preimage elimination."""
     nb = m.bottom.ngens
-    top = FpAbGroup(nb, _preimage_gens(m.tr.matrix, m.top.relations))
+    top = FpAbGroup(nb, preimage_gens(m.tr.matrix, m.top.relations))
     part = MackeyFunctor(
         m.p,
         top,

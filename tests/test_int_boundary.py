@@ -7,7 +7,7 @@ per-entry check (``_trusted``); each one must still pass it.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mackeybox.abgroup import AbHom, FpAbGroup, quotient_by
@@ -158,3 +158,28 @@ def test_every_operation_gives_a_checked_matrix(ops):
             results += [t for t in (dec.u, dec.s, dec.v) if t is not None]
     for m in results:
         assert rechecked(m) == m
+
+
+# -- indices are checked, as ``at`` checks them ---------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.lists(st.integers(-6, 6), max_size=5))
+@example(IntMatrix.from_rows([[1, 2], [3, 4]]), [2])  # column 2 once read an entry of row 1
+@example(IntMatrix.from_rows([[1, 2], [3, 4]]), [0, -1])  # -1 once wrapped around
+@example(IntMatrix.zeros(2, 0), [0])
+def test_rows_and_columns_check_their_indices(a, picks):
+    """``row``, ``column``, ``take_rows`` and ``take_columns`` raise
+    ``IndexError`` outside [0, n), negative indices included, and in range
+    build what the checked constructors build."""
+    for take, n, access, build in (
+        (a.take_rows, a.rows, a.row, lambda ps: IntMatrix.from_rows([a.row(i) for i in ps], cols=a.cols)),
+        (a.take_columns, a.cols, a.column, lambda ps: IntMatrix.from_columns([a.column(j) for j in ps], rows=a.rows)),
+    ):
+        if all(0 <= i < n for i in picks):
+            assert rechecked(take(picks)) == build(picks)
+        else:
+            with pytest.raises(IndexError):
+                take(picks)
+            with pytest.raises(IndexError):
+                access(next(i for i in picks if not 0 <= i < n))

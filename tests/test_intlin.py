@@ -16,7 +16,6 @@ from mackeybox.intlin import (
     IntMatrix,
     extended_gcd,
     hermite_normal_form,
-    invert_unimodular,
     kernel_basis,
     lattice_basis,
     lattice_contains,
@@ -334,21 +333,3 @@ def test_lattice_helpers():
     assert basis.cols == 2
     assert lattice_contains(a, (2, 3))
     assert not lattice_contains(a, (1, 0))
-
-
-def test_invert_unimodular():
-    rng = random.Random(31)
-    for _ in range(100):
-        n = rng.randint(0, 5)
-        u = IntMatrix.identity(n)
-        for _ in range(8):
-            if n < 2:
-                break
-            i, j = rng.sample(range(n), 2)
-            rows = u.to_rows()
-            q = rng.randint(-3, 3)
-            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-            u = IntMatrix.from_rows(rows, cols=n)
-        assert invert_unimodular(u) @ u == IntMatrix.identity(n)
-    with pytest.raises(ValueError):
-        invert_unimodular(IntMatrix.from_rows([[2]]))

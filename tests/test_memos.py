@@ -19,7 +19,7 @@ from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.mackey import MackeyFunctor, check_axioms, constant_z, twisted_burnside
 from mackeybox.separation import classify_invertible, invert
 
-from helpers import PRIMES, random_functor
+from helpers import PRIMES, preimage_gens, random_functor
 
 
 def fresh_copy(m: MackeyFunctor) -> MackeyFunctor:
@@ -147,7 +147,7 @@ def test_hom_memos_equal_a_fresh_recomputation_and_leave_hash_alone():
         copy = fresh_copy(m).tr
         assert f == copy and hash(f) == hash(copy)
         assert f.smith == _smith(copy.matrix.hstack(copy.target.relations))
-        assert f.kernel_lattice == abgroup._preimage_gens(copy.matrix, copy.target.relations)
+        assert f.kernel_lattice == preimage_gens(copy.matrix, copy.target.relations)
 
 
 def test_a_map_answers_its_questions_from_one_elimination(monkeypatch):

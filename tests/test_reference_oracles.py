@@ -47,6 +47,7 @@ from mackeybox.mackey import (
     box_product,
     burnside,
     check_axioms,
+    fixed_point_functor,
     is_mackey_isomorphism,
     orbit_functor,
     permutation_functor,
@@ -293,15 +294,25 @@ def test_each_caller_asks_for_the_transforms_it_reads(monkeypatch):
         monkeypatch.setattr(module, "_smith", recorder(module))
     rel = IntMatrix.from_columns([(2, 0, 0), (0, 4, 0)], rows=3)
 
-    def flags(module, call):
+    def flags(call):
         asked.clear()
         call()
-        return {(u, v) for name, u, v in asked if name == module.__name__}
+        return list(asked)
 
-    assert flags(abgroup, lambda: abgroup.invariant_factors(FpAbGroup(3, rel))) == {(True, False)}
-    assert flags(intlin, lambda: kernel_basis(rel.transpose())) == {(False, True)}
-    assert flags(intlin, lambda: lattice_contains_all(rel, IntMatrix.identity(3))) == {(True, False)}
-    assert flags(abgroup, lambda: separation._quotient_iso(FpAbGroup(3, rel), 1)) == {(True, False)}
+    g = FpAbGroup(3, rel)
+    f = AbHom(FpAbGroup.free(2), g, IntMatrix.from_rows([[1, 0], [0, 2], [0, 0]]))
+    swap = AbHom(FpAbGroup.free(2), FpAbGroup.free(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
+    ab, il = abgroup.__name__, intlin.__name__
+    assert flags(lambda: abgroup.invariant_factors(g)) == [(ab, True, False)]
+    assert flags(lambda: kernel_basis(rel.transpose())) == [(il, False, True)]
+    assert flags(lambda: lattice_contains_all(rel, IntMatrix.identity(3))) == [(il, True, False)]
+    # a map's kernel lattice, surjectivity and image membership: one full form
+    assert flags(lambda: (f.kernel_lattice, f.is_surjective())) == [(ab, True, True)]
+    # the group's U, then one full form of the projection for the section
+    assert flags(lambda: separation._quotient_iso(FpAbGroup(3, rel), 1)) == [(ab, True, False), (il, True, True)]
+    # the fixed points (the kernel lattice of gamma - 1), then one full form
+    # of [basis | relations] for the top's relations and the transfer
+    assert flags(lambda: fixed_point_functor(2, swap.source, swap)) == [(ab, True, True), (il, True, True)]
 
 
 def test_dense_smith_diagonal_is_the_determinant():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mackeybox.abgroup import AbHom, FpAbGroup, invariant_factors
-from mackeybox.intlin import IntMatrix
+from mackeybox.intlin import IntMatrix, lattice_contains_all
 from mackeybox.mackey import (
     GSet,
     MackeyFunctor,
@@ -31,6 +31,7 @@ from mackeybox.separation import (
     TWIST_NOT_COPRIME,
     UNKNOWN,
     _bounded_points,
+    _quotient_iso,
     classify_invertible,
     gamma_functor,
     invert,
@@ -210,6 +211,33 @@ def test_classify_reasons():
     assert multiple.d_class == 0
 
 
+def test_quotient_iso_is_an_isomorphism_onto_the_free_group():
+    """On Z^n modulo the first k columns of a random unimodular matrix (plus
+    redundant combinations), the projection is onto Z^(n-k) with
+    ``pi @ sec == I``, kills exactly the relations, and so with the section
+    gives mutually inverse isomorphisms."""
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n - 1)
+        rows = IntMatrix.identity(n).to_rows()
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        cols = IntMatrix.from_rows(rows).transpose().to_rows()[:k]
+        if k:
+            cols += [[c * x for x in cols[0]] for c in rng.choices(range(-2, 3), k=rng.randint(0, 2))]
+        group = FpAbGroup(n, IntMatrix.from_columns(cols, rows=n))
+        pi, sec = _quotient_iso(group, n - k)
+        assert (pi.rows, pi.cols, sec.rows, sec.cols) == (n - k, n, n, n - k)
+        assert pi @ sec == IntMatrix.identity(n - k)
+        assert (pi @ group.relations).is_zero()
+        assert lattice_contains_all(group.relations, IntMatrix.identity(n) - sec @ pi)
+    with pytest.raises(ValueError):
+        _quotient_iso(FpAbGroup.cyclic(2), 1)
+
+
 def test_classify_str():
     good = classify_invertible(twisted_burnside(5, 3))
     assert str(good) == "TwistedBurnside(d_class=2, sign_ambiguous=True)"
@@ -340,6 +368,16 @@ def test_search_unknown_when_no_small_witness():
     res = try_find_isomorphism(twisted_burnside(5, 1), twisted_burnside(5, 2), bound=2)
     assert res.status == UNKNOWN
     assert "within 2" in res.detail
+
+
+def test_search_rejects_a_negative_bound():
+    for m, n in ((burnside(2), burnside(2)), (burnside(2), burnside(3))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            try_find_isomorphism(m, n, bound=-1)
+    # bound 0 stays valid: only the zero map is in bound
+    assert try_find_isomorphism(zero_functor(3), zero_functor(3), bound=0).status == FOUND
+    res = try_find_isomorphism(burnside(3), burnside(3), bound=0)
+    assert res.status == UNKNOWN and "within 0" in res.detail
 
 
 def test_search_identity_case():
