@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 
 from .intlin import (
     IntMatrix,
     SmithDecomposition,
+    _from_column_lists,
     _int_vector,
     _reduce_columns,
     _smith,
+    _trusted,
     block_diagonal,
     lattice_basis,
 )
@@ -70,14 +73,37 @@ class FpAbGroup:
     def smith(self) -> SmithDecomposition:
         """``U @ relations @ V == S`` with U kept and V left out, memoised.
 
-        The invariant factors and every membership question about the
-        relation lattice (is an element zero, is a map well defined, are two
-        maps equal) read this one decomposition.  A group with no relations
-        needs no elimination: U is the identity and S has no columns.
+        The invariant factors of a group with relations, and every
+        membership question ``contains_all`` cannot settle by inspection,
+        read this one decomposition.  A group with no relations needs no
+        elimination: U is the identity and S has no columns.
         """
         if self.relations.cols == 0:
             return SmithDecomposition(IntMatrix.identity(self.ngens), self.relations, None)
         return _smith(self.relations, want_v=False)
+
+    def contains_all(self, m: IntMatrix) -> bool:
+        """Whether every column of m lies in the relation lattice, i.e. is
+        zero in the group: the one membership test behind ``is_zero``,
+        ``is_well_defined``, ``equals`` and ``is_injective``.
+
+        A column that is zero or plus or minus a relation is a member by
+        inspection; with no relations only zero columns are; the rest are
+        answered by the group's memoised Smith decomposition (``smith``).
+
+        >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
+        True
+        """
+        rel = self.relations
+        if rel.cols == 0:
+            return m.is_zero()
+        relations = set(map(rel.column, range(rel.cols)))
+        rest = [
+            c
+            for c in map(m.column, range(m.cols))
+            if any(c) and c not in relations and tuple(map(neg, c)) not in relations
+        ]
+        return not rest or self.smith.contains_all(_from_column_lists(rest, m.rows))
 
     @cached_property
     def hermite_basis(self) -> IntMatrix:
@@ -119,7 +145,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
-        return self.group.smith.contains_all(IntMatrix.column_vector(self.coords))
+        return self.group.contains_all(_trusted(len(self.coords), 1, self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement) or self.group != other.group:
@@ -142,6 +168,8 @@ def invariant_factors(g: FpAbGroup) -> tuple[int, tuple[int, ...]]:
     >>> invariant_factors(FpAbGroup(2, IntMatrix.from_columns([(2, 0), (0, 6)])))
     (0, (2, 6))
     """
+    if g.relations.cols == 0:
+        return g.ngens, ()
     diag = g.smith.diagonal()
     nonzero = [d for d in diag if d != 0]
     torsion = tuple(d for d in nonzero if d > 1)
@@ -204,7 +232,9 @@ class AbHom:
         return AbHom(self.source, self.target, -self.matrix)
 
     def __sub__(self, other: "AbHom") -> "AbHom":
-        return self + (-other)
+        if (self.source, self.target) != (other.source, other.target):
+            raise ValueError("homomorphisms with different ends")
+        return AbHom(self.source, self.target, self.matrix - other.matrix)
 
     def scaled(self, k: int) -> "AbHom":
         return AbHom(self.source, self.target, self.matrix.scaled(k))
@@ -243,13 +273,13 @@ class AbHom:
         False
         """
         rel = self.source.relations
-        return rel.cols == 0 or self.target.smith.contains_all(self.matrix @ rel)
+        return rel.cols == 0 or self.target.contains_all(self.matrix @ rel)
 
     def equals(self, other: "AbHom") -> bool:
         """Equality as maps on the presented groups (not of matrices)."""
         if (self.source, self.target) != (other.source, other.target):
             return False
-        return self.target.smith.contains_all(self.matrix - other.matrix)
+        return self.target.contains_all(self.matrix - other.matrix)
 
     @cached_property
     def smith(self) -> SmithDecomposition:
@@ -277,7 +307,7 @@ class AbHom:
 
     def is_injective(self) -> bool:
         """Whether the kernel lattice lies in the source relation lattice."""
-        return self.source.smith.contains_all(self.kernel_lattice)
+        return self.source.contains_all(self.kernel_lattice)
 
     @cached_property
     def _orbits(self) -> dict:
@@ -327,6 +357,19 @@ class AbHom:
             if basis is not None:
                 total, power = _reduce_columns(total, basis), _reduce_columns(power, basis)
         return AbHom(g, g, power), AbHom(g, g, total)
+
+
+def _with_source(f: AbHom, source: FpAbGroup) -> AbHom:
+    """f's matrix as a map from another source with as many generators.
+
+    ``AbHom.smith`` and ``kernel_lattice`` depend only on the matrix and the
+    target, so the new map reads f's memos instead of eliminating
+    ``[matrix | target.relations]`` again.
+    """
+    g = AbHom(source, f.target, f.matrix)
+    g.__dict__["smith"] = f.smith
+    g.__dict__["kernel_lattice"] = f.kernel_lattice
+    return g
 
 
 @dataclass(frozen=True)

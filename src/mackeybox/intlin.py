@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd
-from operator import mul
+from operator import add, mul, neg, sub
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         _check_size(n)
-        return _trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return _trusted(n, n, _eye_entries(n, n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -117,7 +117,7 @@ class IntMatrix:
         return _from_column_lists([self.column(j) for j in indices], self.rows)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def __repr__(self):
         return f"IntMatrix({self.to_rows()})"
@@ -150,15 +150,18 @@ class IntMatrix:
         return tuple(_dot(self.row(i), vec) for i in range(self.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return _trusted(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return _trusted(self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
-        return _trusted(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _trusted(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def scaled(self, k: int) -> "IntMatrix":
         _check_ints((k,), "scale factors")
@@ -236,6 +239,13 @@ def _trusted(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
     m = object.__new__(IntMatrix)
     m.__dict__.update(rows=rows, cols=cols, entries=entries)
     return m
+
+
+def _eye_entries(rows: int, cols: int) -> tuple[int, ...]:
+    """The row-major entries of the ``rows x cols`` matrix with ones at
+    (i, i): a one followed by ``cols`` zeros, repeated, puts the ones
+    ``cols + 1`` apart."""
+    return (((1,) + (0,) * cols) * rows)[: rows * cols]
 
 
 def _from_row_lists(rows: list[list[int]], ncols: int) -> IntMatrix:
@@ -416,7 +426,21 @@ def _identity_rows(n):
 
 
 def _smith(a: IntMatrix, want_u: bool = True, want_v: bool = True) -> SmithDecomposition:
-    """S, and U and V only when asked, by one fixed sequence of operations.
+    """S, and U and V only when asked, by one fixed sequence of operations
+    (``_eliminate``).
+
+    A matrix ``[I | R]`` whose first ``rows`` columns are the identity gets,
+    without elimination, the result the elimination reaches: every pivot is
+    the 1 already on the diagonal and clears its row by column operations
+    alone, so U = I, S = [I | 0] and V = [[I, -R], [0, I]].
+    """
+    if _leads_with_identity(a):
+        return _smith_of_identity_led(a, want_u, want_v)
+    return _eliminate(a, want_u, want_v)
+
+
+def _eliminate(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
+    """The Smith elimination itself.
 
     Every step is a row operation on a list of rows.  A column operation on
     S touches only rows ``t`` and below, since the rows above the pivot are
@@ -501,6 +525,31 @@ def _smith(a: IntMatrix, want_u: bool = True, want_v: bool = True) -> SmithDecom
         None if u is None else _from_row_lists(u, m),
         _from_row_lists(s, n),
         None if vt is None else _from_column_lists(vt, n),
+    )
+
+
+def _leads_with_identity(a: IntMatrix) -> bool:
+    """Whether the first ``a.rows`` columns of a are the identity."""
+    m, n, e = a.rows, a.cols, a.entries
+    return m <= n and all(
+        e[i * n + i] == 1 and not any(e[i * n : i * n + i]) and not any(e[i * n + i + 1 : i * n + m])
+        for i in range(m)
+    )
+
+
+def _smith_of_identity_led(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
+    """``_smith`` of ``[I | R]`` in closed form (see there); row i of V is
+    row i of a, identity part and then -R, and the rows past ``a.rows`` are
+    those of the identity."""
+    m, n, e = a.rows, a.cols, a.entries
+    v = None
+    if want_v:
+        top = (e[i * n : i * n + m] + tuple(map(neg, e[i * n + m : (i + 1) * n])) for i in range(m))
+        v = _trusted(n, n, tuple(chain(chain.from_iterable(top), _eye_entries(n, n)[m * n :])))
+    return SmithDecomposition(
+        _trusted(m, m, _eye_entries(m, m)) if want_u else None,
+        _trusted(m, n, _eye_entries(m, n)),
+        v,
     )
 
 

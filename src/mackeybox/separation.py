@@ -25,7 +25,7 @@ from .intlin import (
     lattice_basis,
     smith_normal_form,
 )
-from .abgroup import AbHom, FpAbGroup, cokernel, invariant_factors, is_isomorphism
+from .abgroup import AbHom, FpAbGroup, _with_source, cokernel, invariant_factors, is_isomorphism
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -80,16 +80,15 @@ def gamma_functor(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism]:
 
     Its top is presented on the bottom's generators (v represents tr(v)), so
     its transfer is the identity matrix and its restriction is the action
-    norm.
+    norm.  The inclusion's top map is M's transfer on that new source, and
+    reads the transfer's memoised decomposition.
     """
     nb = m.bottom.ngens
     top = FpAbGroup(nb, m.tr.kernel_lattice)
     res = AbHom(top, m.bottom, action_norm(m.gamma, m.p).matrix)
     tr = AbHom(m.bottom, top, IntMatrix.identity(nb))
     part = MackeyFunctor(m.p, top, m.bottom, m.gamma, res, tr)
-    inclusion = MackeyMorphism(
-        part, m, AbHom(top, m.top, m.tr.matrix), AbHom.identity(m.bottom)
-    )
+    inclusion = MackeyMorphism(part, m, _with_source(m.tr, top), AbHom.identity(m.bottom))
     return part, inclusion
 
 
@@ -139,7 +138,7 @@ def _exact_in_middle(inc: AbHom, proj: AbHom) -> bool:
     as two lattice inclusions: ker proj ⊆ im inc + relations (read from inc's
     memoised Smith decomposition) and proj·[inc | relations] ⊆ the relations
     of proj's target (read from the target's)."""
-    return inc.smith.contains_all(proj.kernel_lattice) and proj.target.smith.contains_all(
+    return inc.smith.contains_all(proj.kernel_lattice) and proj.target.contains_all(
         proj.matrix @ inc.matrix.hstack(inc.target.relations)
     )
 
@@ -151,9 +150,19 @@ def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
     inclusion is injective (its kernel lattice lies in the relations of its
     source), the projection is surjective (its image plus the target
     relations span everything), and ker proj = im inc + relations, checked
-    as the two lattice inclusions of ``_exact_in_middle``.  Each test reads
-    the map's one memoised Smith decomposition (``AbHom.smith``) or a
-    group's (``FpAbGroup.smith``).
+    as the two lattice inclusions of ``_exact_in_middle``.  What each reads:
+
+    * the morphism conditions: membership in the target group
+      (``FpAbGroup.contains_all``), which settles zero and plus or minus
+      relation columns by inspection (all of Phi's), else the target's
+      ``FpAbGroup.smith`` (M's top, for the inclusion's top map);
+    * injectivity: the inclusion's ``kernel_lattice`` and membership in its
+      source; on the top both come from ``m.tr.smith``, whose kernel lattice
+      is Gamma's relations, so Gamma's top needs no elimination;
+    * surjectivity: the projection's ``AbHom.smith``, on the top of
+      ``[I | relations | tr]``, which ``_smith`` writes down in closed form;
+    * exactness in the middle: the inclusion's ``AbHom.smith`` and
+      membership in the projection's target.
     """
     gamma_part, inclusion = gamma_functor(m)
     phi_part, projection = phi_functor(m)

@@ -10,6 +10,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mackeybox.abgroup import (
     AbHom,
@@ -233,3 +235,64 @@ def test_same_group_different_presentation():
     b = FpAbGroup(2, IntMatrix.from_columns([(1, 1), (2, -4)], rows=2))
     assert invariant_factors(b) == (0, (6,))
     assert brute_force_isomorphic(a, b, 3)
+
+
+# -- the one group-membership primitive -----------------------------------------
+
+
+@st.composite
+def group_and_columns(draw):
+    """A presented group and columns mixing zero columns, relations, negated
+    relations, random vectors, and relations with one entry changed by one
+    or negated (near misses of the inspection)."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n + 1))  # few relations leave room for near misses
+    entry = st.integers(-6, 6)
+    rel_cols = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    group = FpAbGroup(n, IntMatrix.from_columns(rel_cols, rows=n))
+    kinds = ["zero", "random"] + (["relation", "negated", "shifted", "flipped"] if k and n else [])
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=5)):
+        if kind == "zero":
+            columns.append([0] * n)
+        elif kind == "random":
+            columns.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        else:
+            col = list(rel_cols[draw(st.integers(0, k - 1))])
+            i = draw(st.integers(0, n - 1))
+            if kind == "negated":
+                col = [-x for x in col]
+            elif kind == "shifted":
+                col[i] += draw(st.sampled_from((-1, 1)))
+            elif kind == "flipped":
+                col[i] = -col[i]
+            columns.append(col)
+    return group, IntMatrix.from_columns(columns, rows=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_and_columns())
+@example((FpAbGroup(2, IntMatrix.from_columns([(2, 4)], rows=2)), IntMatrix.from_columns([(-2, 4)], rows=2)))
+@example((FpAbGroup(2, IntMatrix.from_columns([(2, 4)], rows=2)), IntMatrix.from_columns([(3, 4)], rows=2)))
+@example((FpAbGroup(2, IntMatrix.from_columns([(2, 0)], rows=2)), IntMatrix.from_columns([(-2, 0), (0, 0)], rows=2)))
+def test_group_contains_all_agrees_with_the_smith_decomposition(case):
+    group, columns = case
+    assert group.contains_all(columns) == group.smith.contains_all(columns)
+    for j in range(columns.cols):
+        element = group.element(columns.column(j))
+        assert element.is_zero() == group.smith.contains_all(columns.take_columns([j]))
+
+
+def test_membership_by_inspection_needs_no_elimination():
+    """Zero columns and plus or minus a relation are members without the
+    group's Smith form; a relation-free group never builds its U."""
+    g = FpAbGroup(2, IntMatrix.from_columns([(2, 4), (0, 3)], rows=2))
+    assert g.contains_all(IntMatrix.from_columns([(0, 0), (-2, -4), (0, 3)], rows=2))
+    assert "smith" not in g.__dict__
+    assert not g.contains_all(IntMatrix.from_columns([(0, 0), (1, 0)], rows=2))
+    assert "smith" in g.__dict__
+    free = FpAbGroup.free(3)
+    assert free.contains_all(IntMatrix.zeros(3, 2))
+    assert not free.contains_all(IntMatrix.from_columns([(0, 0, 1)], rows=3))
+    assert invariant_factors(free) == (3, ())
+    assert "smith" not in free.__dict__

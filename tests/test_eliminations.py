@@ -5,16 +5,26 @@ fixed points, the isomorphism search) reads both from one Smith
 decomposition, and the classification takes its sections from a Smith form
 of each projection, not by inverting a tier's U.  Every elimination goes
 through ``intlin._smith``; the counts below are pinned by wrapping it, so a
-change that eliminates a system twice fails here.
+change that eliminates a system twice fails here.  A matrix ``[I | R]``
+handed to ``_smith`` gets its decomposition in closed form, without the
+elimination loop (``intlin._eliminate``).
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mackeybox import abgroup, intlin, separation
 from mackeybox.intlin import IntMatrix
-from mackeybox.mackey import GSet, permutation_functor, twisted_burnside
+from mackeybox.mackey import (
+    GSet,
+    box_product,
+    check_axioms,
+    permutation_functor,
+    twisted_burnside,
+)
 
 from helpers import pad_functor
 
@@ -78,3 +88,82 @@ def test_kernel_is_the_columns_of_v_past_the_rank():
         assert k.cols == cols - dec.rank()
         assert (a @ k).is_zero()
         assert k == intlin.kernel_basis(a)
+
+
+def leads_with_identity(a: IntMatrix) -> bool:
+    """Whether the first ``a.rows`` columns of a are the identity (so a
+    matrix with no rows is)."""
+    return a.rows <= a.cols and all(
+        a.at(i, j) == (1 if i == j else 0) for i in range(a.rows) for j in range(a.rows)
+    )
+
+
+@st.composite
+def identity_led(draw):
+    rows = draw(st.integers(0, 5))
+    extra = draw(st.integers(0, 5))
+    entries = []
+    for i in range(rows):
+        entries += [1 if i == j else 0 for j in range(rows)]
+        entries += draw(st.lists(st.integers(-9, 9), min_size=extra, max_size=extra))
+    return IntMatrix(rows, rows + extra, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(identity_led())
+def test_the_closed_form_of_an_identity_led_matrix_is_what_the_elimination_reaches(a):
+    assert intlin._leads_with_identity(a)
+    for want_u in (False, True):
+        for want_v in (False, True):
+            assert intlin._smith(a, want_u, want_v) == intlin._eliminate(a, want_u, want_v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.lists(st.integers(-1, 1), min_size=20, max_size=20))
+def test_only_identity_led_matrices_take_the_closed_form(rows, cols, pool):
+    a = IntMatrix(rows, cols, tuple(pool[: rows * cols]))
+    assert intlin._leads_with_identity(a) == leads_with_identity(a)
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """The matrices that reach the elimination loop."""
+    inputs = []
+    original = intlin._eliminate
+
+    def recording(a, want_u, want_v):
+        inputs.append(a)
+        return original(a, want_u, want_v)
+
+    monkeypatch.setattr(intlin, "_eliminate", recording)
+    return inputs
+
+
+def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, loops):
+    """After the axiom check, the sequence of the p = 5 (0,1)x(1,1) product
+    eliminates ``[tr | top relations]`` once (the inclusion's top map reads
+    the transfer's decomposition) and the top's relations once (for the
+    inclusion's well-definedness); Phi's cokernel group and Gamma's top
+    answer membership by inspection, and every other matrix handed over,
+    identity maps and the projection ``[I | relations | tr]``, takes the
+    closed form.  Before, five of seven matrices went through the loop."""
+    x = box_product(permutation_functor(5, GSet(0, 1)), permutation_functor(5, GSet(1, 1)))
+    assert check_axioms(x) == ()
+    del eliminated[:], loops[:]
+    assert separation.isotropy_sequence(x).exact
+    assert loops == [x.tr.matrix.hstack(x.top.relations), x.top.relations]
+    assert [a for a in eliminated if not leads_with_identity(a)] == loops
+    assert len(eliminated) == 5
+    assert "smith" in x.tr.__dict__
+
+
+def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
+    """Of the 12 matrices that classifying and inverting twisted_burnside
+    (10007, 2) hands to ``_smith``, the 4 identity-led ones (the projection
+    of each relation-free tier and identity maps) skip the loop."""
+    m = twisted_burnside(10007, 2)
+    assert separation.classify_invertible(m).invertible
+    assert separation.invert(m) is not None
+    assert len(eliminated) == 12
+    assert sum(map(leads_with_identity, eliminated)) == 4
+    assert loops == [a for a in eliminated if not leads_with_identity(a)]

@@ -183,3 +183,33 @@ def test_rows_and_columns_check_their_indices(a, picks):
                 take(picks)
             with pytest.raises(IndexError):
                 access(next(i for i in picks if not 0 <= i < n))
+
+
+# -- entrywise arithmetic agrees with dense loops --------------------------------------------
+
+
+def dense(m: IntMatrix) -> list[list[int]]:
+    return [[m.entries[i * m.cols + j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands())
+def test_entrywise_arithmetic_matches_dense_loops(ops):
+    """``+``, ``-``, unary ``-``, ``identity`` and ``is_zero`` equal the
+    textbook loops over (i, j), as checked matrices of the right shape."""
+    a, b, _, _, _, _ = ops
+    rows, cols = range(a.rows), range(a.cols)
+    ra, rb = dense(a), dense(b)
+    eye = IntMatrix.identity(a.rows)
+    for got, want in (
+        (a + b, [[ra[i][j] + rb[i][j] for j in cols] for i in rows]),
+        (a - b, [[ra[i][j] - rb[i][j] for j in cols] for i in rows]),
+        (-a, [[-ra[i][j] for j in cols] for i in rows]),
+        (eye, [[1 if i == j else 0 for j in rows] for i in rows]),
+    ):
+        assert rechecked(got) == got and got.rows == a.rows and dense(got) == want
+    assert a.is_zero() == all(ra[i][j] == 0 for i in rows for j in cols)
+    assert (a - a).is_zero()
+    for op in (IntMatrix.__add__, IntMatrix.__sub__):
+        with pytest.raises(ValueError):
+            op(a, IntMatrix.zeros(a.rows + 1, a.cols))

@@ -1,10 +1,11 @@
 """Facts memoised on the frozen objects they describe.
 
 A group keeps its Smith decomposition and Hermite basis, an action its
-order-p orbit, a functor its axiom verdict and its classification.  Each
-memo must equal a fresh recomputation on an equal copy built from scratch,
-must leave ``==`` and ``hash`` alone, and must spare the second reader the
-work.
+order-p orbit, a functor its axiom verdict and its classification, and the
+top map of Gamma's inclusion the decomposition of the transfer it shares a
+matrix and a target with.  Each memo must equal a fresh recomputation on an
+equal copy built from scratch, must leave ``==`` and ``hash`` alone, and
+must spare the second reader the work.
 """
 
 import random
@@ -17,7 +18,7 @@ from mackeybox.document import render_machine
 from mackeybox.intlin import IntMatrix, _smith, lattice_basis
 from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.mackey import MackeyFunctor, check_axioms, constant_z, twisted_burnside
-from mackeybox.separation import classify_invertible, invert
+from mackeybox.separation import classify_invertible, gamma_functor, invert
 
 from helpers import PRIMES, preimage_gens, random_functor
 
@@ -164,3 +165,33 @@ def test_a_map_answers_its_questions_from_one_elimination(monkeypatch):
         assert f.smith.contains_all(IntMatrix.from_rows([[2]]))
         assert not abgroup.is_isomorphism(f)
     assert calls == [f.matrix.hstack(z4.relations)]
+
+
+def test_the_inclusion_of_gamma_reads_the_transfers_decomposition():
+    rng = random.Random(23)
+    for _ in range(80):
+        m = random_functor(rng, rng.choice(PRIMES))
+        part, inclusion = gamma_functor(m)
+        f = inclusion.phi_top
+        assert (f.source, f.target, f.matrix) == (part.top, m.top, m.tr.matrix)
+        assert f.smith is m.tr.smith and f.kernel_lattice is m.tr.kernel_lattice
+        fresh = AbHom(FpAbGroup(part.top.ngens, part.top.relations), fresh_copy(m).top, f.matrix)
+        assert f == fresh and hash(f) == hash(fresh)
+        assert f.smith == _smith(fresh.matrix.hstack(fresh.target.relations))
+        assert f.kernel_lattice == preimage_gens(fresh.matrix, fresh.target.relations)
+        assert f.is_injective() == fresh.is_injective()
+
+
+def test_a_relation_free_top_is_checked_without_its_smith_form(tmp_path, capsys):
+    """5,000 free top generators over a zero bottom: no membership question
+    builds the top's 5,000 x 5,000 identity U."""
+    top, bottom = FpAbGroup.free(5000), FpAbGroup.free(0)
+    m = MackeyFunctor(2, top, bottom, AbHom.identity(bottom), AbHom.zero(top, bottom), AbHom.zero(bottom, top))
+    assert check_axioms(m) == ()
+    assert "smith" not in top.__dict__
+    assert classify_invertible(m).reason == "bottom-not-Z"
+    assert "smith" not in top.__dict__
+    path = tmp_path / "free.mk"
+    path.write_text(render_machine(m))
+    assert run(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "status: pass\n"
