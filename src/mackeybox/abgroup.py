@@ -25,10 +25,10 @@ from .intlin import (
     _from_column_lists,
     _int_vector,
     _reduce_columns,
-    _smith,
     _trusted,
     block_diagonal,
     lattice_basis,
+    smith_normal_form,
 )
 
 
@@ -71,16 +71,16 @@ class FpAbGroup:
 
     @cached_property
     def smith(self) -> SmithDecomposition:
-        """``U @ relations @ V == S`` with U kept and V left out, memoised.
+        """``U @ relations @ V == S``, memoised.
 
         The invariant factors of a group with relations, and every
         membership question ``contains_all`` cannot settle by inspection,
         read this one decomposition.  A group with no relations needs no
-        elimination: U is the identity and S has no columns.
+        elimination: S has no columns and no operation made it.
         """
         if self.relations.cols == 0:
-            return SmithDecomposition(IntMatrix.identity(self.ngens), self.relations, None)
-        return _smith(self.relations, want_v=False)
+            return SmithDecomposition(self.relations, (), ())
+        return smith_normal_form(self.relations)
 
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the relation lattice, i.e. is
@@ -162,6 +162,15 @@ class GroupElement:
         return f"GroupElement({list(self.coords)})"
 
 
+def _coordinates(x, group: FpAbGroup) -> tuple[int, ...]:
+    """The coordinates of x: an element of group, or a vector of Python ints."""
+    if not isinstance(x, GroupElement):
+        return _int_vector(x)
+    if x.group is not group and x.group != group:
+        raise ValueError("elements of different groups")
+    return x.coords
+
+
 def invariant_factors(g: FpAbGroup) -> tuple[int, tuple[int, ...]]:
     """``(free_rank, torsion)`` with torsion a divisibility chain, 1s dropped.
 
@@ -212,8 +221,7 @@ class AbHom:
         return cls(source, target, IntMatrix.zeros(target.ngens, source.ngens))
 
     def __call__(self, x) -> GroupElement:
-        coords = x.coords if isinstance(x, GroupElement) else tuple(x)
-        return GroupElement(self.target, self.matrix.apply(coords))
+        return GroupElement(self.target, self.matrix.apply(_coordinates(x, self.source)))
 
     def __matmul__(self, other: "AbHom") -> "AbHom":
         """Composite self ∘ other."""
@@ -283,14 +291,13 @@ class AbHom:
 
     @cached_property
     def smith(self) -> SmithDecomposition:
-        """``U @ [matrix | target.relations] @ V == S``, both transforms kept,
-        memoised.
+        """``U @ [matrix | target.relations] @ V == S``, memoised.
 
         Its column lattice is the image plus the target relations, so the
         diagonal says whether f is onto, V gives the kernel lattice and U
         answers membership in the image (``contains_all``).
         """
-        return _smith(self.matrix.hstack(self.target.relations))
+        return smith_normal_form(self.matrix.hstack(self.target.relations))
 
     @cached_property
     def kernel_lattice(self) -> IntMatrix:
@@ -409,7 +416,7 @@ def quotient_by(g: FpAbGroup, extra) -> tuple[FpAbGroup, AbHom]:
     """Quotient by further relations; returns the quotient and the projection."""
     cols = []
     for item in extra:
-        coords = item.coords if isinstance(item, GroupElement) else _int_vector(item)
+        coords = _coordinates(item, g)
         if len(coords) != g.ngens:
             raise ValueError("relation of the wrong length")
         cols.append(coords)

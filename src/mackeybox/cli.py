@@ -58,12 +58,11 @@ def _cmd_check(args) -> int:
         print("status: pass" if not problems else "status: fail")
         for msg in problems:
             print(f"violation: {msg}")
+    elif problems:
+        for msg in problems:
+            print(f"axiom violated: {msg}")
     else:
-        if problems:
-            for msg in problems:
-                print(f"axiom violated: {msg}")
-        else:
-            print("all axioms hold")
+        print("all axioms hold")
     return 1 if problems else 0
 
 
@@ -75,12 +74,18 @@ def _cmd_box(args) -> int:
     return _emit(box_product(m, n), args.format)
 
 
-def _cmd_classify(args) -> int:
-    m = _load_functor(args.file)
+def _load_mackey(path: str):
+    """The functor in path, or None once its violated axioms are on stderr."""
+    m = _load_functor(path)
     problems = check_axioms(m)
-    if problems:
-        for msg in problems:
-            print(f"mackeybox: axiom violated: {msg}", file=sys.stderr)
+    for msg in problems:
+        print(f"mackeybox: axiom violated: {msg}", file=sys.stderr)
+    return None if problems else m
+
+
+def _cmd_classify(args) -> int:
+    m = _load_mackey(args.file)
+    if m is None:
         return 1
     result = classify_invertible(m)
     if args.format == "machine":
@@ -99,11 +104,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    m = _load_functor(args.file)
-    problems = check_axioms(m)
-    if problems:
-        for msg in problems:
-            print(f"mackeybox: axiom violated: {msg}", file=sys.stderr)
+    m = _load_mackey(args.file)
+    if m is None:
         return 1
     outcome = invert(m)
     if outcome is None:
@@ -113,38 +115,29 @@ def _cmd_invert(args) -> int:
     return _emit(inverse, args.format)
 
 
-def _cmd_gamma(args) -> int:
-    m = _load_functor(args.file)
-    part, _ = gamma_functor(m)
-    return _emit(part, args.format)
-
-
-def _cmd_phi(args) -> int:
-    m = _load_functor(args.file)
-    part, _ = phi_functor(m)
-    return _emit(part, args.format)
+def _part(split):
+    """The command that emits the first part of ``split`` of a functor."""
+    return lambda args: _emit(split(_load_functor(args.file))[0], args.format)
 
 
 def _cmd_iso(args) -> int:
     m = _load_functor(args.left)
     n = _load_functor(args.right)
     result = try_find_isomorphism(m, n, args.bound)
-    if args.format == "machine":
+    machine = args.format == "machine"
+    if machine:
         print(f"status: {result.status}")
-        if result.witness is not None:
-            print(f"phi_top: {json.dumps(result.witness.phi_top.matrix.to_rows())}")
-            print(f"phi_bottom: {json.dumps(result.witness.phi_bottom.matrix.to_rows())}")
-        elif result.detail:
-            print(f"detail: {result.detail}")
+    elif result.status == FOUND:
+        print("isomorphic")
+    elif result.status == NOT_ISOMORPHIC:
+        print(f"not isomorphic: {result.detail}")
     else:
-        if result.status == FOUND:
-            print("isomorphic")
-            print(f"phi_top: {json.dumps(result.witness.phi_top.matrix.to_rows())}")
-            print(f"phi_bottom: {json.dumps(result.witness.phi_bottom.matrix.to_rows())}")
-        elif result.status == NOT_ISOMORPHIC:
-            print(f"not isomorphic: {result.detail}")
-        else:
-            print(f"unknown: {result.detail}")
+        print(f"unknown: {result.detail}")
+    if result.witness is not None:
+        print(f"phi_top: {json.dumps(result.witness.phi_top.matrix.to_rows())}")
+        print(f"phi_bottom: {json.dumps(result.witness.phi_bottom.matrix.to_rows())}")
+    elif machine and result.detail:
+        print(f"detail: {result.detail}")
     return 0 if result.status == FOUND else 1
 
 
@@ -162,6 +155,19 @@ def _cmd_make(args) -> int:
     return _emit(m, args.format)
 
 
+# (name, help, handler, documents read): every document but the last is
+# required, and the last defaults to stdin
+_DOCUMENT_COMMANDS = (
+    ("check", "verify the axioms of a functor document", _cmd_check, ("file",)),
+    ("box", "box product of two functor documents", _cmd_box, ("left", "right")),
+    ("classify", "decide invertibility", _cmd_classify, ("file",)),
+    ("invert", "emit the box inverse, if one exists", _cmd_invert, ("file",)),
+    ("gamma", "transfer-image subfunctor", _part(gamma_functor), ("file",)),
+    ("phi", "transfer-cokernel quotient functor", _part(phi_functor), ("file",)),
+    ("iso", "bounded isomorphism search", _cmd_iso, ("left", "right")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -175,37 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Box products and invertibility of prime-order Mackey functors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[fmt], help="verify the axioms of a functor document")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("box", parents=[fmt], help="box product of two functor documents")
-    p.add_argument("left")
-    p.add_argument("right", nargs="?", default="-")
-    p.set_defaults(handler=_cmd_box)
-
-    p = sub.add_parser("classify", parents=[fmt], help="decide invertibility")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("invert", parents=[fmt], help="emit the box inverse, if one exists")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(handler=_cmd_invert)
-
-    p = sub.add_parser("gamma", parents=[fmt], help="transfer-image subfunctor")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(handler=_cmd_gamma)
-
-    p = sub.add_parser("phi", parents=[fmt], help="transfer-cokernel quotient functor")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(handler=_cmd_phi)
-
-    p = sub.add_parser("iso", parents=[fmt], help="bounded isomorphism search")
-    p.add_argument("left")
-    p.add_argument("right", nargs="?", default="-")
-    p.add_argument("--bound", type=int, default=3, help="entry bound for the search (default 3)")
-    p.set_defaults(handler=_cmd_iso)
+    for name, help_text, handler, documents in _DOCUMENT_COMMANDS:
+        p = sub.add_parser(name, parents=[fmt], help=help_text)
+        for doc in documents[:-1]:
+            p.add_argument(doc)
+        p.add_argument(documents[-1], nargs="?", default="-")
+        p.set_defaults(handler=handler)
+    sub.choices["iso"].add_argument(
+        "--bound", type=int, default=3, help="entry bound for the search (default 3)"
+    )
 
     p = sub.add_parser("make", parents=[fmt], help="emit a standard functor")
     p.add_argument("kind", choices=("burnside", "constant", "permutation", "twisted"))

@@ -17,6 +17,7 @@ per-entry check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from math import gcd
 from operator import add, mul, neg, sub
@@ -331,13 +332,30 @@ class SmithDecomposition:
     """Unimodular U, V and diagonal S with ``U @ A @ V == S``.
 
     The diagonal is nonnegative, each entry divides the next, and zeros come
-    last.  ``smith_normal_form`` always fills in U and V; inside this module
-    ``_smith`` leaves out (as None) a transform its caller does not read.
+    last.  The elimination keeps S and the operations that reached it: the
+    row operations (``row_ops``, which make U) and the column operations
+    (``col_ops``, which make V, replayed as row operations on its
+    transpose).  U and V are built from them the first time they are read
+    and then kept, so a question that reads neither (``diagonal``,
+    ``rank``) builds neither, and ``kernel`` takes its columns from the
+    replayed columns of V without building V itself.
     """
 
-    u: IntMatrix | None
     s: IntMatrix
-    v: IntMatrix | None
+    row_ops: tuple
+    col_ops: tuple
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return _from_row_lists(_replay(self.s.rows, self.row_ops), self.s.rows)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return _from_column_lists(self._v_columns, self.s.cols)
+
+    @cached_property
+    def _v_columns(self) -> list[list[int]]:
+        return _replay(self.s.cols, self.col_ops)
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.s.rows, self.s.cols)
@@ -348,23 +366,24 @@ class SmithDecomposition:
 
     def kernel(self) -> IntMatrix:
         """A basis of the integer kernel ``{x : A x = 0}``: the columns of V
-        past the rank (reads V)."""
-        return self.v.take_columns(range(self.rank(), self.v.cols))
+        past the rank, taken from the replayed columns without building V."""
+        return _from_column_lists(self._v_columns[self.rank() :], self.s.cols)
 
     def contains_all(self, m: IntMatrix) -> bool:
-        """Whether every column of m lies in the column lattice of A (reads U).
+        """Whether every column of m lies in the column lattice of A.
 
         A column b is in the lattice exactly when each entry of ``U @ b`` is
         divisible by the matching diagonal entry of S (zero past the
-        diagonal), so one decomposition answers for all columns; rows with
-        invariant factor 1 need no check, and with no relations at all the
-        columns must vanish.
+        diagonal), so one decomposition answers for all columns.  Rows with
+        invariant factor 1 need no check, so U is read only when some
+        invariant factor is not 1; with no relations (or no columns to test)
+        only zero columns are members.
         """
-        if self.s.cols == 0:
+        if self.s.cols == 0 or m.cols == 0:
             return m.is_zero()
         diag = self.diagonal()
         columns = [m.column(j) for j in range(m.cols)]
-        for i in range(self.u.rows):
+        for i in range(self.s.rows):
             d = diag[i] if i < len(diag) else 0
             if d == 1:
                 continue
@@ -404,6 +423,28 @@ def _add_row(m, dst, src, q):
                 row[k] += q * b
 
 
+def _add_multiples(m, src, multiples):
+    """Row dst += q * row src for each ``(dst, q)``, finding row src's nonzeros once."""
+    srow = m[src]
+    support = [(k, srow[k]) for k in compress(range(len(srow)), srow)]
+    for dst, q in multiples:
+        row = m[dst]
+        for k, b in support:
+            row[k] += q * b
+
+
+def _negate_row(m, i):
+    m[i] = [-x for x in m[i]]
+
+
+def _replay(n, ops):
+    """The rows of the n x n identity after the operations ``(op, *args)``."""
+    rows = _identity_rows(n)
+    for op in ops:
+        op[0](rows, *op[1:])
+    return rows
+
+
 def _least_entry(s, t):
     """Position of the first entry of least nonzero absolute value in the
     block ``s[t:][t:]``, scanned row by row; None if the block is zero.  An
@@ -422,36 +463,23 @@ def _least_entry(s, t):
 
 
 def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
-def _smith(a: IntMatrix, want_u: bool = True, want_v: bool = True) -> SmithDecomposition:
-    """S, and U and V only when asked, by one fixed sequence of operations
-    (``_eliminate``).
-
-    A matrix ``[I | R]`` whose first ``rows`` columns are the identity gets,
-    without elimination, the result the elimination reaches: every pivot is
-    the 1 already on the diagonal and clears its row by column operations
-    alone, so U = I, S = [I | 0] and V = [[I, -R], [0, I]].
-    """
-    if _leads_with_identity(a):
-        return _smith_of_identity_led(a, want_u, want_v)
-    return _eliminate(a, want_u, want_v)
-
-
-def _eliminate(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
+def _eliminate(a: IntMatrix) -> SmithDecomposition:
     """The Smith elimination itself.
 
-    Every step is a row operation on a list of rows.  A column operation on
-    S touches only rows ``t`` and below, since the rows above the pivot are
-    already zero in the columns that remain; V is held as the rows of its
-    transpose, so a column operation on V is a row operation there.  S and
-    each transform built are the same whichever transforms are asked for.
+    Every step is a row operation on a list of rows.  A row operation on S
+    is recorded for U.  A column operation on S touches only rows ``t`` and
+    below, since the rows above the pivot are already zero in the columns
+    that remain, and is recorded for V as a row operation on its transpose.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
-    u = _identity_rows(m) if want_u else None
-    vt = _identity_rows(n) if want_v else None  # row j is column j of V
+    row_ops, col_ops = [], []
 
     for t in range(min(m, n)):
         at = _least_entry(s, t)
@@ -460,13 +488,11 @@ def _eliminate(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
         pi, pj = at
         if pi != t:
             _swap_rows(s, t, pi)
-            if u is not None:
-                _swap_rows(u, t, pi)
+            row_ops.append((_swap_rows, t, pi))
         if pj != t:
             for row in s[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            if vt is not None:
-                _swap_rows(vt, t, pj)
+            col_ops.append((_swap_rows, t, pj))
         while True:
             dirty = True
             while dirty:
@@ -475,12 +501,10 @@ def _eliminate(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
                     if s[i][t]:
                         q = s[i][t] // s[t][t]
                         _add_row(s, i, t, -q)
-                        if u is not None:
-                            _add_row(u, i, t, -q)
+                        row_ops.append((_add_row, i, t, -q))
                         if s[i][t]:  # nonzero remainder becomes the smaller pivot
                             _swap_rows(s, t, i)
-                            if u is not None:
-                                _swap_rows(u, t, i)
+                            row_ops.append((_swap_rows, t, i))
                             dirty = True
             dirty = True
             while dirty:
@@ -491,13 +515,11 @@ def _eliminate(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
                         for row in s[t:]:
                             if row[t]:
                                 row[j] -= q * row[t]
-                        if vt is not None:
-                            _add_row(vt, j, t, -q)
+                        col_ops.append((_add_row, j, t, -q))
                         if s[t][j]:
                             for row in s[t:]:
                                 row[t], row[j] = row[j], row[t]
-                            if vt is not None:
-                                _swap_rows(vt, t, j)
+                            col_ops.append((_swap_rows, t, j))
                             dirty = True
             if any(s[i][t] for i in range(t + 1, m)):
                 continue  # a column swap disturbed the cleared column
@@ -514,18 +536,12 @@ def _eliminate(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
             if viol is None:
                 break
             _add_row(s, t, viol, 1)
-            if u is not None:
-                _add_row(u, t, viol, 1)
+            row_ops.append((_add_row, t, viol, 1))
         if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
+            _negate_row(s, t)
+            row_ops.append((_negate_row, t))
 
-    return SmithDecomposition(
-        None if u is None else _from_row_lists(u, m),
-        _from_row_lists(s, n),
-        None if vt is None else _from_column_lists(vt, n),
-    )
+    return SmithDecomposition(_from_row_lists(s, n), tuple(row_ops), tuple(col_ops))
 
 
 def _leads_with_identity(a: IntMatrix) -> bool:
@@ -537,40 +553,32 @@ def _leads_with_identity(a: IntMatrix) -> bool:
     )
 
 
-def _smith_of_identity_led(a: IntMatrix, want_u: bool, want_v: bool) -> SmithDecomposition:
-    """``_smith`` of ``[I | R]`` in closed form (see there); row i of V is
-    row i of a, identity part and then -R, and the rows past ``a.rows`` are
-    those of the identity."""
-    m, n, e = a.rows, a.cols, a.entries
-    v = None
-    if want_v:
-        top = (e[i * n : i * n + m] + tuple(map(neg, e[i * n + m : (i + 1) * n])) for i in range(m))
-        v = _trusted(n, n, tuple(chain(chain.from_iterable(top), _eye_entries(n, n)[m * n :])))
-    return SmithDecomposition(
-        _trusted(m, m, _eye_entries(m, m)) if want_u else None,
-        _trusted(m, n, _eye_entries(m, n)),
-        v,
-    )
-
-
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms, computed afresh on each call.
+    """Smith normal form, computed afresh on each call; U and V are built
+    when first read (see ``SmithDecomposition``).
 
-    This is the full decomposition, for callers that read U and V both, to
-    take a particular solution and the kernel of one system from one
-    elimination (``solve_linear``, the fixed points, the isomorphism search,
-    the sections of a classification).  Callers that read less go to
-    ``_smith`` directly: ``kernel_basis`` reads only V and
-    ``lattice_contains_all`` only U, a presented group keeps one
-    decomposition of its relations, U without V, memoised on the group
-    (``FpAbGroup.smith``), and a homomorphism one of ``[matrix | target
-    relations]`` with both (``AbHom.smith``).  Every elimination step is a
-    row operation on a list of rows (see ``_smith``).
+    S comes from one fixed sequence of row and column operations
+    (``_eliminate``).  A matrix ``[I | R]`` whose first ``rows`` columns are
+    the identity gets the result of that sequence without running it: every
+    pivot is the 1 already on the diagonal and clears its row by column
+    operations alone (recorded as one operation per pivot, which subtracts
+    multiples of its column from those of R), so U = I, S = [I | 0] and
+    V = [[I, -R], [0, I]].  A presented group keeps the decomposition of its
+    relations memoised (``FpAbGroup.smith``), and a homomorphism that of
+    ``[matrix | target relations]`` (``AbHom.smith``).
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
     (2, 4)
     """
-    return _smith(a)
+    if not _leads_with_identity(a):
+        return _eliminate(a)
+    m, n, e = a.rows, a.cols, a.entries
+    rows = (e[i * n + m : (i + 1) * n] for i in range(m))  # row i of R
+    col_ops = tuple(
+        (_add_multiples, i, tuple(zip(compress(range(m, n), r), map(neg, compress(r, r)))))
+        for i, r in enumerate(rows)
+    )
+    return SmithDecomposition(_trusted(m, n, _eye_entries(m, n)), (), col_ops)
 
 
 # -- Hermite normal form -----------------------------------------------------
@@ -684,7 +692,7 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
 def lattice_contains_all(a: IntMatrix, m: IntMatrix) -> bool:
     """Whether every column of m lies in the column lattice of a.
 
-    One Smith form, U without V, answers for all columns (see
+    One Smith form answers for all columns (see
     ``SmithDecomposition.contains_all``).
 
     >>> a = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
@@ -695,9 +703,7 @@ def lattice_contains_all(a: IntMatrix, m: IntMatrix) -> bool:
     """
     if m.rows != a.rows:
         raise ValueError(f"columns of length {m.rows} for a lattice in Z^{a.rows}")
-    if m.cols == 0 or a.cols == 0:
-        return m.is_zero()
-    return _smith(a, want_v=False).contains_all(m)
+    return smith_normal_form(a).contains_all(m)
 
 
 def lattice_contains(a: IntMatrix, vec) -> bool:
@@ -711,4 +717,4 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     >>> kernel_basis(IntMatrix.from_rows([[1, 2, 3]])).cols
     2
     """
-    return _smith(a, want_u=False).kernel()
+    return smith_normal_form(a).kernel()

@@ -160,7 +160,8 @@ def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
       source; on the top both come from ``m.tr.smith``, whose kernel lattice
       is Gamma's relations, so Gamma's top needs no elimination;
     * surjectivity: the projection's ``AbHom.smith``, on the top of
-      ``[I | relations | tr]``, which ``_smith`` writes down in closed form;
+      ``[I | relations | tr]``, which ``smith_normal_form`` writes down in
+      closed form;
     * exactness in the middle: the inclusion's ``AbHom.smith`` and
       membership in the projection's target.
     """

@@ -152,6 +152,23 @@ def test_quotient_projection():
     assert not proj(g.element((1, 0))).is_zero()
 
 
+def test_a_map_rejects_an_element_of_another_group():
+    z4, z6 = FpAbGroup.cyclic(4), FpAbGroup.cyclic(6)
+    f = AbHom(z4, z4, IntMatrix.from_rows([[3]]))
+    with pytest.raises(ValueError, match="different groups"):
+        f(z6.element((5,)))
+    assert f(z4.element((5,))) == z4.element((3,))
+    assert f((5,)).coords == (15,)  # a bare vector is taken as coordinates
+
+
+def test_quotient_by_rejects_an_element_of_another_group():
+    z4, z6 = FpAbGroup.cyclic(4), FpAbGroup.cyclic(6)
+    with pytest.raises(ValueError, match="different groups"):
+        quotient_by(z4, [z6.element((2,))])
+    q, _ = quotient_by(z4, [z4.element((2,))])
+    assert invariant_factors(q) == (0, (2,))
+
+
 def test_coinvariants_sign_action():
     g = FpAbGroup.free(1)
     sign = AbHom(g, g, IntMatrix.from_rows([[-1]]))

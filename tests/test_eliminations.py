@@ -4,10 +4,10 @@ A caller that needs a particular solution and the kernel of one system (the
 fixed points, the isomorphism search) reads both from one Smith
 decomposition, and the classification takes its sections from a Smith form
 of each projection, not by inverting a tier's U.  Every elimination goes
-through ``intlin._smith``; the counts below are pinned by wrapping it, so a
-change that eliminates a system twice fails here.  A matrix ``[I | R]``
-handed to ``_smith`` gets its decomposition in closed form, without the
-elimination loop (``intlin._eliminate``).
+through ``intlin.smith_normal_form``; the counts below are pinned by
+wrapping it, so a change that eliminates a system twice fails here.  A
+matrix ``[I | R]`` handed to ``smith_normal_form`` gets its decomposition in
+closed form, without the elimination loop (``intlin._eliminate``).
 """
 
 import random
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackeybox import abgroup, intlin, separation
+from mackeybox import abgroup, intlin, mackey, separation
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
     GSet,
@@ -31,16 +31,17 @@ from helpers import pad_functor
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """The matrices handed to ``_smith`` (``abgroup`` imports it by name)."""
+    """The matrices handed to ``smith_normal_form`` (``abgroup``, ``mackey``
+    and ``separation`` import it by name)."""
     inputs = []
-    original = intlin._smith
+    original = intlin.smith_normal_form
 
-    def recording(a, want_u=True, want_v=True):
+    def recording(a):
         inputs.append(a)
-        return original(a, want_u, want_v)
+        return original(a)
 
-    for module in (intlin, abgroup):
-        monkeypatch.setattr(module, "_smith", recording)
+    for module in (intlin, abgroup, mackey, separation):
+        monkeypatch.setattr(module, "smith_normal_form", recording)
     return inputs
 
 
@@ -113,9 +114,9 @@ def identity_led(draw):
 @given(identity_led())
 def test_the_closed_form_of_an_identity_led_matrix_is_what_the_elimination_reaches(a):
     assert intlin._leads_with_identity(a)
-    for want_u in (False, True):
-        for want_v in (False, True):
-            assert intlin._smith(a, want_u, want_v) == intlin._eliminate(a, want_u, want_v)
+    closed, eliminated = intlin.smith_normal_form(a), intlin._eliminate(a)
+    assert (closed.u, closed.s, closed.v) == (eliminated.u, eliminated.s, eliminated.v)
+    assert closed.kernel() == eliminated.kernel()
 
 
 @settings(max_examples=300, deadline=None)
@@ -131,9 +132,9 @@ def loops(monkeypatch):
     inputs = []
     original = intlin._eliminate
 
-    def recording(a, want_u, want_v):
+    def recording(a):
         inputs.append(a)
-        return original(a, want_u, want_v)
+        return original(a)
 
     monkeypatch.setattr(intlin, "_eliminate", recording)
     return inputs
@@ -159,7 +160,7 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, 
 
 def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
     """Of the 12 matrices that classifying and inverting twisted_burnside
-    (10007, 2) hands to ``_smith``, the 4 identity-led ones (the projection
+    (10007, 2) hands to ``smith_normal_form``, the 4 identity-led ones (the projection
     of each relation-free tier and identity maps) skip the loop."""
     m = twisted_burnside(10007, 2)
     assert separation.classify_invertible(m).invertible

@@ -15,8 +15,8 @@ from mackeybox.intlin import (
     IntMatrix,
     _hermite,
     _reduce_columns,
-    _smith,
     lattice_basis,
+    smith_normal_form,
     solve_linear,
 )
 
@@ -152,10 +152,8 @@ def test_every_operation_gives_a_checked_matrix(ops):
         *_hermite(a),
         _reduce_columns(e, lattice_basis(a)),
     ]
-    for want_u in (False, True):
-        for want_v in (False, True):
-            dec = _smith(a, want_u, want_v)
-            results += [t for t in (dec.u, dec.s, dec.v) if t is not None]
+    dec = smith_normal_form(a)
+    results += [dec.u, dec.s, dec.v]
     for m in results:
         assert rechecked(m) == m
 

@@ -15,7 +15,7 @@ import pytest
 from mackeybox import abgroup, mackey, separation
 from mackeybox.cli import run
 from mackeybox.document import render_machine
-from mackeybox.intlin import IntMatrix, _smith, lattice_basis
+from mackeybox.intlin import IntMatrix, lattice_basis, smith_normal_form
 from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.mackey import MackeyFunctor, check_axioms, constant_z, twisted_burnside
 from mackeybox.separation import classify_invertible, gamma_functor, invert
@@ -58,7 +58,7 @@ def test_memos_equal_a_fresh_recomputation():
         if not check_axioms(m):
             assert classify_invertible(m) == separation._classify(copy)[0]
         for g, fresh in ((m.top, copy.top), (m.bottom, copy.bottom)):
-            assert g.smith == _smith(fresh.relations, want_v=False)
+            assert g.smith == smith_normal_form(fresh.relations)
         assert m.bottom.hermite_basis == lattice_basis(copy.bottom.relations)
         power, norm = m.gamma.orbit(p)
         fresh_power, fresh_norm = copy.gamma._orbit(p)
@@ -130,7 +130,7 @@ def test_orbit_of_the_identity_needs_no_product(monkeypatch):
 
 
 def test_a_group_without_relations_needs_no_elimination(monkeypatch):
-    monkeypatch.setattr(abgroup, "_smith", None)  # any elimination would fail
+    monkeypatch.setattr(abgroup, "smith_normal_form", None)  # any elimination would fail
     g = FpAbGroup.free(3)
     assert abgroup.invariant_factors(g) == (3, ())
     assert g.element((0, 0, 0)).is_zero() and not g.element((0, 1, 0)).is_zero()
@@ -147,7 +147,7 @@ def test_hom_memos_equal_a_fresh_recomputation_and_leave_hash_alone():
         assert (hash(f), repr(f)) == before
         copy = fresh_copy(m).tr
         assert f == copy and hash(f) == hash(copy)
-        assert f.smith == _smith(copy.matrix.hstack(copy.target.relations))
+        assert f.smith == smith_normal_form(copy.matrix.hstack(copy.target.relations))
         assert f.kernel_lattice == preimage_gens(copy.matrix, copy.target.relations)
 
 
@@ -156,8 +156,8 @@ def test_a_map_answers_its_questions_from_one_elimination(monkeypatch):
     ``is_isomorphism`` all read the map's one decomposition (a free source
     needs none of its own)."""
     calls = []
-    original = abgroup._smith
-    monkeypatch.setattr(abgroup, "_smith", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
+    original = abgroup.smith_normal_form
+    monkeypatch.setattr(abgroup, "smith_normal_form", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
     z4 = FpAbGroup.cyclic(4)
     f = AbHom(FpAbGroup.free(2), z4, IntMatrix.from_rows([[2, 6]]))
     for _ in range(2):
@@ -177,7 +177,7 @@ def test_the_inclusion_of_gamma_reads_the_transfers_decomposition():
         assert f.smith is m.tr.smith and f.kernel_lattice is m.tr.kernel_lattice
         fresh = AbHom(FpAbGroup(part.top.ngens, part.top.relations), fresh_copy(m).top, f.matrix)
         assert f == fresh and hash(f) == hash(fresh)
-        assert f.smith == _smith(fresh.matrix.hstack(fresh.target.relations))
+        assert f.smith == smith_normal_form(fresh.matrix.hstack(fresh.target.relations))
         assert f.kernel_lattice == preimage_gens(fresh.matrix, fresh.target.relations)
         assert f.is_injective() == fresh.is_injective()
 
@@ -195,3 +195,26 @@ def test_a_relation_free_top_is_checked_without_its_smith_form(tmp_path, capsys)
     path.write_text(render_machine(m))
     assert run(["check", str(path)]) == 0
     assert capsys.readouterr().out == "status: pass\n"
+
+
+def test_gamma_of_a_relation_free_top_builds_no_u(tmp_path, capsys):
+    """5,000 free top generators, over a zero bottom and over Z with a
+    one-column transfer: Gamma reads the transfer's kernel, so the 5,000 x
+    5,000 U of ``[tr | relations]`` is never built."""
+    top = FpAbGroup.free(5000)
+    zero, z = FpAbGroup.free(0), FpAbGroup.free(1)
+    res = IntMatrix(1, 5000, (2,) + (0,) * 4999)
+    tr = IntMatrix(5000, 1, (1,) + (0,) * 4999)
+    functors = (
+        MackeyFunctor(2, top, zero, AbHom.identity(zero), AbHom.zero(top, zero), AbHom.zero(zero, top)),
+        MackeyFunctor(2, top, z, AbHom.identity(z), AbHom(top, z, res), AbHom(z, top, tr)),
+    )
+    for i, m in enumerate(functors):
+        assert check_axioms(m) == ()
+        part, _ = gamma_functor(m)
+        assert part.top.ngens == m.bottom.ngens
+        assert "u" not in m.tr.smith.__dict__
+        path = tmp_path / f"free{i}.mk"
+        path.write_text(render_machine(m))
+        assert run(["gamma", str(path)]) == 0
+        assert capsys.readouterr().out == render_machine(part)

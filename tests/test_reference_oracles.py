@@ -4,9 +4,9 @@ Powers and norms are compared with the p-step loops (on torsion modules, as
 maps, since the orbit is reduced modulo the relations), sparse products with a
 dense triple loop, and batched lattice membership with one ``solve_linear``
 per column.  The operation-count test pins the logarithmic cost in p.  The
-Smith form built without one or both transforms is compared with the full
-decomposition, the row-operation Hermite form with the column-operation
-version kept here, and the Smith diagonal of dense matrices with the Bareiss
+Smith transforms replayed from the recorded operations are compared with an
+elimination that updates them at each step, the row-operation Hermite form
+with the column-operation version kept here, and the Smith diagonal of dense matrices with the Bareiss
 determinant.  The Kronecker-built Frobenius relations are compared with the
 hand-indexed loop, and the isomorphism search with a brute force over both
 tiers.
@@ -19,12 +19,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackeybox import abgroup, intlin, separation
 from mackeybox.intlin import (
     IntMatrix,
     _hermite,
-    _smith,
-    kernel_basis,
     lattice_contains_all,
     smith_normal_form,
     solve_linear,
@@ -47,7 +44,6 @@ from mackeybox.mackey import (
     box_product,
     burnside,
     check_axioms,
-    fixed_point_functor,
     is_mackey_isomorphism,
     orbit_functor,
     permutation_functor,
@@ -198,22 +194,118 @@ def test_lattice_contains_all_equals_solve_per_column(case):
     assert lattice_contains_all(rel, m) == expected
 
 
-# -- Smith forms that build only what is read ----------------------------------------------
+# -- Smith transforms built when first read -------------------------------------------------
 
 
-FLAG_PAIRS = ((False, False), (True, False), (False, True), (True, True))
+def eager_smith(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """``(U, S, V)`` by the elimination with both transforms updated at each
+    step, as ``intlin`` built them before it recorded the operations."""
+    m, n = a.rows, a.cols
+    s = a.to_rows()
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # row j is column j of V
+
+    def swap(rows, i, j):
+        rows[i], rows[j] = rows[j], rows[i]
+
+    def add(rows, dst, src, q):
+        rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+
+    for t in range(min(m, n)):
+        block = [(abs(s[i][j]), i, j) for i in range(t, m) for j in range(t, n) if s[i][j]]
+        if not block:
+            break
+        _, pi, pj = min(block)
+        if pi != t:
+            swap(s, t, pi)
+            swap(u, t, pi)
+        if pj != t:
+            for row in s[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            swap(vt, t, pj)
+        while True:
+            dirty = True
+            while dirty:
+                dirty = False
+                for i in range(t + 1, m):
+                    if s[i][t]:
+                        q = s[i][t] // s[t][t]
+                        add(s, i, t, -q)
+                        add(u, i, t, -q)
+                        if s[i][t]:
+                            swap(s, t, i)
+                            swap(u, t, i)
+                            dirty = True
+            dirty = True
+            while dirty:
+                dirty = False
+                for j in range(t + 1, n):
+                    if s[t][j]:
+                        q = s[t][j] // s[t][t]
+                        for row in s[t:]:
+                            row[j] -= q * row[t]
+                        add(vt, j, t, -q)
+                        if s[t][j]:
+                            for row in s[t:]:
+                                row[t], row[j] = row[j], row[t]
+                            swap(vt, t, j)
+                            dirty = True
+            if any(s[i][t] for i in range(t + 1, m)):
+                continue
+            piv = s[t][t]
+            if piv in (1, -1):
+                break
+            viol = next((i for i in range(t + 1, m) if any(s[i][j] % piv for j in range(t + 1, n))), None)
+            if viol is None:
+                break
+            add(s, t, viol, 1)
+            add(u, t, viol, 1)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+    return (
+        IntMatrix(m, m, tuple(itertools.chain(*u))),
+        IntMatrix(m, n, tuple(itertools.chain(*s))),
+        IntMatrix(n, n, tuple(itertools.chain(*vt))).transpose(),
+    )
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_dim=7))
-def test_smith_without_transforms_equals_the_full_decomposition(a):
-    full = smith_normal_form(a)
-    assert full.u @ a @ full.v == full.s
-    for want_u, want_v in FLAG_PAIRS:
-        part = _smith(a, want_u=want_u, want_v=want_v)
-        assert part.s.entries == full.s.entries
-        assert part.u == (full.u if want_u else None)
-        assert part.v == (full.v if want_v else None)
+def test_replayed_transforms_equal_the_eager_elimination(a):
+    dec = smith_normal_form(a)
+    assert (dec.u, dec.s, dec.v) == eager_smith(a)
+    assert dec.u @ a @ dec.v == dec.s
+
+
+def test_each_question_builds_only_the_transforms_it_reads():
+    """The diagonal and the rank build no transform, the kernel only the
+    columns of V (not U, nor V as a matrix), membership only U and only when
+    some invariant factor is not 1, and a solution both."""
+
+    def built(dec):
+        return {t for t in ("u", "v", "_v_columns") if t in dec.__dict__}
+
+    torsion = IntMatrix.from_columns([(2, 0, 0), (0, 4, 0)], rows=3)  # Z/2 + Z/4 + Z
+    unimodular = IntMatrix.from_rows([[2, 3], [1, 2]])
+    for a in (torsion, unimodular, torsion.transpose()):
+        dec = smith_normal_form(a)
+        dec.diagonal(), dec.rank()
+        assert built(dec) == set()
+        assert dec.kernel() == dec.v.take_columns(range(dec.rank(), a.cols))
+        dec = smith_normal_form(a)
+        dec.kernel()
+        assert built(dec) == {"_v_columns"}
+    dec = smith_normal_form(torsion)
+    assert dec.contains_all(IntMatrix.from_columns([(2, 4, 0)], rows=3))
+    assert not dec.contains_all(IntMatrix.from_columns([(2, 2, 0)], rows=3))
+    assert built(dec) == {"u"}
+    dec = smith_normal_form(unimodular)  # invariant factors 1, 1: every column is a member
+    assert dec.contains_all(IntMatrix.from_columns([(5, -7)], rows=2))
+    assert built(dec) == set()
+    dec = smith_normal_form(torsion)
+    assert dec.solve((2, 8, 0)) == (1, 2)
+    assert built(dec) == {"u", "v", "_v_columns"}
 
 
 def column_hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -278,59 +370,22 @@ def test_row_operation_hermite_equals_the_column_version(a):
     assert a @ u == h
 
 
-def test_each_caller_asks_for_the_transforms_it_reads(monkeypatch):
-    """The flags each caller passes to ``_smith`` through its own module."""
-    asked = []
-    original = intlin._smith
-
-    def recorder(module):
-        def recording(a, want_u=True, want_v=True):
-            asked.append((module.__name__, want_u, want_v))
-            return original(a, want_u, want_v)
-
-        return recording
-
-    for module in (intlin, abgroup):
-        monkeypatch.setattr(module, "_smith", recorder(module))
-    rel = IntMatrix.from_columns([(2, 0, 0), (0, 4, 0)], rows=3)
-
-    def flags(call):
-        asked.clear()
-        call()
-        return list(asked)
-
-    g = FpAbGroup(3, rel)
-    f = AbHom(FpAbGroup.free(2), g, IntMatrix.from_rows([[1, 0], [0, 2], [0, 0]]))
-    swap = AbHom(FpAbGroup.free(2), FpAbGroup.free(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
-    ab, il = abgroup.__name__, intlin.__name__
-    assert flags(lambda: abgroup.invariant_factors(g)) == [(ab, True, False)]
-    assert flags(lambda: kernel_basis(rel.transpose())) == [(il, False, True)]
-    assert flags(lambda: lattice_contains_all(rel, IntMatrix.identity(3))) == [(il, True, False)]
-    # a map's kernel lattice, surjectivity and image membership: one full form
-    assert flags(lambda: (f.kernel_lattice, f.is_surjective())) == [(ab, True, True)]
-    # the group's U, then one full form of the projection for the section
-    assert flags(lambda: separation._quotient_iso(FpAbGroup(3, rel), 1)) == [(ab, True, False), (il, True, True)]
-    # the fixed points (the kernel lattice of gamma - 1), then one full form
-    # of [basis | relations] for the top's relations and the transfer
-    assert flags(lambda: fixed_point_functor(2, swap.source, swap)) == [(ab, True, True), (il, True, True)]
-
-
 def test_dense_smith_diagonal_is_the_determinant():
     """Uniform dense n x n matrices, n <= 12, entries in [-9, 9]: the product
-    of the diagonal-only Smith form is |det| (Bareiss), and a rank-deficient
+    of the Smith diagonal, read without building U or V, is |det| (Bareiss), and a rank-deficient
     matrix has a zero on its diagonal.  No timing bound: the coefficients of
     this elimination grow fast on dense input."""
     for n in range(1, 13):
         rng = random.Random(n)
         a = IntMatrix(n, n, tuple(rng.randint(-9, 9) for _ in range(n * n)))
-        diag = _smith(a, want_u=False, want_v=False).diagonal()
+        diag = smith_normal_form(a).diagonal()
         assert math.prod(diag) == abs(a.det())
         if n < 2:
             continue
         rows = a.to_rows()
         rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[-2])]
         deficient = IntMatrix.from_rows(rows)
-        diag = _smith(deficient, want_u=False, want_v=False).diagonal()
+        diag = smith_normal_form(deficient).diagonal()
         assert deficient.det() == 0 and diag[-1] == 0
 
 
