@@ -379,32 +379,17 @@ def _with_source(f: AbHom, source: FpAbGroup) -> AbHom:
     return g
 
 
-@dataclass(frozen=True)
-class TensorProduct:
-    """A tensor product presentation plus the generator-pair indexing."""
+def tensor_product(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
+    """G ⊗ H on generator pairs, relations r ⊗ e and e ⊗ r; the pair (i, j)
+    is generator ``i * h.ngens + j``.
 
-    group: FpAbGroup
-    left_ngens: int
-    right_ngens: int
-
-    def index(self, i: int, j: int) -> int:
-        return i * self.right_ngens + j
-
-    def pair(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.right_ngens)
-
-
-def tensor_product(g: FpAbGroup, h: FpAbGroup) -> TensorProduct:
-    """G ⊗ H on generator pairs, relations r ⊗ e and e ⊗ r.
-
-    >>> t = tensor_product(FpAbGroup.cyclic(4), FpAbGroup.cyclic(6))
-    >>> invariant_factors(t.group)
+    >>> invariant_factors(tensor_product(FpAbGroup.cyclic(4), FpAbGroup.cyclic(6)))
     (0, (2,))
     """
     eye_g = IntMatrix.identity(g.ngens)
     eye_h = IntMatrix.identity(h.ngens)
     relations = g.relations.kron(eye_h).hstack(eye_g.kron(h.relations))
-    return TensorProduct(FpAbGroup(g.ngens * h.ngens, relations), g.ngens, h.ngens)
+    return FpAbGroup(g.ngens * h.ngens, relations)
 
 
 def direct_sum(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
@@ -497,7 +482,6 @@ __all__ = [
     "FpAbGroup",
     "GroupElement",
     "AbHom",
-    "TensorProduct",
     "invariant_factors",
     "describe_group",
     "tensor_product",

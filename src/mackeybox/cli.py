@@ -67,11 +67,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_box(args) -> int:
-    m = _load_functor(args.left)
-    n = _load_functor(args.right)
-    if m.p != n.p:
-        return _fail(f"mismatched primes {m.p} and {n.p}", 2)
-    return _emit(box_product(m, n), args.format)
+    return _emit(box_product(_load_functor(args.left), _load_functor(args.right)), args.format)
 
 
 def _load_mackey(path: str):

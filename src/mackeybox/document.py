@@ -14,8 +14,8 @@ of target generator i in the image of source generator j::
     res: [[1, 2]]
     tr: [[0], [1]]
 
-Parsing and rendering round-trip exactly: every matrix of the functor is
-reproduced entry for entry.
+Parsing goes straight to a ``MackeyFunctor`` and rendering straight from one;
+they round-trip exactly, every matrix reproduced entry for entry.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import dataclass
+import sys
 
 from .intlin import IntMatrix
 from .abgroup import AbHom, FpAbGroup, describe_group
@@ -69,6 +69,8 @@ _FIELDS = (
     "tr",
 )
 
+_COUNTS = ("p", "top.generators", "bottom.generators")
+
 _INTEGER = re.compile(r"-?[0-9]+")
 
 _HEADER = (
@@ -79,10 +81,9 @@ _HEADER = (
 )
 
 
-def _int_rows(value, field: str, line: int) -> tuple[tuple[int, ...], ...]:
+def _int_rows(value, field: str, line: int) -> list[list[int]]:
     if not isinstance(value, list):
         raise DocumentSyntaxError(f"field '{field}' must be a bracketed list", line)
-    rows = []
     for row in value:
         if not isinstance(row, list):
             raise DocumentSyntaxError(f"field '{field}' must be a list of rows", line)
@@ -91,8 +92,7 @@ def _int_rows(value, field: str, line: int) -> tuple[tuple[int, ...], ...]:
                 raise DocumentSyntaxError(
                     f"field '{field}' has a non-integer entry {_quote(e)}", line
                 )
-        rows.append(tuple(row))
-    return tuple(rows)
+    return value
 
 
 def _quote(value) -> str:
@@ -118,94 +118,35 @@ def _shape_check(rows, nrows: int, ncols: int, field: str):
             )
 
 
-@dataclass(frozen=True)
-class MackeyDocument:
-    """A parsed document; all matrices row-major, relations one per row."""
-
-    p: int
-    top_generators: int
-    top_relations: tuple[tuple[int, ...], ...]
-    bottom_generators: int
-    bottom_relations: tuple[tuple[int, ...], ...]
-    action: tuple[tuple[int, ...], ...]
-    res: tuple[tuple[int, ...], ...]
-    tr: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.top_generators < 0 or self.bottom_generators < 0:
-            raise DimensionMismatchError("generator counts must be nonnegative")
-        nt, nb = self.top_generators, self.bottom_generators
-        for row in self.top_relations:
-            if len(row) != nt:
-                raise DimensionMismatchError(
-                    f"top relation of length {len(row)}, expected {nt}"
-                )
-        for row in self.bottom_relations:
-            if len(row) != nb:
-                raise DimensionMismatchError(
-                    f"bottom relation of length {len(row)}, expected {nb}"
-                )
-        _shape_check(self.action, nb, nb, "action")
-        _shape_check(self.res, nb, nt, "res")
-        _shape_check(self.tr, nt, nb, "tr")
-
-    def to_functor(self) -> MackeyFunctor:
-        """Build the functor, checking primality and well-definedness."""
-        if not is_prime(self.p):
-            raise NonPrimeError(f"p must be prime, got {self.p}")
-        nt, nb = self.top_generators, self.bottom_generators
-        top = FpAbGroup(nt, IntMatrix.from_columns(self.top_relations, rows=nt))
-        bottom = FpAbGroup(nb, IntMatrix.from_columns(self.bottom_relations, rows=nb))
-        gamma = AbHom(bottom, bottom, IntMatrix.from_rows(self.action, cols=nb))
-        res = AbHom(top, bottom, IntMatrix.from_rows(self.res, cols=nt))
-        tr = AbHom(bottom, top, IntMatrix.from_rows(self.tr, cols=nb))
-        for name, hom in (("action", gamma), ("res", res), ("tr", tr)):
-            if not hom.is_well_defined():
-                raise IllDefinedMapError(
-                    f"'{name}' does not respect the relations (not a well-defined map)"
-                )
-        return MackeyFunctor(self.p, top, bottom, gamma, res, tr)
-
-    @classmethod
-    def from_functor(cls, m: MackeyFunctor) -> "MackeyDocument":
-        def mat_rows(mat: IntMatrix):
-            return tuple(tuple(mat.row(i)) for i in range(mat.rows))
-
-        def rel_rows(mat: IntMatrix):
-            return tuple(tuple(mat.column(j)) for j in range(mat.cols))
-
-        return cls(
-            p=m.p,
-            top_generators=m.top.ngens,
-            top_relations=rel_rows(m.top.relations),
-            bottom_generators=m.bottom.ngens,
-            bottom_relations=rel_rows(m.bottom.relations),
-            action=mat_rows(m.gamma.matrix),
-            res=mat_rows(m.res.matrix),
-            tr=mat_rows(m.tr.matrix),
-        )
-
-    def render(self) -> str:
-        def fmt(rows):
-            return json.dumps([list(r) for r in rows])
-
-        lines = list(_HEADER)
-        lines.append(f"p: {self.p}")
-        lines.append(f"top.generators: {self.top_generators}")
-        lines.append(f"top.relations: {fmt(self.top_relations)}")
-        lines.append(f"bottom.generators: {self.bottom_generators}")
-        lines.append(f"bottom.relations: {fmt(self.bottom_relations)}")
-        lines.append(f"action: {fmt(self.action)}")
-        lines.append(f"res: {fmt(self.res)}")
-        lines.append(f"tr: {fmt(self.tr)}")
-        return "\n".join(lines) + "\n"
+def _value(key: str, value: str, line: int):
+    """The value of one field: an integer, or a list of integer rows."""
+    if key in _COUNTS and not _INTEGER.fullmatch(value):
+        # int() would also take "1_1", "+5" and non-ASCII digits
+        raise DocumentSyntaxError(f"field '{key}' must be an integer", line)
+    try:
+        parsed = int(value) if key in _COUNTS else json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise DocumentSyntaxError(
+            f"field '{key}' is not a bracketed integer matrix: {exc.msg}", line
+        ) from None
+    except RecursionError:
+        raise DocumentSyntaxError(f"field '{key}' is nested too deeply", line) from None
+    except ValueError:  # int() and json.loads refuse integers past the conversion limit
+        message = f"field '{key}' has an integer of more than {sys.get_int_max_str_digits()} digits"
+        raise DocumentSyntaxError(message, line) from None
+    return parsed if key in _COUNTS else _int_rows(parsed, key, line)
 
 
-def parse_document(text: str) -> MackeyDocument:
-    """Parse the machine format; raises DocumentError subclasses.
+def parse_functor(text: str) -> MackeyFunctor:
+    """Parse the machine format into a functor; raises DocumentError subclasses.
+
+    The checks run in one fixed order, and the first fault found is the one
+    reported: syntax, line by line, then missing fields; dimensions
+    (generator counts, relation lengths, then ``action``, ``res``, ``tr``);
+    primality; well-definedness of ``action``, ``res``, ``tr``.
 
     >>> from mackeybox.mackey import burnside
-    >>> parse_document(render_machine(burnside(2))).to_functor() == burnside(2)
+    >>> parse_functor(render_machine(burnside(2))) == burnside(2)
     True
     """
     seen: dict[str, object] = {}
@@ -217,47 +158,58 @@ def parse_document(text: str) -> MackeyDocument:
         if not sep:
             raise DocumentSyntaxError(f"expected 'key: value', got {raw!r}", lineno)
         key = key.strip()
-        value = value.strip()
         if key not in _FIELDS:
             raise DocumentSyntaxError(f"unknown field '{key}'", lineno)
         if key in seen:
             raise DocumentSyntaxError(f"duplicate field '{key}'", lineno)
-        if key in ("p", "top.generators", "bottom.generators"):
-            # int() would also take "1_1", "+5" and non-ASCII digits
-            if not _INTEGER.fullmatch(value):
-                raise DocumentSyntaxError(f"field '{key}' must be an integer", lineno)
-            seen[key] = int(value)
-        else:
-            try:
-                parsed = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise DocumentSyntaxError(
-                    f"field '{key}' is not a bracketed integer matrix: {exc.msg}", lineno
-                ) from None
-            except RecursionError:
-                raise DocumentSyntaxError(f"field '{key}' is nested too deeply", lineno) from None
-            seen[key] = _int_rows(parsed, key, lineno)
+        seen[key] = _value(key, value.strip(), lineno)
     missing = [f for f in _FIELDS if f not in seen]
     if missing:
         raise DocumentSyntaxError(f"missing field '{missing[0]}'")
-    return MackeyDocument(
-        p=seen["p"],
-        top_generators=seen["top.generators"],
-        top_relations=seen["top.relations"],
-        bottom_generators=seen["bottom.generators"],
-        bottom_relations=seen["bottom.relations"],
-        action=seen["action"],
-        res=seen["res"],
-        tr=seen["tr"],
-    )
+
+    p, nt, nb = (seen[f] for f in _COUNTS)
+    if nt < 0 or nb < 0:
+        raise DimensionMismatchError("generator counts must be nonnegative")
+    for tier, n in (("top", nt), ("bottom", nb)):
+        for row in seen[f"{tier}.relations"]:
+            if len(row) != n:
+                raise DimensionMismatchError(f"{tier} relation of length {len(row)}, expected {n}")
+    for field, nrows, ncols in (("action", nb, nb), ("res", nb, nt), ("tr", nt, nb)):
+        _shape_check(seen[field], nrows, ncols, field)
+    if not is_prime(p):
+        raise NonPrimeError(f"p must be prime, got {p}")
+
+    top = FpAbGroup(nt, IntMatrix.from_columns(seen["top.relations"], rows=nt))
+    bottom = FpAbGroup(nb, IntMatrix.from_columns(seen["bottom.relations"], rows=nb))
+    gamma = AbHom(bottom, bottom, IntMatrix.from_rows(seen["action"], cols=nb))
+    res = AbHom(top, bottom, IntMatrix.from_rows(seen["res"], cols=nt))
+    tr = AbHom(bottom, top, IntMatrix.from_rows(seen["tr"], cols=nb))
+    for field, hom in (("action", gamma), ("res", res), ("tr", tr)):
+        if not hom.is_well_defined():
+            raise IllDefinedMapError(
+                f"'{field}' does not respect the relations (not a well-defined map)"
+            )
+    return MackeyFunctor(p, top, bottom, gamma, res, tr)
 
 
-def parse_functor(text: str) -> MackeyFunctor:
-    return parse_document(text).to_functor()
+def _json_rows(mat: IntMatrix) -> str:
+    return json.dumps(mat.to_rows())
 
 
 def render_machine(m: MackeyFunctor) -> str:
-    return MackeyDocument.from_functor(m).render()
+    """The machine format (relations one per row), headed by a comment."""
+    lines = [
+        *_HEADER,
+        f"p: {m.p}",
+        f"top.generators: {m.top.ngens}",
+        f"top.relations: {_json_rows(m.top.relations.transpose())}",
+        f"bottom.generators: {m.bottom.ngens}",
+        f"bottom.relations: {_json_rows(m.bottom.relations.transpose())}",
+        f"action: {_json_rows(m.gamma.matrix)}",
+        f"res: {_json_rows(m.res.matrix)}",
+        f"tr: {_json_rows(m.tr.matrix)}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def render_text(m: MackeyFunctor) -> str:
@@ -276,9 +228,6 @@ def render_text(m: MackeyFunctor) -> str:
     tr: [[0], [1]]
     action: [[1]]
     """
-    def fmt(mat: IntMatrix):
-        return json.dumps(mat.to_rows())
-
     lines = [
         describe_group(m.top),
         " |  ^",
@@ -287,9 +236,9 @@ def render_text(m: MackeyFunctor) -> str:
         describe_group(m.bottom),
         "",
         f"p: {m.p}",
-        f"res: {fmt(m.res.matrix)}",
-        f"tr: {fmt(m.tr.matrix)}",
-        f"action: {fmt(m.gamma.matrix)}",
+        f"res: {_json_rows(m.res.matrix)}",
+        f"tr: {_json_rows(m.tr.matrix)}",
+        f"action: {_json_rows(m.gamma.matrix)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -309,8 +258,6 @@ __all__ = [
     "DimensionMismatchError",
     "NonPrimeError",
     "IllDefinedMapError",
-    "MackeyDocument",
-    "parse_document",
     "parse_functor",
     "render_machine",
     "render_text",

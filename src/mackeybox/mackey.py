@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .intlin import IntMatrix, block_diagonal, hstack, lattice_basis, smith_normal_form, vstack
-from .abgroup import AbHom, FpAbGroup, coinvariants, direct_sum, tensor_product
+from .abgroup import AbHom, FpAbGroup, coinvariants, cokernel, direct_sum, tensor_product
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -230,7 +230,7 @@ def fixed_point_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFuncto
 def orbit_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFunctor:
     """Top = coinvariants of the action, tr = projection, res = the norm."""
     _check_module(module, gamma, p)
-    quot, proj = coinvariants(module, gamma, p)
+    quot, proj = cokernel(gamma - AbHom.identity(module))
     res = AbHom(quot, module, action_norm(gamma, p).matrix)
     return MackeyFunctor(p, quot, module, gamma, res, proj)
 
@@ -310,12 +310,12 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
     ((2, ()), (1, ()))
     """
     if m.p != n.p:
-        raise ValueError("mismatched primes")
+        raise ValueError(f"mismatched primes {m.p} and {n.p}")
     p = m.p
-    bottom = tensor_product(m.bottom, n.bottom).group
+    bottom = tensor_product(m.bottom, n.bottom)
     gamma = AbHom(bottom, bottom, m.gamma.matrix.kron(n.gamma.matrix))
     coinv, _ = coinvariants(bottom, gamma, p)
-    tops = tensor_product(m.top, n.top).group
+    tops = tensor_product(m.top, n.top)
     nt, nb = tops.ngens, bottom.ngens
     top0 = direct_sum(tops, coinv)
 
@@ -390,12 +390,11 @@ def verify_morphism(f: MackeyMorphism) -> tuple[str, ...]:
 
 
 def is_mackey_isomorphism(f: MackeyMorphism) -> bool:
-    """A genuine morphism that is an isomorphism on both tiers."""
-    from .abgroup import is_isomorphism
-
+    """A genuine morphism that is a bijection on both tiers (``verify_morphism``
+    has checked that both tier maps are well-defined)."""
     if verify_morphism(f):
         return False
-    return is_isomorphism(f.phi_top) and is_isomorphism(f.phi_bottom)
+    return all(g.is_surjective() and g.is_injective() for g in (f.phi_top, f.phi_bottom))
 
 
 def unit_isomorphism(m: MackeyFunctor) -> MackeyMorphism:

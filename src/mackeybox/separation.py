@@ -256,7 +256,8 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
     if invariant_factors(m.top) != (2, ()):
         return ClassificationResult(False, reason=TOP_NOT_RANK_2), None
 
-    k_rank = invariant_factors(gamma_functor(m)[0].top)[0]
+    # rank([tr | relations]) - rank(relations), both read from memoised decompositions
+    k_rank = m.tr.smith.rank() - m.top.smith.rank()
     quot, _ = phi_functor(m)
     if invariant_factors(quot.top) != (1, ()):
         return ClassificationResult(

@@ -1,6 +1,7 @@
 """The presentation document format: round-trips, diagnostics, rendering."""
 
 import random
+import sys
 
 import pytest
 
@@ -8,9 +9,7 @@ from mackeybox.document import (
     DimensionMismatchError,
     DocumentSyntaxError,
     IllDefinedMapError,
-    MackeyDocument,
     NonPrimeError,
-    parse_document,
     parse_functor,
     render_lewis,
     render_machine,
@@ -82,25 +81,25 @@ p: 2
 
 def test_syntax_errors():
     with pytest.raises(DocumentSyntaxError) as exc:
-        parse_document("p 2\n")
+        parse_functor("p 2\n")
     assert exc.value.code == "syntax"
     with pytest.raises(DocumentSyntaxError):
-        parse_document(GOOD + "mystery: [[1]]\n")
+        parse_functor(GOOD + "mystery: [[1]]\n")
     with pytest.raises(DocumentSyntaxError):
-        parse_document(GOOD + "p: 3\n")  # duplicate
+        parse_functor(GOOD + "p: 3\n")  # duplicate
     with pytest.raises(DocumentSyntaxError):
-        parse_document(GOOD.replace("p: 2", "p: two"))
+        parse_functor(GOOD.replace("p: 2", "p: two"))
     with pytest.raises(DocumentSyntaxError):
-        parse_document(GOOD.replace("res: [[1, 2]]", "res: [[1, 2]"))
+        parse_functor(GOOD.replace("res: [[1, 2]]", "res: [[1, 2]"))
     with pytest.raises(DocumentSyntaxError):
-        parse_document(GOOD.replace("res: [[1, 2]]", "res: [[1, 2.5]]"))
+        parse_functor(GOOD.replace("res: [[1, 2]]", "res: [[1, 2.5]]"))
     with pytest.raises(DocumentSyntaxError):
-        parse_document(GOOD.replace("res: [[1, 2]]", "res: [1, 2]"))
+        parse_functor(GOOD.replace("res: [[1, 2]]", "res: [1, 2]"))
     with pytest.raises(DocumentSyntaxError):  # json.loads raises RecursionError
-        parse_document(GOOD.replace("res: [[1, 2]]", "res: " + "[" * 200000))
+        parse_functor(GOOD.replace("res: [[1, 2]]", "res: " + "[" * 200000))
     missing = GOOD.replace("action: [[1]]\n", "")
     with pytest.raises(DocumentSyntaxError) as exc2:
-        parse_document(missing)
+        parse_functor(missing)
     assert "missing field 'action'" in str(exc2.value)
 
 
@@ -111,42 +110,71 @@ def test_integer_fields_are_ascii_digits_only(field, value):
     line = {"p": "p: 2", "top.generators": "top.generators: 2",
             "bottom.generators": "bottom.generators: 1"}[field]
     with pytest.raises(DocumentSyntaxError) as exc:
-        parse_document(GOOD.replace(line, f"{field}: {value}"))
+        parse_functor(GOOD.replace(line, f"{field}: {value}"))
     assert f"field '{field}' must be an integer" in str(exc.value)
 
 
 def test_integer_fields_accept_negative_and_leading_zeros():
-    assert parse_document(GOOD.replace("p: 2", "p: 02")).p == 2
+    assert parse_functor(GOOD.replace("p: 2", "p: 02")).p == 2
     with pytest.raises(DimensionMismatchError):
-        parse_document(GOOD.replace("top.generators: 2", "top.generators: -2"))
+        parse_functor(GOOD.replace("top.generators: 2", "top.generators: -2"))
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [("p: 2", "p: {}"), ("top.generators: 2", "top.generators: {}"), ("res: [[1, 2]]", "res: [[1, -{}]]")],
+)
+def test_integers_past_the_conversion_limit_are_syntax_errors(line, value):
+    # int() and json.loads raise a bare ValueError for them
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(DocumentSyntaxError) as exc:
+        parse_functor(GOOD.replace(line, value.format(digits)))
+    field = value.partition(":")[0]
+    assert f"field '{field}' has an integer of more than" in str(exc.value)
+    assert exc.value.line == GOOD.splitlines().index(line) + 1
+
+
+def test_faults_are_reported_in_a_fixed_order():
+    """Syntax, dimensions, primality, then well-definedness: with several
+    faults, the earliest kind is the one raised."""
+    composite = GOOD.replace("p: 2", "p: 4")
+    with pytest.raises(DimensionMismatchError):
+        parse_functor(composite.replace("res: [[1, 2]]", "res: [[1]]"))
+    # Z/2 on the bottom: tr sends its relation 2 to (0, 2), which is not zero
+    ill_defined_tr = GOOD.replace("bottom.relations: []", "bottom.relations: [[2]]")
+    with pytest.raises(IllDefinedMapError, match="'tr'"):
+        parse_functor(ill_defined_tr)
+    with pytest.raises(NonPrimeError):
+        parse_functor(ill_defined_tr.replace("p: 2", "p: 4"))
+    negative = GOOD.replace("bottom.generators: 1", "bottom.generators: -1")
+    with pytest.raises(DimensionMismatchError) as exc:
+        parse_functor(negative.replace("res: [[1, 2]]", "res: [[1]]"))
+    assert str(exc.value) == "generator counts must be nonnegative"
+    with pytest.raises(DocumentSyntaxError):
+        parse_functor(composite.replace("res: [[1, 2]]", "res: [[1]]") + "mystery: 1\n")
 
 
 def test_syntax_error_reports_line():
     bad = "p: 2\nnonsense line\n"
     with pytest.raises(DocumentSyntaxError) as exc:
-        parse_document(bad)
+        parse_functor(bad)
     assert exc.value.line == 2
 
 
 def test_dimension_errors():
     with pytest.raises(DimensionMismatchError) as exc:
-        parse_document(GOOD.replace("res: [[1, 2]]", "res: [[1]]"))
+        parse_functor(GOOD.replace("res: [[1, 2]]", "res: [[1]]"))
     assert exc.value.code == "dimension"
     with pytest.raises(DimensionMismatchError):
-        parse_document(GOOD.replace("tr: [[0], [1]]", "tr: [[0]]"))
+        parse_functor(GOOD.replace("tr: [[0], [1]]", "tr: [[0]]"))
     with pytest.raises(DimensionMismatchError):
-        parse_document(GOOD.replace("top.relations: []", "top.relations: [[1]]"))
-    with pytest.raises(DimensionMismatchError):
-        MackeyDocument(2, 1, (), 1, (), ((1,),), ((1,),), ((1,), (2,)))
+        parse_functor(GOOD.replace("top.relations: []", "top.relations: [[1]]"))
 
 
 def test_non_prime_error():
     with pytest.raises(NonPrimeError) as exc:
         parse_functor(GOOD.replace("p: 2", "p: 6"))
     assert exc.value.code == "non-prime"
-    # parsing alone doesn't check primality; building the functor does
-    doc = parse_document(GOOD.replace("p: 2", "p: 6"))
-    assert doc.p == 6
 
 
 def test_ill_defined_error():

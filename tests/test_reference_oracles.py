@@ -465,28 +465,28 @@ def loop_box_top(m: MackeyFunctor, n: MackeyFunctor) -> FpAbGroup:
     """The top tier of box(m, n) with one hand-indexed vector per Frobenius
     relation: a ⊗ tr(y) - t(res(a) ⊗ y), then tr(x) ⊗ b - t(x ⊗ res(b))."""
     bt = tensor_product(m.bottom, n.bottom)
-    gamma = AbHom(bt.group, bt.group, m.gamma.matrix.kron(n.gamma.matrix))
-    coinv, _ = coinvariants(bt.group, gamma, m.p)
+    gamma = AbHom(bt, bt, m.gamma.matrix.kron(n.gamma.matrix))
+    coinv, _ = coinvariants(bt, gamma, m.p)
     tt = tensor_product(m.top, n.top)
-    nt, nb = tt.group.ngens, bt.group.ngens
+    nt, nb = tt.ngens, bt.ngens
     frobenius = []
     for i in range(m.top.ngens):
         for l in range(n.bottom.ngens):
             v = [0] * (nt + nb)
             for j in range(n.top.ngens):
-                v[tt.index(i, j)] += n.tr.matrix.at(j, l)
+                v[i * n.top.ngens + j] += n.tr.matrix.at(j, l)
             for k in range(m.bottom.ngens):
-                v[nt + bt.index(k, l)] -= m.res.matrix.at(k, i)
+                v[nt + k * n.bottom.ngens + l] -= m.res.matrix.at(k, i)
             frobenius.append(v)
     for k in range(m.bottom.ngens):
         for j in range(n.top.ngens):
             v = [0] * (nt + nb)
             for i in range(m.top.ngens):
-                v[tt.index(i, j)] += m.tr.matrix.at(i, k)
+                v[i * n.top.ngens + j] += m.tr.matrix.at(i, k)
             for l in range(n.bottom.ngens):
-                v[nt + bt.index(k, l)] -= n.res.matrix.at(l, j)
+                v[nt + k * n.bottom.ngens + l] -= n.res.matrix.at(l, j)
             frobenius.append(v)
-    return quotient_by(direct_sum(tt.group, coinv), frobenius)[0]
+    return quotient_by(direct_sum(tt, coinv), frobenius)[0]
 
 
 @settings(max_examples=100, deadline=None)
