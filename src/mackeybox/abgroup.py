@@ -3,8 +3,9 @@
 A group is presented by a generator count and a relation matrix whose
 *columns* are the relations; the group is Z^ngens modulo the column lattice.
 A homomorphism is a ``target.ngens x source.ngens`` integer matrix acting on
-coordinate columns.  Every question (element equality, well-definedness,
-kernels, cokernels) reduces to integer linear algebra from :mod:`.intlin`.
+coordinate columns, the one representation of a group element.  Every
+question (membership of the relation lattice, well-definedness, kernels,
+cokernels) reduces to integer linear algebra from :mod:`.intlin`.
 
 Groups and homomorphisms are frozen, so a fact derived from one is computed
 at most once and kept on it (``functools.cached_property``; the memo is not a
@@ -25,7 +26,6 @@ from .intlin import (
     _from_column_lists,
     _int_vector,
     _reduce_columns,
-    _trusted,
     block_diagonal,
     lattice_basis,
     smith_normal_form,
@@ -63,12 +63,6 @@ class FpAbGroup:
     def trivial(cls) -> "FpAbGroup":
         return cls.free(0)
 
-    def element(self, coords) -> "GroupElement":
-        return GroupElement(self, coords)
-
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ngens)
-
     @cached_property
     def smith(self) -> SmithDecomposition:
         """``U @ relations @ V == S``, memoised.
@@ -84,7 +78,7 @@ class FpAbGroup:
 
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the relation lattice, i.e. is
-        zero in the group: the one membership test behind ``is_zero``,
+        zero in the group: the one membership test behind
         ``is_well_defined``, ``equals`` and ``is_injective``.
 
         A column that is zero or plus or minus a relation is a member by
@@ -113,62 +107,6 @@ class FpAbGroup:
 
     def is_trivial(self) -> bool:
         return invariant_factors(self) == (0, ())
-
-
-class GroupElement:
-    """An element of an FpAbGroup, held as a coordinate tuple.
-
-    Equality is equality in the group, i.e. modulo the relation lattice.
-    """
-
-    __slots__ = ("group", "coords")
-
-    def __init__(self, group: FpAbGroup, coords):
-        coords = _int_vector(coords)
-        if len(coords) != group.ngens:
-            raise ValueError(f"{len(coords)} coordinates for {group.ngens} generators")
-        self.group = group
-        self.coords = coords
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._same_group(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._same_group(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-a for a in self.coords))
-
-    def __rmul__(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(k * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return self.group.contains_all(_trusted(len(self.coords), 1, self.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement) or self.group != other.group:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def _same_group(self, other):
-        if self.group != other.group:
-            raise ValueError("elements of different groups")
-
-    def __repr__(self):
-        return f"GroupElement({list(self.coords)})"
-
-
-def _coordinates(x, group: FpAbGroup) -> tuple[int, ...]:
-    """The coordinates of x: an element of group, or a vector of Python ints."""
-    if not isinstance(x, GroupElement):
-        return _int_vector(x)
-    if x.group is not group and x.group != group:
-        raise ValueError("elements of different groups")
-    return x.coords
 
 
 def invariant_factors(g: FpAbGroup) -> tuple[int, tuple[int, ...]]:
@@ -219,9 +157,6 @@ class AbHom:
     @classmethod
     def zero(cls, source: FpAbGroup, target: FpAbGroup) -> "AbHom":
         return cls(source, target, IntMatrix.zeros(target.ngens, source.ngens))
-
-    def __call__(self, x) -> GroupElement:
-        return GroupElement(self.target, self.matrix.apply(_coordinates(x, self.source)))
 
     def __matmul__(self, other: "AbHom") -> "AbHom":
         """Composite self ∘ other."""
@@ -398,10 +333,11 @@ def direct_sum(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
 
 
 def quotient_by(g: FpAbGroup, extra) -> tuple[FpAbGroup, AbHom]:
-    """Quotient by further relations; returns the quotient and the projection."""
+    """Quotient by further relations, given as coordinate vectors; returns
+    the quotient and the projection."""
     cols = []
     for item in extra:
-        coords = _coordinates(item, g)
+        coords = _int_vector(item)
         if len(coords) != g.ngens:
             raise ValueError("relation of the wrong length")
         cols.append(coords)
@@ -447,10 +383,6 @@ def cokernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     return c, AbHom(f.target, c, IntMatrix.identity(f.target.ngens))
 
 
-def kernel_and_cokernel(f: AbHom) -> tuple[FpAbGroup, FpAbGroup]:
-    return kernel(f)[0], cokernel(f)[0]
-
-
 def is_isomorphism(f: AbHom) -> bool:
     """Whether f is well-defined, surjective and injective.
 
@@ -467,10 +399,6 @@ def is_isomorphism(f: AbHom) -> bool:
     return f.is_well_defined() and f.is_surjective() and f.is_injective()
 
 
-def is_torsion_free(g: FpAbGroup) -> bool:
-    return invariant_factors(g)[1] == ()
-
-
 def same_lattice(a: IntMatrix, b: IntMatrix) -> bool:
     """Whether two generating sets span the same column lattice."""
     if a.rows != b.rows:
@@ -480,7 +408,6 @@ def same_lattice(a: IntMatrix, b: IntMatrix) -> bool:
 
 __all__ = [
     "FpAbGroup",
-    "GroupElement",
     "AbHom",
     "invariant_factors",
     "describe_group",
@@ -490,8 +417,6 @@ __all__ = [
     "coinvariants",
     "kernel",
     "cokernel",
-    "kernel_and_cokernel",
     "is_isomorphism",
-    "is_torsion_free",
     "same_lattice",
 ]

@@ -176,7 +176,11 @@ def parse_functor(text: str) -> MackeyFunctor:
                 raise DimensionMismatchError(f"{tier} relation of length {len(row)}, expected {n}")
     for field, nrows, ncols in (("action", nb, nb), ("res", nb, nt), ("tr", nt, nb)):
         _shape_check(seen[field], nrows, ncols, field)
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # primality is decided only below PRIME_LIMIT
+        raise NonPrimeError(str(exc)) from None
+    if not prime:
         raise NonPrimeError(f"p must be prime, got {p}")
 
     top = FpAbGroup(nt, IntMatrix.from_columns(seen["top.relations"], rows=nt))

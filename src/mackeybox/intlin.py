@@ -335,8 +335,8 @@ class SmithDecomposition:
     last.  The elimination keeps S and the operations that reached it: the
     row operations (``row_ops``, which make U) and the column operations
     (``col_ops``, which make V, replayed as row operations on its
-    transpose).  U and V are built from them the first time they are read
-    and then kept, so a question that reads neither (``diagonal``,
+    transpose).  U, U⁻¹ and V are built from them the first time they are
+    read and then kept, so a question that reads neither (``diagonal``,
     ``rank``) builds neither, and ``kernel`` takes its columns from the
     replayed columns of V without building V itself.
     """
@@ -348,6 +348,14 @@ class SmithDecomposition:
     @cached_property
     def u(self) -> IntMatrix:
         return _from_row_lists(_replay(self.s.rows, self.row_ops), self.s.rows)
+
+    @cached_property
+    def u_inverse(self) -> IntMatrix:
+        """U⁻¹: the row operations undone, last first, on the identity.  A
+        swap and a negation undo themselves; adding q times a row is undone
+        by adding -q times it."""
+        undo = [(*op[:3], -op[3]) if op[0] is _add_row else op for op in reversed(self.row_ops)]
+        return _from_row_lists(_replay(self.s.rows, undo), self.s.rows)
 
     @cached_property
     def v(self) -> IntMatrix:
@@ -584,9 +592,21 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 # -- Hermite normal form -----------------------------------------------------
 
 
-def _hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column reduction of A, run on the transposes of H and U so that each
-    column operation is a row operation on a list."""
+def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Column-style Hermite normal form ``(H, U)`` with ``A @ U == H``.
+
+    U is unimodular; H is the canonical lower column echelon form (positive
+    pivots, entries left of a pivot reduced into [0, pivot), zero columns
+    last), so two matrices span the same column lattice iff their H agree.
+    Computed afresh on each call; a presented group keeps the basis of its
+    relation lattice memoised (``FpAbGroup.hermite_basis``).
+
+    The column reduction runs on the transposes of H and U, so that each
+    column operation is a row operation on a list.
+
+    >>> hermite_normal_form(IntMatrix.from_rows([[2, 3]]))[0]
+    IntMatrix([[1, 0]])
+    """
     m, n = a.rows, a.cols
     h = [list(a.column(j)) for j in range(n)]  # h[j] is column j of H
     u = _identity_rows(n)  # u[j] is column j of U
@@ -624,21 +644,6 @@ def _hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             _add_row(u, l, pc, -q)
         pc += 1
     return _from_column_lists(h, m), _from_column_lists(u, n)
-
-
-def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form ``(H, U)`` with ``A @ U == H``.
-
-    U is unimodular; H is the canonical lower column echelon form (positive
-    pivots, entries left of a pivot reduced into [0, pivot), zero columns
-    last), so two matrices span the same column lattice iff their H agree.
-    Computed afresh on each call; a presented group keeps the basis of its
-    relation lattice memoised (``FpAbGroup.hermite_basis``).
-
-    >>> hermite_normal_form(IntMatrix.from_rows([[2, 3]]))[0]
-    IntMatrix([[1, 0]])
-    """
-    return _hermite(a)
 
 
 def lattice_basis(a: IntMatrix) -> IntMatrix:

@@ -224,18 +224,15 @@ def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
     """For a group known free of the given rank: (projection, section) matrices.
 
     The projection is a ``rank x ngens`` matrix inducing an isomorphism onto
-    Z^rank: the rows of the group's U past the rank.  The section satisfies
-    projection @ section = identity.  The projection's invariant factors are
-    all 1, so its Smith form ``U' @ pi @ V' = [I | 0]`` gives the section
-    ``V'[:, :rank] @ U'``.
+    Z^rank: the rows of the group's U past the rank.  The section is the
+    columns of U⁻¹ past the rank, so projection @ section = identity.
     """
     dec = group.smith
     r = dec.rank()
     if group.ngens - r != rank:
         raise ValueError("group does not have the expected free rank")
-    pi = dec.u.take_rows(range(r, group.ngens))
-    span = smith_normal_form(pi)
-    return pi, span.v.take_columns(range(rank)) @ span.u
+    past = range(r, group.ngens)
+    return dec.u.take_rows(past), dec.u_inverse.take_columns(past)
 
 
 def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | None]:

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from mackeybox.cli import run
 from mackeybox.document import (
     DimensionMismatchError,
+    DocumentError,
     DocumentSyntaxError,
     IllDefinedMapError,
     NonPrimeError,
@@ -16,6 +18,7 @@ from mackeybox.document import (
     render_text,
 )
 from mackeybox.mackey import (
+    PRIME_LIMIT,
     GSet,
     burnside,
     check_axioms,
@@ -175,6 +178,22 @@ def test_non_prime_error():
     with pytest.raises(NonPrimeError) as exc:
         parse_functor(GOOD.replace("p: 2", "p: 6"))
     assert exc.value.code == "non-prime"
+
+
+def test_a_prime_past_the_proven_bound_is_a_non_prime_error(tmp_path, capsys):
+    """Primality is decided only below PRIME_LIMIT; past it the document is
+    refused with the non-prime kind, at the primality stage."""
+    too_large = GOOD.replace("p: 2", f"p: {PRIME_LIMIT}")
+    with pytest.raises(DocumentError) as exc:
+        parse_functor(too_large)
+    assert exc.value.code == "non-prime"
+    path = tmp_path / "large.mk"
+    path.write_text(too_large)
+    assert run(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mackeybox: non-prime error: p = {PRIME_LIMIT} is too large: ")
+    with pytest.raises(DimensionMismatchError):
+        parse_functor(too_large.replace("res: [[1, 2]]", "res: [[1]]"))
 
 
 def test_ill_defined_error():

@@ -2,8 +2,9 @@
 
 A caller that needs a particular solution and the kernel of one system (the
 fixed points, the isomorphism search) reads both from one Smith
-decomposition, and the classification takes its sections from a Smith form
-of each projection, not by inverting a tier's U.  Every elimination goes
+decomposition, and the classification reads each tier's projection and
+section from the rows of that tier's U and the columns of its U⁻¹, both
+replayed from the tier's one decomposition.  Every elimination goes
 through ``intlin.smith_normal_form``; the counts below are pinned by
 wrapping it, so a change that eliminates a system twice fails here.  A
 matrix ``[I | R]`` handed to ``smith_normal_form`` gets its decomposition in
@@ -67,8 +68,9 @@ def test_isomorphism_search_eliminates_each_system_once(eliminated):
 
 @pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (7, 3), (3, 6)])
 def test_classification_never_eliminates_a_tier_transform(eliminated, p, d):
-    """Sections come from a Smith form of each ``rank x ngens`` projection:
-    no square matrix of a tier's size is eliminated, and neither tier's U."""
+    """Sections are the columns of each tier's U⁻¹ past the rank, replayed
+    from the tier's decomposition: no square matrix of a tier's size is
+    eliminated, and neither tier's U."""
     m = pad_functor(pad_functor(twisted_burnside(p, d), random.Random(3)), random.Random(4))
     result, _ = separation._classify(m)
     assert result.invertible == (d % p != 0)
@@ -126,6 +128,26 @@ def test_only_identity_led_matrices_take_the_closed_form(rows, cols, pool):
     assert intlin._leads_with_identity(a) == leads_with_identity(a)
 
 
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(-9, 9), min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        small_matrices().map(intlin.smith_normal_form),
+        identity_led().map(intlin.smith_normal_form),  # no row operations
+        st.integers(0, 5).map(lambda n: abgroup.FpAbGroup.free(n).smith),
+    )
+)
+def test_u_inverse_undoes_u(dec):
+    eye = IntMatrix.identity(dec.s.rows)
+    assert dec.u_inverse @ dec.u == dec.u @ dec.u_inverse == eye
+
+
 @pytest.fixture
 def loops(monkeypatch):
     """The matrices that reach the elimination loop."""
@@ -159,14 +181,15 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, 
 
 
 def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
-    """Of the 11 matrices that classifying and inverting twisted_burnside
-    (10007, 2) hands to ``smith_normal_form``, the 4 identity-led ones (the projection
-    of each relation-free tier and identity maps) skip the loop.  The rank of
-    the transfer's image is read from the transfer's and the top's
-    decompositions, so Gamma's top is not eliminated."""
+    """Of the 7 matrices that classifying and inverting twisted_burnside
+    (10007, 2) hands to ``smith_normal_form``, the one identity-led one (an
+    identity map) skips the loop.  The rank of the transfer's image is read
+    from the transfer's and the top's decompositions, so Gamma's top is not
+    eliminated, and each tier's section is read from its U⁻¹, so no
+    projection is eliminated."""
     m = twisted_burnside(10007, 2)
     assert separation.classify_invertible(m).invertible
     assert separation.invert(m) is not None
-    assert len(eliminated) == 11
-    assert sum(map(leads_with_identity, eliminated)) == 4
+    assert len(eliminated) == 7
+    assert sum(map(leads_with_identity, eliminated)) == 1
     assert loops == [a for a in eliminated if not leads_with_identity(a)]

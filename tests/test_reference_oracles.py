@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from mackeybox.intlin import (
     IntMatrix,
-    _hermite,
+    hermite_normal_form,
     lattice_contains_all,
     smith_normal_form,
     solve_linear,
@@ -310,7 +310,7 @@ def test_each_question_builds_only_the_transforms_it_reads():
 
 def column_hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """The Hermite form by column operations on row-major lists, as
-    ``intlin._hermite`` computed it before it moved to the transposes."""
+    ``intlin.hermite_normal_form`` computed it before it moved to the transposes."""
 
     def swap_cols(m, i, j):
         for row in m:
@@ -365,7 +365,7 @@ def column_hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_dim=7))
 def test_row_operation_hermite_equals_the_column_version(a):
-    h, u = _hermite(a)
+    h, u = hermite_normal_form(a)
     assert (h, u) == column_hermite(a)
     assert a @ u == h
 
