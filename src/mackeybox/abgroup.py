@@ -183,9 +183,9 @@ class AbHom:
         return AbHom(self.source, self.target, self.matrix.scaled(k))
 
     def power(self, k: int) -> "AbHom":
-        """The k-th iterate, by repeated squaring: ``f^k`` is the product of
-        the squares ``f^(2^i)`` over the set bits i of k, so it takes
-        O(log k) matrix products.
+        """The k-th iterate: the first half of ``orbit(k)``, and the identity
+        at k = 0.  On a group with relations its matrix is the orbit's
+        reduced representative, equal to ``matrix^k`` as a map.
 
         >>> swap = AbHom(FpAbGroup.free(2), FpAbGroup.free(2),
         ...              IntMatrix.from_rows([[0, 1], [1, 0]]))
@@ -196,15 +196,7 @@ class AbHom:
             raise ValueError("powers need an endomorphism")
         if k < 0:
             raise ValueError("negative power")
-        out = IntMatrix.identity(self.source.ngens)
-        square = self.matrix
-        while k:
-            if k & 1:
-                out = square @ out
-            k >>= 1
-            if k:
-                square = square @ square
-        return AbHom(self.source, self.target, out)
+        return self.orbit(k)[0] if k else AbHom.identity(self.source)
 
     def is_well_defined(self) -> bool:
         """Whether every source relation maps into the target relation lattice.
@@ -301,19 +293,6 @@ class AbHom:
         return AbHom(g, g, power), AbHom(g, g, total)
 
 
-def _with_source(f: AbHom, source: FpAbGroup) -> AbHom:
-    """f's matrix as a map from another source with as many generators.
-
-    ``AbHom.smith`` and ``kernel_lattice`` depend only on the matrix and the
-    target, so the new map reads f's memos instead of eliminating
-    ``[matrix | target.relations]`` again.
-    """
-    g = AbHom(source, f.target, f.matrix)
-    g.__dict__["smith"] = f.smith
-    g.__dict__["kernel_lattice"] = f.kernel_lattice
-    return g
-
-
 def tensor_product(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
     """G ⊗ H on generator pairs, relations r ⊗ e and e ⊗ r; the pair (i, j)
     is generator ``i * h.ngens + j``.
@@ -363,18 +342,25 @@ def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
     return cokernel(gamma - AbHom.identity(g))
 
 
-def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
-    """A presentation of ker f and its inclusion into the source.
+def _image(f: AbHom) -> tuple[FpAbGroup, AbHom]:
+    """im f, presented on f's source generators modulo ``f.kernel_lattice``,
+    and its inclusion into the target: it has f's matrix, so it reads f's
+    memoised ``smith`` and ``kernel_lattice`` instead of eliminating
+    ``[matrix | target.relations]`` again."""
+    im = FpAbGroup(f.source.ngens, f.kernel_lattice)
+    inclusion = AbHom(im, f.target, f.matrix)
+    inclusion.__dict__["smith"] = f.smith
+    inclusion.__dict__["kernel_lattice"] = f.kernel_lattice
+    return im, inclusion
 
-    The kernel lattice is ``{x : f(x) ∈ target relations}`` (memoised on f,
-    ``AbHom.kernel_lattice``); the presentation is that lattice modulo the
-    source relations, whose coordinates are the kernel lattice of the
-    inclusion.
-    """
-    gens = f.kernel_lattice
-    rels = AbHom(FpAbGroup.free(gens.cols), f.source, gens).kernel_lattice
-    k = FpAbGroup(gens.cols, rels)
-    return k, AbHom(k, f.source, gens)
+
+def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
+    """A presentation of ker f and its inclusion into the source: the image
+    (``_image``) of the Hermite basis of f's kernel lattice
+    ``{x : f(x) ∈ target relations}``, so the inclusion's ``smith`` is that
+    of ``[basis | source relations]``."""
+    basis = lattice_basis(f.kernel_lattice)
+    return _image(AbHom(FpAbGroup.free(basis.cols), f.source, basis))
 
 
 def cokernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:

@@ -37,8 +37,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_functor(path: str):
-    return parse_functor(_read(path))
+class _AxiomsViolated(Exception):
+    """A loaded document violates the axioms: ``run`` lists them on stderr
+    and exits 1."""
+
+
+def _load_mackey(*paths: str):
+    """The functors in paths, every one parsed (so an input error comes
+    first) before any is checked against the axioms."""
+    functors = [parse_functor(_read(path)) for path in paths]
+    problems = [msg for m in functors for msg in check_axioms(m)]
+    if problems:
+        raise _AxiomsViolated(problems)
+    return functors
 
 
 def _fail(message: str, code: int) -> int:
@@ -52,8 +63,7 @@ def _emit(functor, fmt: str) -> int:
 
 
 def _cmd_check(args) -> int:
-    m = _load_functor(args.file)
-    problems = check_axioms(m)
+    problems = check_axioms(parse_functor(_read(args.file)))
     if args.format == "machine":
         print("status: pass" if not problems else "status: fail")
         for msg in problems:
@@ -67,22 +77,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_box(args) -> int:
-    return _emit(box_product(_load_functor(args.left), _load_functor(args.right)), args.format)
-
-
-def _load_mackey(path: str):
-    """The functor in path, or None once its violated axioms are on stderr."""
-    m = _load_functor(path)
-    problems = check_axioms(m)
-    for msg in problems:
-        print(f"mackeybox: axiom violated: {msg}", file=sys.stderr)
-    return None if problems else m
+    return _emit(box_product(*_load_mackey(args.left, args.right)), args.format)
 
 
 def _cmd_classify(args) -> int:
-    m = _load_mackey(args.file)
-    if m is None:
-        return 1
+    (m,) = _load_mackey(args.file)
     result = classify_invertible(m)
     if args.format == "machine":
         if result.invertible:
@@ -100,9 +99,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    m = _load_mackey(args.file)
-    if m is None:
-        return 1
+    (m,) = _load_mackey(args.file)
     outcome = invert(m)
     if outcome is None:
         reason = classify_invertible(m).reason
@@ -113,12 +110,11 @@ def _cmd_invert(args) -> int:
 
 def _part(split):
     """The command that emits the first part of ``split`` of a functor."""
-    return lambda args: _emit(split(_load_functor(args.file))[0], args.format)
+    return lambda args: _emit(split(*_load_mackey(args.file))[0], args.format)
 
 
 def _cmd_iso(args) -> int:
-    m = _load_functor(args.left)
-    n = _load_functor(args.right)
+    m, n = _load_mackey(args.left, args.right)
     result = try_find_isomorphism(m, n, args.bound)
     machine = args.format == "machine"
     if machine:
@@ -206,6 +202,10 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except _AxiomsViolated as exc:
+        for msg in exc.args[0]:
+            print(f"mackeybox: axiom violated: {msg}", file=sys.stderr)
+        return 1
     except DocumentError as exc:
         return _fail(f"{exc.code} error: {exc}", 2)
     except OSError as exc:

@@ -203,36 +203,6 @@ class IntMatrix:
                         flat[base + l] = a * orow[l]
         return _trusted(r, c, tuple(flat))
 
-    def det(self) -> int:
-        """Determinant by the Bareiss fraction-free algorithm.
-
-        >>> IntMatrix.from_rows([[2, 0], [1, 3]]).det()
-        6
-        """
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 def _trusted(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
     """An IntMatrix built without ``__post_init__``: only for entries this
@@ -279,24 +249,6 @@ def _int_vector(vec) -> tuple[int, ...]:
 def _dot(row, vec) -> int:
     """The sum of ``row[k] * vec[k]`` over the nonzero entries of row."""
     return sum(map(mul, compress(row, row), compress(vec, row)))
-
-
-def hstack(*mats: IntMatrix) -> IntMatrix:
-    if not mats:
-        raise ValueError("hstack of nothing")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
-
-
-def vstack(*mats: IntMatrix) -> IntMatrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out
 
 
 def block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -694,26 +646,13 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     return smith_normal_form(a).solve(b)
 
 
-def lattice_contains_all(a: IntMatrix, m: IntMatrix) -> bool:
-    """Whether every column of m lies in the column lattice of a.
-
-    One Smith form answers for all columns (see
-    ``SmithDecomposition.contains_all``).
-
-    >>> a = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
-    >>> lattice_contains_all(a, IntMatrix.from_columns([(4, 3), (2, -6)], rows=2))
-    True
-    >>> lattice_contains_all(a, IntMatrix.from_columns([(4, 3), (1, 0)], rows=2))
-    False
-    """
-    if m.rows != a.rows:
-        raise ValueError(f"columns of length {m.rows} for a lattice in Z^{a.rows}")
-    return smith_normal_form(a).contains_all(m)
-
-
 def lattice_contains(a: IntMatrix, vec) -> bool:
-    """Whether vec lies in the column lattice of a."""
-    return lattice_contains_all(a, IntMatrix.column_vector(vec))
+    """Whether vec lies in the column lattice of a, read from a fresh Smith
+    form of a (``SmithDecomposition.contains_all``)."""
+    col = IntMatrix.column_vector(vec)
+    if col.rows != a.rows:
+        raise ValueError(f"columns of length {col.rows} for a lattice in Z^{a.rows}")
+    return smith_normal_form(a).contains_all(col)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

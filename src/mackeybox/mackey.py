@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .intlin import IntMatrix, block_diagonal, hstack, lattice_basis, smith_normal_form, vstack
-from .abgroup import AbHom, FpAbGroup, coinvariants, cokernel, direct_sum, tensor_product
+from .intlin import IntMatrix, block_diagonal
+from .abgroup import AbHom, FpAbGroup, coinvariants, cokernel, direct_sum, kernel, tensor_product
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -203,27 +203,25 @@ def _check_module(module: FpAbGroup, gamma: AbHom, p: int) -> None:
 def fixed_point_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFunctor:
     """Top = fixed points of the action, res = inclusion, tr = the norm.
 
-    The fixed points are the kernel lattice of gamma - 1.  One Smith form of
-    ``[basis | relations]`` gives both the relations of the top (its kernel)
-    and the transfer (a particular solution per norm column).
+    The fixed points are ``kernel(gamma - 1)``, and the inclusion is the
+    restriction.  Each column of the transfer is the norm column solved from
+    the inclusion's Smith decomposition (the one that gave the top its
+    relations), so no further system is eliminated.
 
     >>> z = FpAbGroup.free(1)
     >>> fixed_point_functor(3, z, AbHom.identity(z)) == constant_z(3)
     True
     """
     _check_module(module, gamma, p)
-    basis = lattice_basis((gamma - AbHom.identity(module)).kernel_lattice)
-    span = smith_normal_form(basis.hstack(module.relations))
-    top = FpAbGroup(basis.cols, span.kernel().take_rows(range(basis.cols)))
-    res = AbHom(top, module, basis)
+    top, res = kernel(gamma - AbHom.identity(module))
     norm = action_norm(gamma, p).matrix
     tr_cols = []
     for j in range(module.ngens):
-        sol = span.solve(norm.column(j))
+        sol = res.smith.solve(norm.column(j))
         if sol is None:  # unreachable: norm values are fixed by the action
             raise ValueError("norm image does not land in the fixed points")
-        tr_cols.append(sol[: basis.cols])
-    tr = AbHom(module, top, IntMatrix.from_columns(tr_cols, rows=basis.cols))
+        tr_cols.append(sol[: top.ngens])
+    tr = AbHom(module, top, IntMatrix.from_columns(tr_cols, rows=top.ngens))
     return MackeyFunctor(p, top, module, gamma, res, tr)
 
 
@@ -323,12 +321,11 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
     res_n, tr_n = n.res.matrix, n.tr.matrix
     eye = IntMatrix.identity
     # one column per a ⊗ tr(y) = t(res(a) ⊗ y), then per tr(x) ⊗ b = t(x ⊗ res(b))
-    frobenius = vstack(
-        eye(m.top.ngens).kron(tr_n).hstack(tr_m.kron(eye(n.top.ngens))),
-        -res_m.kron(eye(n.bottom.ngens)).hstack(eye(m.bottom.ngens).kron(res_n)),
+    frobenius = eye(m.top.ngens).kron(tr_n).hstack(tr_m.kron(eye(n.top.ngens))).vstack(
+        -res_m.kron(eye(n.bottom.ngens)).hstack(eye(m.bottom.ngens).kron(res_n))
     )
     top = FpAbGroup(nt + nb, top0.relations.hstack(frobenius))
-    tr = AbHom(bottom, top, vstack(IntMatrix.zeros(nt, nb), IntMatrix.identity(nb)))
+    tr = AbHom(bottom, top, IntMatrix.zeros(nt, nb).vstack(IntMatrix.identity(nb)))
     res_matrix = res_m.kron(res_n).hstack(action_norm(gamma, p).matrix)
     res = AbHom(top, bottom, res_matrix)
     return MackeyFunctor(p, top, bottom, gamma, res, tr)
@@ -405,7 +402,7 @@ def unit_isomorphism(m: MackeyFunctor) -> MackeyMorphism:
     M this is a Mackey isomorphism (the Burnside functor is the box unit).
     """
     src = box_product(burnside(m.p), m)
-    top = hstack(IntMatrix.identity(m.top.ngens), (m.tr @ m.res).matrix, m.tr.matrix)
+    top = IntMatrix.identity(m.top.ngens).hstack((m.tr @ m.res).matrix).hstack(m.tr.matrix)
     phi_top = AbHom(src.top, m.top, top)
     phi_bottom = AbHom(src.bottom, m.bottom, IntMatrix.identity(m.bottom.ngens))
     return MackeyMorphism(src, m, phi_top, phi_bottom)

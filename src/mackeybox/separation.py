@@ -25,7 +25,7 @@ from .intlin import (
     lattice_basis,
     smith_normal_form,
 )
-from .abgroup import AbHom, FpAbGroup, _with_source, cokernel, invariant_factors, is_isomorphism
+from .abgroup import AbHom, FpAbGroup, _image, cokernel, invariant_factors, is_isomorphism
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -78,18 +78,17 @@ class ClassificationResult:
 def gamma_functor(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism]:
     """The subfunctor generated by transfers, with its inclusion into M.
 
-    Its top is presented on the bottom's generators (v represents tr(v)), so
-    its transfer is the identity matrix and its restriction is the action
-    norm.  The inclusion's top map is M's transfer on that new source, and
-    reads the transfer's memoised decomposition.
+    Its top is the image of M's transfer (``abgroup._image``), presented on
+    the bottom's generators (v represents tr(v)), so its transfer is the
+    identity matrix and its restriction is the action norm.  The inclusion's
+    top map has M's transfer matrix and reads the transfer's memoised
+    decomposition.
     """
-    nb = m.bottom.ngens
-    top = FpAbGroup(nb, m.tr.kernel_lattice)
+    top, inclusion_top = _image(m.tr)
     res = AbHom(top, m.bottom, action_norm(m.gamma, m.p).matrix)
-    tr = AbHom(m.bottom, top, IntMatrix.identity(nb))
+    tr = AbHom(m.bottom, top, IntMatrix.identity(m.bottom.ngens))
     part = MackeyFunctor(m.p, top, m.bottom, m.gamma, res, tr)
-    inclusion = MackeyMorphism(part, m, _with_source(m.tr, top), AbHom.identity(m.bottom))
-    return part, inclusion
+    return part, MackeyMorphism(part, m, inclusion_top, AbHom.identity(m.bottom))
 
 
 def phi_functor(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism]:
@@ -110,10 +109,7 @@ def phi_functor(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism]:
         AbHom.zero(coker, trivial),
         AbHom.zero(trivial, coker),
     )
-    projection = MackeyMorphism(
-        m, part, AbHom(m.top, coker, proj.matrix), AbHom.zero(m.bottom, trivial)
-    )
-    return part, projection
+    return part, MackeyMorphism(m, part, proj, AbHom.zero(m.bottom, trivial))
 
 
 @dataclass(frozen=True)
@@ -255,8 +251,7 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
 
     # rank([tr | relations]) - rank(relations), both read from memoised decompositions
     k_rank = m.tr.smith.rank() - m.top.smith.rank()
-    quot, _ = phi_functor(m)
-    if invariant_factors(quot.top) != (1, ()):
+    if invariant_factors(cokernel(m.tr)[0]) != (1, ()):
         return ClassificationResult(
             False, reason=TRANSFER_NOT_SPLIT, transfer_image_rank=k_rank
         ), None

@@ -43,6 +43,18 @@ res: [[1]]
 tr: [[1]]
 """
 
+# an action of order 2 at p = 5, with the twisted Burnside res and tr
+ORDER_TWO_AT_FIVE = """\
+p: 5
+top.generators: 2
+top.relations: []
+bottom.generators: 1
+bottom.relations: []
+action: [[2]]
+res: [[1, 5]]
+tr: [[0], [1]]
+"""
+
 
 def cli(argv, capsys, monkeypatch=None, stdin_text=None):
     if stdin_text is not None:
@@ -215,6 +227,31 @@ def test_box_mismatched_primes(tmp_path, capsys):
     code, _, err = cli(["box", str(left), str(right)], capsys)
     assert code == 2
     assert "mismatched primes" in err
+
+
+@pytest.mark.parametrize("doc", [BROKEN, ORDER_TWO_AT_FIVE], ids=["double-coset", "order-2"])
+@pytest.mark.parametrize("command", ["box", "classify", "invert", "gamma", "phi", "iso"])
+def test_every_command_rejects_a_document_that_violates_the_axioms(tmp_path, capsys, command, doc):
+    """Exit 1 with the violated axioms on stderr and nothing on stdout, on
+    either side of a two-document command."""
+    bad, good = tmp_path / "bad.mk", tmp_path / "good.mk"
+    bad.write_text(doc)
+    good.write_text(render_machine(burnside(parse_functor(doc).p)))
+    for files in ([bad, good], [good, bad]) if command in ("box", "iso") else ([bad],):
+        code, out, err = cli([command, *map(str, files)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("mackeybox: axiom violated: ")
+
+
+def test_an_input_error_wins_over_a_violated_axiom(tmp_path, capsys):
+    """Every document is parsed before any is checked."""
+    bad, ill = tmp_path / "bad.mk", tmp_path / "ill.mk"
+    bad.write_text(BROKEN)
+    ill.write_text(ILL_DEFINED)
+    for command in ("box", "iso"):
+        code, out, err = cli([command, str(bad), str(ill)], capsys)
+        assert (code, out) == (2, "")
+        assert "ill-defined error" in err
 
 
 # -- classify / invert ------------------------------------------------------------

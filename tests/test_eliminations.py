@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackeybox import abgroup, intlin, mackey, separation
+from mackeybox import abgroup, intlin, separation
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
     GSet,
@@ -32,8 +32,8 @@ from helpers import pad_functor
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """The matrices handed to ``smith_normal_form`` (``abgroup``, ``mackey``
-    and ``separation`` import it by name)."""
+    """The matrices handed to ``smith_normal_form`` (``abgroup`` and
+    ``separation`` import it by name)."""
     inputs = []
     original = intlin.smith_normal_form
 
@@ -41,7 +41,7 @@ def eliminated(monkeypatch):
         inputs.append(a)
         return original(a)
 
-    for module in (intlin, abgroup, mackey, separation):
+    for module in (intlin, abgroup, separation):
         monkeypatch.setattr(module, "smith_normal_form", recording)
     return inputs
 

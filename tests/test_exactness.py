@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mackeybox.abgroup import (
     AbHom,
     FpAbGroup,
+    _image,
     cokernel,
     is_isomorphism,
     kernel,
@@ -94,6 +95,22 @@ def test_kernel_lattice_is_the_preimage_of_the_relations(f):
     assert f.kernel_lattice == preimage_gens(f.matrix, f.target.relations)
     dec = f.smith
     assert dec.u @ f.matrix.hstack(f.target.relations) @ dec.v == dec.s
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps())
+def test_kernel_and_image_are_presented_exactly(f):
+    """kernel(f)'s inclusion is well defined and injective, f kills it, and
+    its image plus the source relations holds every x with f(x) in the
+    target relations (a fresh elimination's preimage).  _image(f)'s
+    inclusion is well defined and injective and reads f's decomposition."""
+    _, inc = kernel(f)
+    assert inc.is_well_defined() and inc.is_injective()
+    assert f.target.contains_all(f.matrix @ inc.matrix)
+    assert inc.smith.contains_all(preimage_gens(f.matrix, f.target.relations))
+    _, inc = _image(f)
+    assert inc.smith is f.smith
+    assert inc.is_well_defined() and inc.is_injective()
 
 
 # -- middle exactness ------------------------------------------------------------------------

@@ -412,7 +412,7 @@ def test_box_quotient_only_divides_out_frobenius():
     mn = box_product(m, n)
     # rebuild the expected lattice directly
     from mackeybox.abgroup import coinvariants as co, direct_sum as ds, tensor_product as tp
-    from mackeybox.intlin import vstack as vs, IntMatrix as IM
+    from mackeybox.intlin import IntMatrix as IM
 
     bt = tp(m.bottom, n.bottom)
     gamma = AbHom(bt, bt, m.gamma.matrix.kron(n.gamma.matrix))

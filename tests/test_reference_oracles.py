@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from mackeybox.intlin import (
     IntMatrix,
     hermite_normal_form,
-    lattice_contains_all,
     smith_normal_form,
     solve_linear,
 )
@@ -56,7 +55,7 @@ from mackeybox.separation import (
     try_find_isomorphism,
 )
 
-from helpers import PRIMES, random_functor
+from helpers import PRIMES, det, random_functor
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -121,18 +120,42 @@ def square_pairs(draw):
     return m, draw(st.sampled_from(SMALL_PRIMES))
 
 
+@st.composite
+def torsion_modules(draw):
+    """(Z/d)^n modulo the cyclic submodule of a random v under a random
+    matrix gamma, with a small prime.  By Cayley-Hamilton v, gamma·v, ...,
+    gamma^(n-1)·v span a gamma-stable lattice, so gamma is well defined."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 12))
+    gamma = IntMatrix(n, n, draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(tuple)))
+    cols = [[d if i == j else 0 for i in range(n)] for j in range(n)]
+    v = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    for _ in range(n):
+        cols.append(v)
+        v = list(gamma.apply(v))
+    group = FpAbGroup(n, IntMatrix.from_columns(cols, rows=n))
+    return AbHom(group, group, gamma), draw(st.sampled_from(SMALL_PRIMES))
+
+
 # -- powers and norms ---------------------------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
-@given(square_pairs())
-def test_power_and_norm_equal_the_loops(case):
+@given(square_pairs(), torsion_modules())
+def test_power_and_norm_equal_the_loops(case, torsion_case):
+    """Matrix for matrix on a free module; as maps on a torsion module, whose
+    orbit is reduced modulo the relations."""
     m, p = case
     g = FpAbGroup.free(m.rows)
     gamma = AbHom(g, g, m)
     assert gamma.power(p).matrix == loop_power(m, p)
     assert gamma.power(p - 1).matrix == loop_power(m, p - 1)
     assert action_norm(gamma, p).matrix == loop_norm(m, p)
+    gamma, p = torsion_case
+    g, m = gamma.source, gamma.matrix
+    for k in (p, p - 1):
+        assert gamma.power(k).equals(AbHom(g, g, loop_power(m, k)))
+    assert action_norm(gamma, p).equals(AbHom(g, g, loop_norm(m, p)))
 
 
 def test_power_and_norm_small_exponents():
@@ -191,7 +214,7 @@ def membership_cases(draw):
 def test_lattice_contains_all_equals_solve_per_column(case):
     rel, m = case
     expected = all(solve_linear(rel, m.column(j)) is not None for j in range(m.cols))
-    assert lattice_contains_all(rel, m) == expected
+    assert smith_normal_form(rel).contains_all(m) == expected
 
 
 # -- Smith transforms built when first read -------------------------------------------------
@@ -379,14 +402,14 @@ def test_dense_smith_diagonal_is_the_determinant():
         rng = random.Random(n)
         a = IntMatrix(n, n, tuple(rng.randint(-9, 9) for _ in range(n * n)))
         diag = smith_normal_form(a).diagonal()
-        assert math.prod(diag) == abs(a.det())
+        assert math.prod(diag) == abs(det(a))
         if n < 2:
             continue
         rows = a.to_rows()
         rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[-2])]
         deficient = IntMatrix.from_rows(rows)
         diag = smith_normal_form(deficient).diagonal()
-        assert deficient.det() == 0 and diag[-1] == 0
+        assert det(deficient) == 0 and diag[-1] == 0
 
 
 # -- cost in p ------------------------------------------------------------------------------
@@ -422,23 +445,6 @@ def test_check_axioms_uses_logarithmically_many_products(monkeypatch):
 
 
 # -- orbits reduced modulo the relations ---------------------------------------------------
-
-
-@st.composite
-def torsion_modules(draw):
-    """(Z/d)^n modulo the cyclic submodule of a random v under a random
-    matrix gamma, with a small prime.  By Cayley-Hamilton v, gamma·v, ...,
-    gamma^(n-1)·v span a gamma-stable lattice, so gamma is well defined."""
-    n = draw(st.integers(1, 3))
-    d = draw(st.integers(2, 12))
-    gamma = IntMatrix(n, n, draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(tuple)))
-    cols = [[d if i == j else 0 for i in range(n)] for j in range(n)]
-    v = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    for _ in range(n):
-        cols.append(v)
-        v = list(gamma.apply(v))
-    group = FpAbGroup(n, IntMatrix.from_columns(cols, rows=n))
-    return AbHom(group, group, gamma), draw(st.sampled_from(SMALL_PRIMES))
 
 
 @settings(max_examples=150, deadline=None)
