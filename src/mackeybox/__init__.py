@@ -5,20 +5,12 @@ derived fixed-point and quotient constructions, and the classification of
 invertible objects under the box product.
 """
 
-from .intlin import (
-    IntMatrix,
-    SmithDecomposition,
-    smith_normal_form,
-    hermite_normal_form,
-    solve_linear,
-    kernel_basis,
-)
-from .abgroup import FpAbGroup, AbHom, invariant_factors, describe_group
+from .intlin import IntMatrix, SmithDecomposition, smith_normal_form
+from .abgroup import FpAbGroup, AbHom, invariant_factors
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
     GSet,
-    gset_product,
     check_axioms,
     verify_morphism,
     is_mackey_isomorphism,
@@ -31,7 +23,6 @@ from .mackey import (
     fixed_point_functor,
     orbit_functor,
     permutation_functor,
-    direct_sum_functors,
 )
 from .separation import (
     ClassificationResult,
@@ -42,7 +33,6 @@ from .separation import (
     gamma_functor,
     phi_functor,
     isotropy_sequence,
-    is_geometric,
     try_find_isomorphism,
     twisted_iso_criterion,
     twisted_isomorphism,
@@ -59,17 +49,12 @@ __all__ = [
     "IntMatrix",
     "SmithDecomposition",
     "smith_normal_form",
-    "hermite_normal_form",
-    "solve_linear",
-    "kernel_basis",
     "FpAbGroup",
     "AbHom",
     "invariant_factors",
-    "describe_group",
     "MackeyFunctor",
     "MackeyMorphism",
     "GSet",
-    "gset_product",
     "check_axioms",
     "verify_morphism",
     "is_mackey_isomorphism",
@@ -82,7 +67,6 @@ __all__ = [
     "fixed_point_functor",
     "orbit_functor",
     "permutation_functor",
-    "direct_sum_functors",
     "ClassificationResult",
     "IsoSearchResult",
     "IsotropySequence",
@@ -91,7 +75,6 @@ __all__ = [
     "gamma_functor",
     "phi_functor",
     "isotropy_sequence",
-    "is_geometric",
     "try_find_isomorphism",
     "twisted_iso_criterion",
     "twisted_isomorphism",

@@ -24,7 +24,6 @@ from .intlin import (
     IntMatrix,
     SmithDecomposition,
     _from_column_lists,
-    _int_vector,
     _reduce_columns,
     block_diagonal,
     lattice_basis,
@@ -104,9 +103,6 @@ class FpAbGroup:
         """The canonical (Hermite) basis of the relation lattice, memoised;
         products in an orbit are reduced modulo it."""
         return lattice_basis(self.relations)
-
-    def is_trivial(self) -> bool:
-        return invariant_factors(self) == (0, ())
 
 
 def invariant_factors(g: FpAbGroup) -> tuple[int, tuple[int, ...]]:
@@ -311,20 +307,6 @@ def direct_sum(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
     return FpAbGroup(g.ngens + h.ngens, block_diagonal(g.relations, h.relations))
 
 
-def quotient_by(g: FpAbGroup, extra) -> tuple[FpAbGroup, AbHom]:
-    """Quotient by further relations, given as coordinate vectors; returns
-    the quotient and the projection."""
-    cols = []
-    for item in extra:
-        coords = _int_vector(item)
-        if len(coords) != g.ngens:
-            raise ValueError("relation of the wrong length")
-        cols.append(coords)
-    extra_mat = IntMatrix.from_columns(cols, rows=g.ngens)
-    quot = FpAbGroup(g.ngens, g.relations.hstack(extra_mat))
-    return quot, AbHom(g, quot, IntMatrix.identity(g.ngens))
-
-
 def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
     """Largest quotient on which the order-p action gamma becomes trivial:
     the cokernel of gamma - 1.
@@ -385,13 +367,6 @@ def is_isomorphism(f: AbHom) -> bool:
     return f.is_well_defined() and f.is_surjective() and f.is_injective()
 
 
-def same_lattice(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether two generating sets span the same column lattice."""
-    if a.rows != b.rows:
-        raise ValueError("lattices in different ambient spaces")
-    return a == b or lattice_basis(a) == lattice_basis(b)
-
-
 __all__ = [
     "FpAbGroup",
     "AbHom",
@@ -399,10 +374,8 @@ __all__ = [
     "describe_group",
     "tensor_product",
     "direct_sum",
-    "quotient_by",
     "coinvariants",
     "kernel",
     "cokernel",
     "is_isomorphism",
-    "same_lattice",
 ]

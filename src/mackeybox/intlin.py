@@ -544,24 +544,24 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 # -- Hermite normal form -----------------------------------------------------
 
 
-def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form ``(H, U)`` with ``A @ U == H``.
+def hermite_normal_form(a: IntMatrix) -> IntMatrix:
+    """Column-style Hermite normal form H of A: ``A @ U == H`` for some
+    unimodular U, which is not built.
 
-    U is unimodular; H is the canonical lower column echelon form (positive
-    pivots, entries left of a pivot reduced into [0, pivot), zero columns
-    last), so two matrices span the same column lattice iff their H agree.
-    Computed afresh on each call; a presented group keeps the basis of its
-    relation lattice memoised (``FpAbGroup.hermite_basis``).
+    H is the canonical lower column echelon form (positive pivots, entries
+    left of a pivot reduced into [0, pivot), zero columns last), so two
+    matrices span the same column lattice iff their H agree.  Computed
+    afresh on each call; a presented group keeps the basis of its relation
+    lattice memoised (``FpAbGroup.hermite_basis``).
 
-    The column reduction runs on the transposes of H and U, so that each
-    column operation is a row operation on a list.
+    The column reduction runs on the transpose of H, so that each column
+    operation is a row operation on a list.
 
-    >>> hermite_normal_form(IntMatrix.from_rows([[2, 3]]))[0]
+    >>> hermite_normal_form(IntMatrix.from_rows([[2, 3]]))
     IntMatrix([[1, 0]])
     """
     m, n = a.rows, a.cols
     h = [list(a.column(j)) for j in range(n)]  # h[j] is column j of H
-    u = _identity_rows(n)  # u[j] is column j of U
     pc = 0  # next pivot column
     for r in range(m):
         if pc == n:
@@ -573,13 +573,11 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             jmin = min(nz, key=lambda j: (abs(h[j][r]), j))
             if jmin != pc:
                 _swap_rows(h, pc, jmin)
-                _swap_rows(u, pc, jmin)
             done = True
             for j in range(pc + 1, n):
                 if h[j][r]:
                     q = h[j][r] // h[pc][r]
                     _add_row(h, j, pc, -q)
-                    _add_row(u, j, pc, -q)
                     if h[j][r]:
                         done = False
             if done:
@@ -588,19 +586,17 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue  # no pivot in this row
         if h[pc][r] < 0:
             h[pc] = [-x for x in h[pc]]
-            u[pc] = [-x for x in u[pc]]
         piv = h[pc][r]
         for l in range(pc):  # reduce earlier columns: 0 <= h[r][l] < pivot
             q = h[l][r] // piv
             _add_row(h, l, pc, -q)
-            _add_row(u, l, pc, -q)
         pc += 1
-    return _from_column_lists(h, m), _from_column_lists(u, n)
+    return _from_column_lists(h, m)
 
 
 def lattice_basis(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the column lattice (nonzero Hermite columns)."""
-    h, _ = hermite_normal_form(a)
+    h = hermite_normal_form(a)
     keep = [j for j in range(h.cols) if any(h.column(j))]
     return h.take_columns(keep)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .intlin import IntMatrix, block_diagonal
+from .intlin import IntMatrix
 from .abgroup import AbHom, FpAbGroup, coinvariants, cokernel, direct_sum, kernel, tensor_product
 
 
@@ -245,11 +245,6 @@ class GSet:
             raise ValueError("orbit counts must be nonnegative")
 
 
-def gset_product(s: GSet, t: GSet, p: int) -> GSet:
-    """The product C_p-set: free orbits absorb everything they touch."""
-    return GSet(s.fixed * t.fixed, s.fixed * t.free + s.free * t.fixed + p * s.free * t.free)
-
-
 def permutation_functor(p: int, s: GSet) -> MackeyFunctor:
     """The fixed-point functor of the permutation module Z[s].
 
@@ -269,21 +264,6 @@ def permutation_functor(p: int, s: GSet) -> MackeyFunctor:
             entries[base + (i + 1) % p][base + i] = 1
     gamma = AbHom(module, module, IntMatrix.from_rows(entries, cols=n))
     return fixed_point_functor(p, module, gamma)
-
-
-def direct_sum_functors(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
-    if m.p != n.p:
-        raise ValueError("mismatched primes")
-    top = direct_sum(m.top, n.top)
-    bottom = direct_sum(m.bottom, n.bottom)
-    return MackeyFunctor(
-        m.p,
-        top,
-        bottom,
-        AbHom(bottom, bottom, block_diagonal(m.gamma.matrix, n.gamma.matrix)),
-        AbHom(top, bottom, block_diagonal(m.res.matrix, n.res.matrix)),
-        AbHom(bottom, top, block_diagonal(m.tr.matrix, n.tr.matrix)),
-    )
 
 
 # -- the box product ---------------------------------------------------------
@@ -352,10 +332,6 @@ class MackeyMorphism:
         ):
             raise ValueError("phi_bottom must map source bottom to target bottom")
 
-    @classmethod
-    def identity(cls, m: MackeyFunctor) -> "MackeyMorphism":
-        return cls(m, m, AbHom.identity(m.top), AbHom.identity(m.bottom))
-
     def then(self, other: "MackeyMorphism") -> "MackeyMorphism":
         """Composite: first self, then other."""
         if self.target != other.source:
@@ -423,8 +399,6 @@ __all__ = [
     "fixed_point_functor",
     "orbit_functor",
     "permutation_functor",
-    "gset_product",
-    "direct_sum_functors",
     "box_product",
     "verify_morphism",
     "is_mackey_isomorphism",

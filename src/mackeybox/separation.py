@@ -54,8 +54,7 @@ class ClassificationResult:
     For an invertible functor, ``d_class`` is the twist canonicalized to
     ``min(d mod p, -d mod p)``; ``sign_ambiguous`` records that the
     complementary representative ``p - d_class`` presents an isomorphic
-    functor.  ``transfer_image_rank`` is the rank of the image of the
-    transfer inside the top (a diagnostic; 1 for every invertible functor).
+    functor.
     """
 
     invertible: bool
@@ -63,7 +62,6 @@ class ClassificationResult:
     sign_ambiguous: bool = False
     reason: str | None = None
     twist_found: int | None = None
-    transfer_image_rank: int | None = None
 
     def __str__(self):
         if self.invertible:
@@ -180,12 +178,6 @@ def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
     )
 
 
-def is_geometric(m: MackeyFunctor) -> bool:
-    """Whether the projection to the transfer-cokernel quotient is an iso."""
-    _, projection = phi_functor(m)
-    return is_mackey_isomorphism(projection)
-
-
 # -- twisted Burnside functors -------------------------------------------------
 
 
@@ -249,21 +241,14 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
     if invariant_factors(m.top) != (2, ()):
         return ClassificationResult(False, reason=TOP_NOT_RANK_2), None
 
-    # rank([tr | relations]) - rank(relations), both read from memoised decompositions
-    k_rank = m.tr.smith.rank() - m.top.smith.rank()
     if invariant_factors(cokernel(m.tr)[0]) != (1, ()):
-        return ClassificationResult(
-            False, reason=TRANSFER_NOT_SPLIT, transfer_image_rank=k_rank
-        ), None
+        return ClassificationResult(False, reason=TRANSFER_NOT_SPLIT), None
 
     pi_b, sec_b = _quotient_iso(m.bottom, 1)
     pi_t, sec_t = _quotient_iso(m.top, 2)
     g = sec_b.column(0)  # a generator of the bottom
+    # coker tr = Z, so tr(g) is primitive in the top Z^2: gcd(t1, t2) = 1
     t1, t2 = pi_t.apply(m.tr.matrix.apply(g))
-    if gcd(t1, t2) != 1:  # defensive; the cokernel test above rules this out
-        return ClassificationResult(
-            False, reason=TRANSFER_NOT_SPLIT, transfer_image_rank=k_rank
-        ), None
     _, a, b = extended_gcd(t1, t2)
     w = (b, -a)  # completes tr(g) to a basis: det [w | t] = a·t1 + b·t2 = 1
     lift_w = sec_t.apply(w)
@@ -275,11 +260,7 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
     d_class = min(d_raw % p, (-d_raw) % p)
     if gcd(d_raw, p) != 1:
         return ClassificationResult(
-            False,
-            reason=TWIST_NOT_COPRIME,
-            d_class=d_class,
-            twist_found=d_raw,
-            transfer_image_rank=k_rank,
+            False, reason=TWIST_NOT_COPRIME, d_class=d_class, twist_found=d_raw
         ), None
 
     # witness: an isomorphism M → twisted_burnside(p, d_raw) sending the
@@ -292,12 +273,7 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
         AbHom(m.top, target.top, b_inv @ pi_t),
         AbHom(m.bottom, target.bottom, pi_b),
     )
-    result = ClassificationResult(
-        True,
-        d_class=d_class,
-        sign_ambiguous=(2 * d_class) % p != 0,
-        transfer_image_rank=k_rank,
-    )
+    result = ClassificationResult(True, d_class=d_class, sign_ambiguous=(2 * d_class) % p != 0)
     return result, witness
 
 
@@ -497,7 +473,6 @@ __all__ = [
     "gamma_functor",
     "phi_functor",
     "isotropy_sequence",
-    "is_geometric",
     "twisted_iso_criterion",
     "twisted_isomorphism",
     "classify_invertible",

@@ -1,9 +1,12 @@
-"""Shared test utilities: random generators and hand-built isomorphisms."""
+"""Shared test utilities: reference oracles, constructions only tests use,
+random generators and hand-built isomorphisms."""
 
 from __future__ import annotations
 
-from mackeybox.intlin import IntMatrix, kernel_basis, solve_linear
-from mackeybox.abgroup import AbHom, FpAbGroup
+import itertools
+
+from mackeybox.intlin import IntMatrix, block_diagonal, kernel_basis, smith_normal_form, solve_linear
+from mackeybox.abgroup import AbHom, FpAbGroup, direct_sum, invariant_factors
 from mackeybox.mackey import (
     GSet,
     MackeyFunctor,
@@ -11,9 +14,7 @@ from mackeybox.mackey import (
     box_product,
     burnside,
     constant_z,
-    direct_sum_functors,
     fixed_point_functor,
-    gset_product,
     orbit_functor,
     permutation_functor,
     twisted_burnside,
@@ -60,6 +61,100 @@ def det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def column_hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The Hermite form by column operations on row-major lists, with its
+    transform: ``(H, U)`` with ``a @ U == H``, U unimodular.  The reference
+    for ``intlin.hermite_normal_form``, which reduces the transpose and
+    builds no U."""
+
+    def swap_cols(m, i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(m, dst, src, q):
+        if q:
+            for row in m:
+                row[dst] += q * row[src]
+
+    m, n = a.rows, a.cols
+    h = a.to_rows()
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pc = 0
+    for r in range(m):
+        if pc == n:
+            break
+        while True:
+            nz = [j for j in range(pc, n) if h[r][j]]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: (abs(h[r][j]), j))
+            if jmin != pc:
+                swap_cols(h, pc, jmin)
+                swap_cols(u, pc, jmin)
+            done = True
+            for j in range(pc + 1, n):
+                if h[r][j]:
+                    q = h[r][j] // h[r][pc]
+                    add_col(h, j, pc, -q)
+                    add_col(u, j, pc, -q)
+                    if h[r][j]:
+                        done = False
+            if done:
+                break
+        if h[r][pc] == 0:
+            continue
+        if h[r][pc] < 0:
+            for row in h:
+                row[pc] = -row[pc]
+            for row in u:
+                row[pc] = -row[pc]
+        piv = h[r][pc]
+        for l in range(pc):
+            q = h[r][l] // piv
+            add_col(h, l, pc, -q)
+            add_col(u, l, pc, -q)
+        pc += 1
+    return IntMatrix(m, n, tuple(itertools.chain(*h))), IntMatrix(n, n, tuple(itertools.chain(*u)))
+
+
+def same_lattice(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether two generating sets span the same column lattice: each lies
+    in the other's, by Smith membership, with no Hermite form."""
+    if a.rows != b.rows:
+        raise ValueError("lattices in different ambient spaces")
+    return smith_normal_form(a).contains_all(b) and smith_normal_form(b).contains_all(a)
+
+
+def is_trivial(g: FpAbGroup) -> bool:
+    return invariant_factors(g) == (0, ())
+
+
+# -- constructions only tests use ----------------------------------------------
+
+
+def gset_product(s: GSet, t: GSet, p: int) -> GSet:
+    """The product C_p-set: free orbits absorb everything they touch."""
+    return GSet(s.fixed * t.fixed, s.fixed * t.free + s.free * t.fixed + p * s.free * t.free)
+
+
+def direct_sum_functors(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
+    if m.p != n.p:
+        raise ValueError("mismatched primes")
+    top = direct_sum(m.top, n.top)
+    bottom = direct_sum(m.bottom, n.bottom)
+    return MackeyFunctor(
+        m.p,
+        top,
+        bottom,
+        AbHom(bottom, bottom, block_diagonal(m.gamma.matrix, n.gamma.matrix)),
+        AbHom(top, bottom, block_diagonal(m.res.matrix, n.res.matrix)),
+        AbHom(bottom, top, block_diagonal(m.tr.matrix, n.tr.matrix)),
+    )
+
+
+# -- random generators ---------------------------------------------------------
 
 
 def random_presentation(rng, max_gens=3, max_rels=3, entry=4) -> FpAbGroup:

@@ -23,7 +23,6 @@ from mackeybox.mackey import (
     burnside,
     check_axioms,
     constant_z,
-    gset_product,
     is_mackey_isomorphism,
     permutation_functor,
     twisted_burnside,
@@ -47,6 +46,7 @@ from helpers import (
     c2_orbit_box_morphism,
     constant_box_morphism,
     det,
+    gset_product,
     random_functor,
     twisted_box_morphism,
 )

@@ -70,10 +70,12 @@ def test_isomorphism_search_eliminates_each_system_once(eliminated):
 def test_classification_never_eliminates_a_tier_transform(eliminated, p, d):
     """Sections are the columns of each tier's U⁻¹ past the rank, replayed
     from the tier's decomposition: no square matrix of a tier's size is
-    eliminated, and neither tier's U."""
+    eliminated, and neither tier's U.  Nor is ``[tr | top relations]``: the
+    transfer is read through the cokernel of tr alone."""
     m = pad_functor(pad_functor(twisted_burnside(p, d), random.Random(3)), random.Random(4))
-    result, _ = separation._classify(m)
+    result = separation.classify_invertible(m)
     assert result.invertible == (d % p != 0)
+    assert "smith" not in m.tr.__dict__
     tier_us = (m.top.smith.u, m.bottom.smith.u)
     sizes = {(m.top.ngens, m.top.ngens), (m.bottom.ngens, m.bottom.ngens)}
     assert m.top.relations.cols and m.bottom.relations.cols
@@ -181,15 +183,16 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, 
 
 
 def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
-    """Of the 7 matrices that classifying and inverting twisted_burnside
+    """Of the 5 matrices that classifying and inverting twisted_burnside
     (10007, 2) hands to ``smith_normal_form``, the one identity-led one (an
-    identity map) skips the loop.  The rank of the transfer's image is read
-    from the transfer's and the top's decompositions, so Gamma's top is not
-    eliminated, and each tier's section is read from its U⁻¹, so no
-    projection is eliminated."""
+    identity map) skips the loop.  The transfer is read only through the
+    relations of its cokernel, so neither ``[tr | top relations]`` nor
+    Gamma's top is eliminated (7 before the transfer-image rank was dropped),
+    and each tier's section is read from its U⁻¹, so no projection is
+    eliminated."""
     m = twisted_burnside(10007, 2)
     assert separation.classify_invertible(m).invertible
     assert separation.invert(m) is not None
-    assert len(eliminated) == 7
+    assert len(eliminated) == 5
     assert sum(map(leads_with_identity, eliminated)) == 1
     assert loops == [a for a in eliminated if not leads_with_identity(a)]

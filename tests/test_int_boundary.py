@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mackeybox.abgroup import AbHom, FpAbGroup, quotient_by
+from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.intlin import (
     IntMatrix,
     _reduce_columns,
@@ -29,12 +29,6 @@ NON_INTS = [1.9, 2.5, True, False, "2"]
 def test_solve_linear_rejects_a_non_int_right_hand_side(bad):
     with pytest.raises(TypeError):
         solve_linear(IntMatrix.from_rows([[2]]), (bad,))
-
-
-@pytest.mark.parametrize("bad", NON_INTS)
-def test_quotient_by_rejects_a_non_int_relation(bad):
-    with pytest.raises(TypeError):
-        quotient_by(FpAbGroup.free(1), [[bad]])
 
 
 @pytest.mark.parametrize("bad", NON_INTS)
@@ -143,7 +137,7 @@ def test_every_operation_gives_a_checked_matrix(ops):
         a.scaled(k),
         IntMatrix.identity(a.rows),
         IntMatrix.zeros(a.rows, a.cols),
-        *hermite_normal_form(a),
+        hermite_normal_form(a),
         _reduce_columns(e, lattice_basis(a)),
     ]
     dec = smith_normal_form(a)

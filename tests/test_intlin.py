@@ -23,7 +23,7 @@ from mackeybox.intlin import (
     solve_linear,
 )
 
-from helpers import det
+from helpers import column_hermite, det
 
 
 def random_matrix(rng, max_dim=6, entry=9):
@@ -270,7 +270,11 @@ def test_kernel_basis_spans_and_saturates():
 
 
 def check_hermite(a: IntMatrix):
-    h, u = hermite_normal_form(a)
+    """H equals the column-operation reference, whose own U is unimodular
+    and carries A to H, and H is in canonical echelon form."""
+    h = hermite_normal_form(a)
+    h_ref, u = column_hermite(a)
+    assert h == h_ref
     assert a @ u == h
     assert abs(det(u)) == 1
     pivots = []
@@ -290,14 +294,12 @@ def check_hermite(a: IntMatrix):
             assert h.at(r, jj) == 0
         for jj in range(j):
             assert 0 <= h.at(r, jj) < piv
-    return h, u
 
 
 def test_hermite_canonical_examples():
-    h, _ = hermite_normal_form(IntMatrix.from_rows([[2, 3]]))
-    assert h.to_rows() == [[1, 0]]
-    h1, _ = hermite_normal_form(IntMatrix.from_rows([[2], [0]]))
-    h2, _ = hermite_normal_form(IntMatrix.from_rows([[-2], [0]]))
+    assert hermite_normal_form(IntMatrix.from_rows([[2, 3]])).to_rows() == [[1, 0]]
+    h1 = hermite_normal_form(IntMatrix.from_rows([[2], [0]]))
+    h2 = hermite_normal_form(IntMatrix.from_rows([[-2], [0]]))
     assert h1 == h2
 
 
@@ -322,8 +324,8 @@ def test_hermite_is_lattice_invariant():
             new_cols = [list(b.column(c)) for c in range(b.cols)]
             new_cols[i] = [x + q * y for x, y in zip(new_cols[i], new_cols[j])]
             b = IntMatrix.from_columns(new_cols, rows=b.rows)
-        ha, _ = hermite_normal_form(a)
-        hb, _ = hermite_normal_form(b)
+        ha = hermite_normal_form(a)
+        hb = hermite_normal_form(b)
         assert ha == hb
         for j in range(a.cols):
             assert hermite_member(ha, a.column(j))

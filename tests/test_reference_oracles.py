@@ -6,8 +6,8 @@ dense triple loop, and batched lattice membership with one ``solve_linear``
 per column.  The operation-count test pins the logarithmic cost in p.  The
 Smith transforms replayed from the recorded operations are compared with an
 elimination that updates them at each step, the row-operation Hermite form
-with the column-operation version kept here, and the Smith diagonal of dense matrices with the Bareiss
-determinant.  The Kronecker-built Frobenius relations are compared with the
+with the column-operation version in the test helpers, and the Smith diagonal
+of dense matrices with the Bareiss determinant.  The Kronecker-built Frobenius relations are compared with the
 hand-indexed loop, and the isomorphism search with a brute force over both
 tiers.
 """
@@ -32,7 +32,6 @@ from mackeybox.abgroup import (
     direct_sum,
     invariant_factors,
     is_isomorphism,
-    quotient_by,
     tensor_product,
 )
 from mackeybox.mackey import (
@@ -55,7 +54,7 @@ from mackeybox.separation import (
     try_find_isomorphism,
 )
 
-from helpers import PRIMES, det, random_functor
+from helpers import PRIMES, column_hermite, det, random_functor
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -331,65 +330,11 @@ def test_each_question_builds_only_the_transforms_it_reads():
     assert built(dec) == {"u", "v", "_v_columns"}
 
 
-def column_hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """The Hermite form by column operations on row-major lists, as
-    ``intlin.hermite_normal_form`` computed it before it moved to the transposes."""
-
-    def swap_cols(m, i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(m, dst, src, q):
-        if q:
-            for row in m:
-                row[dst] += q * row[src]
-
-    m, n = a.rows, a.cols
-    h = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pc = 0
-    for r in range(m):
-        if pc == n:
-            break
-        while True:
-            nz = [j for j in range(pc, n) if h[r][j]]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: (abs(h[r][j]), j))
-            if jmin != pc:
-                swap_cols(h, pc, jmin)
-                swap_cols(u, pc, jmin)
-            done = True
-            for j in range(pc + 1, n):
-                if h[r][j]:
-                    q = h[r][j] // h[r][pc]
-                    add_col(h, j, pc, -q)
-                    add_col(u, j, pc, -q)
-                    if h[r][j]:
-                        done = False
-            if done:
-                break
-        if h[r][pc] == 0:
-            continue
-        if h[r][pc] < 0:
-            for row in h:
-                row[pc] = -row[pc]
-            for row in u:
-                row[pc] = -row[pc]
-        piv = h[r][pc]
-        for l in range(pc):
-            q = h[r][l] // piv
-            add_col(h, l, pc, -q)
-            add_col(u, l, pc, -q)
-        pc += 1
-    return IntMatrix(m, n, tuple(itertools.chain(*h))), IntMatrix(n, n, tuple(itertools.chain(*u)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(matrices(max_dim=7))
 def test_row_operation_hermite_equals_the_column_version(a):
-    h, u = hermite_normal_form(a)
-    assert (h, u) == column_hermite(a)
+    h, u = column_hermite(a)
+    assert hermite_normal_form(a) == h
     assert a @ u == h
 
 
@@ -492,7 +437,8 @@ def loop_box_top(m: MackeyFunctor, n: MackeyFunctor) -> FpAbGroup:
             for l in range(n.bottom.ngens):
                 v[nt + k * n.bottom.ngens + l] -= n.res.matrix.at(l, j)
             frobenius.append(v)
-    return quotient_by(direct_sum(tt, coinv), frobenius)[0]
+    base = direct_sum(tt, coinv)
+    return FpAbGroup(base.ngens, base.relations.hstack(IntMatrix.from_columns(frobenius, rows=nt + nb)))
 
 
 @settings(max_examples=100, deadline=None)
