@@ -16,13 +16,13 @@ endomorphism's order-p orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
 
 from .intlin import (
     IntMatrix,
     SmithDecomposition,
+    _Frozen,
     _from_column_lists,
     _reduce_columns,
     block_diagonal,
@@ -31,24 +31,25 @@ from .intlin import (
 )
 
 
-@dataclass(frozen=True)
-class FpAbGroup:
+class FpAbGroup(_Frozen, fields=("ngens", "relations")):
     """Z^ngens modulo the column lattice of ``relations``.
 
     >>> invariant_factors(FpAbGroup.cyclic(6))
     (0, (6,))
     """
 
-    ngens: int
-    relations: IntMatrix
-
-    def __post_init__(self):
-        if self.ngens < 0:
+    def __init__(self, ngens: int, relations: IntMatrix):
+        if ngens < 0:
             raise ValueError("generator count must be nonnegative")
-        if self.relations.rows != self.ngens:
-            raise ValueError(
-                f"relation columns have length {self.relations.rows}, expected {self.ngens}"
-            )
+        if relations.rows != ngens:
+            raise ValueError(f"relation columns have length {relations.rows}, expected {ngens}")
+        object.__setattr__(self, "ngens", ngens)
+        object.__setattr__(self, "relations", relations)
+
+    def __eq__(self, other):
+        if other.__class__ is not FpAbGroup:
+            return NotImplemented
+        return self is other or (self.ngens, self.relations) == (other.ngens, other.relations)
 
     @classmethod
     def free(cls, n: int) -> "FpAbGroup":
@@ -131,20 +132,24 @@ def describe_group(g: FpAbGroup) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class AbHom:
+class AbHom(_Frozen, fields=("source", "target", "matrix")):
     """A homomorphism of presented groups, as a matrix on coordinates."""
 
-    source: FpAbGroup
-    target: FpAbGroup
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.ngens or self.matrix.cols != self.source.ngens:
+    def __init__(self, source: FpAbGroup, target: FpAbGroup, matrix: IntMatrix):
+        if matrix.rows != target.ngens or matrix.cols != source.ngens:
             raise ValueError(
-                f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
-                f"{self.target.ngens}x{self.source.ngens}"
+                f"matrix is {matrix.rows}x{matrix.cols}, expected {target.ngens}x{source.ngens}"
             )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not AbHom:
+            return NotImplemented
+        return self is other or (self.source, self.target, self.matrix) == (
+            other.source, other.target, other.matrix
+        )
 
     @classmethod
     def identity(cls, g: FpAbGroup) -> "AbHom":

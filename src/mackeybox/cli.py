@@ -29,6 +29,8 @@ from .separation import (
     try_find_isomorphism,
 )
 
+_MAX_GENERATORS = 512  # n = fixed + p * free of `make permutation`, whose action is dense n x n
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -143,6 +145,9 @@ def _cmd_make(args) -> int:
             return _fail("make twisted requires --twist", 2)
         m = twisted_burnside(args.p, args.twist)
     else:  # permutation
+        n = args.fixed + args.p * args.free
+        if n > _MAX_GENERATORS:
+            return _fail(f"make permutation: {n} generators exceed the bound {_MAX_GENERATORS}", 2)
         m = permutation_functor(args.p, GSet(args.fixed, args.free))
     return _emit(m, args.format)
 

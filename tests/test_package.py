@@ -1,12 +1,16 @@
 """The package root re-exports the full public API, and the README's Library
 section indexes exactly that API and runs."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mackeybox
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def library_section() -> str:
@@ -39,3 +43,15 @@ def test_core_workflow_via_root_namespace():
     assert mackeybox.parse_functor(mackeybox.render_machine(inverse)) == inverse
     assert mackeybox.isotropy_sequence(m).exact
     assert mackeybox.is_mackey_isomorphism(mackeybox.unit_isomorphism(m))
+
+
+def test_the_command_line_starts_without_dataclasses_or_inspect():
+    """Each pipeline stage is a fresh interpreter, so an import that the CLI
+    does not need is paid on every stage; ``-S`` keeps the host's ``site``
+    imports out of the answer."""
+    probe = "import sys, mackeybox.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
