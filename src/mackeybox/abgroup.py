@@ -9,9 +9,9 @@ cokernels) reduces to integer linear algebra from :mod:`.intlin`.
 
 Groups and homomorphisms are frozen, so a fact derived from one is computed
 at most once and kept on it (``functools.cached_property``; the memo is not a
-field, so ``==`` and ``hash`` ignore it): a group's Smith decomposition and
-Hermite basis, a homomorphism's Smith decomposition and kernel lattice, and an
-endomorphism's order-p orbit.
+field, so ``==`` and ``hash`` ignore it): a group's Smith decomposition,
+Hermite basis and the columns it recognises as relations, a homomorphism's
+Smith decomposition and kernel lattice, and an endomorphism's order-p orbit.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .intlin import (
     IntMatrix,
     SmithDecomposition,
     _Frozen,
-    _from_column_lists,
     _reduce_columns,
+    _sparse_rows,
     block_diagonal,
     lattice_basis,
     smith_normal_form,
@@ -82,22 +82,26 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         ``is_well_defined``, ``equals`` and ``is_injective``.
 
         A column that is zero or plus or minus a relation is a member by
-        inspection; with no relations only zero columns are; the rest are
-        answered by the group's memoised Smith decomposition (``smith``).
+        inspection; with no relations only zero columns are.  When some
+        column is neither, the group's memoised Smith decomposition
+        (``smith``) answers for all of them.
 
         >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
         True
         """
-        rel = self.relations
-        if rel.cols == 0:
+        if self.relations.cols == 0 or m.is_zero():
             return m.is_zero()
-        relations = set(map(rel.column, range(rel.cols)))
-        rest = [
-            c
-            for c in map(m.column, range(m.cols))
-            if any(c) and c not in relations and tuple(map(neg, c)) not in relations
-        ]
-        return not rest or self.smith.contains_all(_from_column_lists(rest, m.rows))
+        known = self._members_by_inspection
+        return all(
+            not col[0] or col in known for col in _sparse_rows(m.transpose())
+        ) or self.smith.contains_all(m)
+
+    @cached_property
+    def _members_by_inspection(self) -> frozenset:
+        """Each relation and its negative, as the ``(indices, values)`` of
+        its nonzeros (a row of the transposed relations), memoised."""
+        columns = _sparse_rows(self.relations.transpose())
+        return frozenset(columns + [(idx, tuple(map(neg, vals))) for idx, vals in columns])
 
     @cached_property
     def hermite_basis(self) -> IntMatrix:
@@ -212,10 +216,11 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         return rel.cols == 0 or self.target.contains_all(self.matrix @ rel)
 
     def equals(self, other: "AbHom") -> bool:
-        """Equality as maps on the presented groups (not of matrices)."""
+        """Equality as maps on the presented groups (not of matrices); equal
+        matrices answer at once."""
         if (self.source, self.target) != (other.source, other.target):
             return False
-        return self.target.contains_all(self.matrix - other.matrix)
+        return self.matrix == other.matrix or self.target.contains_all(self.matrix - other.matrix)
 
     @cached_property
     def smith(self) -> SmithDecomposition:

@@ -29,7 +29,7 @@ from .separation import (
     try_find_isomorphism,
 )
 
-_MAX_GENERATORS = 512  # n = fixed + p * free of `make permutation`, whose action is dense n x n
+_MAX_GENERATORS = 512  # n = fixed + p * free of `make permutation`: bounds the document it prints
 
 
 def _read(path: str) -> str:

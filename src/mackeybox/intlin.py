@@ -1,7 +1,8 @@
 """Exact linear algebra over the integers.
 
-Matrices are immutable, row-major, and hold arbitrary-precision Python ints,
-so nothing here can overflow.  Throughout the package a matrix acts on column
+Matrices are immutable, store the nonzero entries of each row (see
+``IntMatrix``), and hold arbitrary-precision Python ints, so nothing here can
+overflow.  Throughout the package a matrix acts on column
 vectors: ``A @ B`` means "apply B, then A", and the *column lattice* of a
 matrix is the set of integer combinations of its columns.
 
@@ -11,25 +12,29 @@ the vectors handed to ``apply`` and ``solve_linear`` accept only Python ints,
 not bools.  A matrix this module computes from checked matrices (products,
 sums, stacks, transposes, row and column selections, identities and the
 outputs of the eliminations) is built by ``_trusted``, which skips the
-per-entry check.
+per-entry check.  The eliminations run on dense lists of rows.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain, compress
+from bisect import bisect_left
+from functools import cached_property, lru_cache
+from itertools import accumulate, compress, repeat
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, lt, mul, neg, sub
 
 
 class _Frozen:
     """Shared cold half of a frozen record ``class R(_Frozen, fields=(...))``.
     R's ``__init__`` sets each field once by ``object.__setattr__``, which
     keeps it out of a ``__dict__`` (144 bytes more per record on CPython 3.11).
-    Assignment raises; ``==``, ``hash`` and the repr read no memo, only fields."""
+    Assignment raises; ``==``, ``hash`` and the repr read no memo, only fields.
+    A record that keeps no memo can declare its fields as ``__slots__``."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls, fields: tuple[str, ...]):
-        cls._fields = fields
+        cls._fields, cls._values = fields, property(attrgetter(*fields))
         cls.__hash__ = _Frozen.__hash__  # which a class that writes its own __eq__ would lose
 
     def __setattr__(self, name, value):
@@ -42,151 +47,193 @@ class _Frozen:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._values() == other._values()
+        return self is other or self._values == other._values
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
-class IntMatrix(_Frozen, fields=("rows", "cols", "entries")):
-    """An immutable ``rows x cols`` integer matrix, stored row-major.
+class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")):
+    """An immutable ``rows x cols`` integer matrix, stored row-compressed:
+    row i holds the nonzeros ``values[offsets[i]:offsets[i + 1]]`` in the
+    columns ``indices[offsets[i]:offsets[i + 1]]``, ascending.  No zero is
+    stored, so equal matrices have equal fields, and the kernels below cost
+    the nonzeros they read.  ``entries`` is the dense row-major view, built
+    on each read.
 
     >>> a = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> a @ a
     IntMatrix([[7, 10], [15, 22]])
     >>> a.apply((1, 0))
     (1, 3)
+    >>> b = IntMatrix.from_rows([[0, 5], [0, 0], [-1, 2]])
+    >>> b.offsets, b.indices, b.values
+    ((0, 1, 1, 3), (1, 0, 1), (5, -1, 2))
     """
+
+    __slots__ = ("rows", "cols", "offsets", "indices", "values")
 
     def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
         _check_size(rows)
         _check_size(cols)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        _check_ints(entries, "matrix entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not IntMatrix:
-            return NotImplemented
-        return self is other or (
-            self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
-        )
+        _from_row_lists([entries[i * cols : (i + 1) * cols] for i in range(rows)], cols, True, self)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        if cols is not None and rows and width != cols:
-            raise ValueError(f"rows have length {width}, expected {cols}")
-        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
+        rows, width = _uniform(rows, cols, "rows")
+        return _from_row_lists(rows, width, check=True)
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
-        columns = [list(c) for c in columns]
-        if columns:
-            height = len(columns[0])
-            if any(len(c) != height for c in columns):
-                raise ValueError("ragged columns")
-        else:
-            height = 0 if rows is None else rows
-        if rows is not None and columns and height != rows:
-            raise ValueError(f"columns have length {height}, expected {rows}")
-        return cls(height, len(columns), tuple(chain.from_iterable(zip(*columns))))
+        columns, height = _uniform(columns, rows, "columns")
+        return _from_row_lists(list(zip(*columns)) if columns else [()] * height, len(columns), True)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         _check_size(n)
-        return _trusted(n, n, _eye_entries(n, n))
+        return _eye(n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         _check_size(rows)
         _check_size(cols)
-        return _trusted(rows, cols, (0,) * (rows * cols))
+        return _trusted(rows, cols, _offsets(rows, False), (), ())
 
     @classmethod
     def column_vector(cls, vec) -> "IntMatrix":
-        vec = tuple(vec)
-        return cls(len(vec), 1, vec)
+        return _from_row_lists([(x,) for x in vec], 1, check=True)
 
     # -- access ------------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The dense row-major entries, built afresh on each read."""
+        vals = self.values
+        if len(vals) == self.rows * self.cols:  # no zero: the values are the entries
+            return vals
+        if not vals:
+            return (0,) * (self.rows * self.cols)
+        c, o, idx = self.cols, self.offsets, self.indices
+        flat = [0] * (self.rows * c)
+        i = 0  # the row of the k-th nonzero
+        for k in range(len(vals)):
+            while o[i + 1] <= k:
+                i += 1
+            flat[i * c + idx[k]] = vals[k]
+        return tuple(flat)
 
     def at(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        return self._at(i, j)
+
+    def _at(self, i: int, j: int) -> int:
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        k = bisect_left(self.indices, j, lo, hi)
+        return self.values[k] if k < hi and self.indices[k] == j else 0
 
     def row(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} outside [0, {self.rows})")
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.take_rows((i,)).entries
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside [0, {self.cols})")
-        return self.entries[j :: self.cols]
+        return tuple(map(self._at, range(self.rows), repeat(j)))
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        flat, c = self.entries, self.cols
+        return [list(flat[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def take_rows(self, indices) -> "IntMatrix":
-        return _from_row_lists([self.row(i) for i in indices], self.cols)
+        o, idx, vals = self.offsets, self.indices, self.values
+        offsets, picked, values = [0], [], []
+        for i in indices:
+            if not 0 <= i < self.rows:
+                raise IndexError(f"row {i} outside [0, {self.rows})")
+            picked += idx[o[i] : o[i + 1]]
+            values += vals[o[i] : o[i + 1]]
+            offsets.append(len(values))
+        return _trusted(len(offsets) - 1, self.cols, tuple(offsets), tuple(picked), tuple(values))
 
     def take_columns(self, indices) -> "IntMatrix":
-        return _from_column_lists([self.column(j) for j in indices], self.rows)
+        """Ascending distinct indices keep each row's order; others go
+        through the transpose."""
+        indices = list(indices)
+        for j in indices:
+            if not 0 <= j < self.cols:
+                raise IndexError(f"column {j} outside [0, {self.cols})")
+        if not all(map(lt, indices, indices[1:])):
+            return self.transpose().take_rows(indices).transpose()
+        if len(indices) == self.cols:  # all of them, in order
+            return self
+        new = dict(zip(indices, range(len(indices))))
+        offsets, picked, values = [0], [], []
+        for idx, vals in _sparse_rows(self):
+            for j, v in zip(idx, vals):
+                if j in new:
+                    picked.append(new[j])
+                    values.append(v)
+            offsets.append(len(values))
+        return _trusted(self.rows, len(indices), tuple(offsets), tuple(picked), tuple(values))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self.values
 
     def __repr__(self):
         return f"IntMatrix({self.to_rows()})"
 
+    def __reduce__(self):  # pickle and copy rebuild from the fields, not by assignment
+        return _trusted, self._values
+
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Product that skips zeros: each nonzero ``a[i][k]`` adds
-        ``a[i][k]`` times the nonzero entries of row k of ``other``."""
+        """Row-wise sparse product (Gustavson): row i of the result sums
+        ``a * (row k of other)`` over the nonzeros ``a`` at (i, k).  A row
+        with one nonzero copies that row of other, scaled, so identity and
+        signed-permutation factors cost a copy."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        brows = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
-        flat = []
+        ao, ai, av = self.offsets, self.indices, self.values
+        bo, bi, bv = other.offsets, other.indices, other.values
+        span = range(other.cols)
+        offsets, indices, values = [0], [], []
         for i in range(self.rows):
-            out = [0] * other.cols
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in brows[k]:
+            lo, hi = ao[i], ao[i + 1]
+            if hi - lo == 1:
+                a, k = av[lo], ai[lo]
+                indices += bi[bo[k] : bo[k + 1]]
+                values += bv[bo[k] : bo[k + 1]] if a == 1 else [a * b for b in bv[bo[k] : bo[k + 1]]]
+            elif hi > lo:
+                out = [0] * other.cols
+                for k, a in zip(ai[lo:hi], av[lo:hi]):
+                    for j, b in zip(bi[bo[k] : bo[k + 1]], bv[bo[k] : bo[k + 1]]):
                         out[j] += a * b
-            flat.extend(out)
-        return _trusted(self.rows, other.cols, tuple(flat))
+                indices += compress(span, out)
+                values += compress(out, out)
+            offsets.append(len(values))
+        return _trusted(self.rows, other.cols, tuple(offsets), tuple(indices), tuple(values))
 
     def apply(self, vec) -> tuple[int, ...]:
-        """The image of a column vector, as a tuple; zero entries are skipped."""
+        """The image of a column vector, as a tuple, summed over the nonzeros."""
         vec = _int_vector(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
-        return tuple(_dot(self.row(i), vec) for i in range(self.rows))
+        o, idx, vals, at = self.offsets, self.indices, self.values, vec.__getitem__
+        return tuple(sum(map(mul, vals[a:b], map(at, idx[a:b]))) for a, b in zip(o, o[1:]))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return self._entrywise(add, other)
@@ -195,84 +242,188 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "entries")):
         return self._entrywise(sub, other)
 
     def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
+        """Merge each pair of rows over the union of their nonzero columns;
+        zeros are dropped."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return _trusted(self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
+        if self.offsets == other.offsets and self.indices == other.indices:
+            values = tuple(map(op, self.values, other.values))
+            if all(values):  # the same nonzero positions, none cancelled
+                return _trusted(self.rows, self.cols, self.offsets, self.indices, values)
+        offsets, indices, values = [0], [], []
+        for (ai, av), (bi, bv) in zip(_sparse_rows(self), _sparse_rows(other)):
+            if ai == bi:
+                row = list(map(op, av, bv))
+            else:
+                acc = dict(zip(ai, av))
+                for j, b in zip(bi, bv):
+                    acc[j] = op(acc.get(j, 0), b)
+                ai = sorted(acc)
+                row = list(map(acc.__getitem__, ai))
+            indices += compress(ai, row)
+            values += compress(row, row)
+            offsets.append(len(values))
+        return _trusted(self.rows, self.cols, tuple(offsets), tuple(indices), tuple(values))
 
     def __neg__(self) -> "IntMatrix":
-        return _trusted(self.rows, self.cols, tuple(map(neg, self.entries)))
+        return _trusted(self.rows, self.cols, self.offsets, self.indices, tuple(map(neg, self.values)))
 
     def scaled(self, k: int) -> "IntMatrix":
         _check_ints((k,), "scale factors")
-        return _trusted(self.rows, self.cols, tuple(k * a for a in self.entries))
+        if k == 0:
+            return IntMatrix.zeros(self.rows, self.cols)
+        return _trusted(self.rows, self.cols, self.offsets, self.indices, tuple(k * a for a in self.values))
 
     def transpose(self) -> "IntMatrix":
-        return _trusted(
-            self.cols, self.rows, tuple(chain.from_iterable(map(self.column, range(self.cols))))
-        )
+        """One pass over the nonzeros, row by row, into per-column slots, so
+        each column of self becomes a row with ascending indices."""
+        o, idx, vals = self.offsets, self.indices, self.values
+        counts = [0] * self.cols
+        for j in idx:
+            counts[j] += 1
+        slot = [0, *accumulate(counts)]
+        offsets, indices, values = tuple(slot), [0] * len(vals), [0] * len(vals)
+        i = 0  # the row of the k-th nonzero
+        for k, j in enumerate(idx):
+            while o[i + 1] <= k:
+                i += 1
+            indices[slot[j]], values[slot[j]] = i, vals[k]
+            slot[j] += 1
+        return _trusted(self.cols, self.rows, offsets, tuple(indices), tuple(values))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return _trusted(self.rows, self.cols + other.cols, tuple(flat))
+        ao, ai, av, bo, bv = self.offsets, self.indices, self.values, other.offsets, other.values
+        shifted, width = tuple(map(add, other.indices, repeat(self.cols))), self.cols + other.cols
+        if not (av and bv):  # as for the zero blocks of ``block_diagonal``
+            return _trusted(self.rows, width, *((ao, ai, av) if av else (bo, shifted, bv)))
+        indices, values = [], []
+        for a0, a1, b0, b1 in zip(ao, ao[1:], bo, bo[1:]):
+            indices += ai[a0:a1] + shifted[b0:b1]
+            values += av[a0:a1] + bv[b0:b1]
+        return _trusted(self.rows, width, tuple(map(add, ao, bo)), tuple(indices), tuple(values))
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return _trusted(self.rows + other.rows, self.cols, self.entries + other.entries)
+        offsets = self.offsets + tuple(map(add, other.offsets[1:], repeat(len(self.values))))
+        rows, indices = self.rows + other.rows, self.indices + other.indices
+        return _trusted(rows, self.cols, offsets, indices, self.values + other.values)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
-        """Kronecker product: entry at ((i, k), (j, l)) is self[i,j] * other[k,l]."""
-        r, c = self.rows * other.rows, self.cols * other.cols
-        flat = [0] * (r * c)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i * self.cols + j]
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    base = (i * other.rows + k) * c + j * other.cols
-                    orow = other.row(k)
-                    for l in range(other.cols):
-                        flat[base + l] = a * orow[l]
-        return _trusted(r, c, tuple(flat))
+        """Kronecker product: entry at ((i, k), (j, l)) is self[i,j] * other[k,l].
+        A row of self with one nonzero gives a shifted, scaled copy of other."""
+        for one, m in ((self, other), (other, self)):
+            if one.rows == one.cols == 1 and one.values == (1,):
+                return m
+        c, bo, bi, bv = other.cols, other.offsets, other.indices, other.values
+        brows = None
+        offsets, indices, values = [0], [], []
+        for ai, av in _sparse_rows(self):
+            if len(ai) == 1:
+                (j,), (a,), base = ai, av, len(values)
+                offsets += map(add, bo[1:], repeat(base))
+                indices += map(add, bi, repeat(j * c))
+                values += bv if a == 1 else [a * b for b in bv]
+                continue
+            for bi_k, bv_k in brows or (brows := _sparse_rows(other)):
+                for j, a in zip(ai, av):
+                    indices += map(add, bi_k, repeat(j * c))
+                    values += bv_k if a == 1 else [a * b for b in bv_k]
+                offsets.append(len(values))
+        rows, cols = self.rows * other.rows, self.cols * c
+        return _trusted(rows, cols, tuple(offsets), tuple(indices), tuple(values))
 
 
-def _trusted(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
-    """An IntMatrix built without ``__init__``'s checks: only for entries this
-    module computed as Python ints, in a tuple of length ``rows * cols``."""
-    m = object.__new__(IntMatrix)
-    m.__dict__.update(rows=rows, cols=cols, entries=entries)
+_new = object.__new__
+_set_rows, _set_cols, _set_offsets, _set_indices, _set_values = (
+    getattr(IntMatrix, f).__set__ for f in IntMatrix._fields
+)
+
+
+def _trusted(rows, cols, offsets, indices, values, into=None) -> IntMatrix:
+    """An IntMatrix built without ``__init__``'s checks, from canonical
+    fields this module computed.  Each field is set through its slot, so
+    the matrix has no ``__dict__``."""
+    m = _new(IntMatrix) if into is None else into
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_offsets(m, offsets)
+    _set_indices(m, indices)
+    _set_values(m, values)
     return m
 
 
-def _eye_entries(rows: int, cols: int) -> tuple[int, ...]:
-    """The row-major entries of the ``rows x cols`` matrix with ones at
-    (i, i): a one followed by ``cols`` zeros, repeated, puts the ones
-    ``cols + 1`` apart."""
-    return (((1,) + (0,) * cols) * rows)[: rows * cols]
+@lru_cache(maxsize=256)
+def _eye(rows: int, cols: int) -> IntMatrix:
+    """The ``rows x cols`` matrix ``[I | 0]``, for ``rows <= cols``; one
+    object per shape, which is safe since matrices are immutable."""
+    return _trusted(rows, cols, _offsets(rows, True), tuple(range(rows)), (1,) * rows)
 
 
-def _from_row_lists(rows: list[list[int]], ncols: int) -> IntMatrix:
-    return _trusted(len(rows), ncols, tuple(chain.from_iterable(rows)))
+@lru_cache(maxsize=None)
+def _offsets(rows: int, one_per_row: bool) -> tuple[int, ...]:
+    """The offsets of a matrix with no nonzero, or with one in each row:
+    one tuple per row count, shared by all such matrices."""
+    return tuple(range(rows + 1)) if one_per_row else (0,) * (rows + 1)
+
+
+def _shared(offsets: list, indices: list, values: list) -> tuple[tuple, tuple, tuple]:
+    """The fields as tuples, with the offsets shared where ``_offsets`` applies."""
+    r, offsets = len(offsets) - 1, tuple(offsets)
+    if not values or (len(values) == r and offsets == _offsets(r, True)):
+        offsets = _offsets(r, bool(values))
+    return offsets, tuple(indices), tuple(values)
+
+
+def _sparse_rows(m: IntMatrix) -> list[tuple[tuple, tuple]]:
+    """``(indices, values)`` of each row of m."""
+    o, idx, vals = m.offsets, m.indices, m.values
+    return [(idx[a:b], vals[a:b]) for a, b in zip(o, o[1:])]
+
+
+def _from_row_lists(rows, ncols: int, check=False, into=None) -> IntMatrix:
+    """The matrix of the dense rows; with ``check``, as at the public
+    boundary, each entry is checked (in row-major order) as it is read."""
+    offsets, indices, values = [0], [], []
+    for row in rows:
+        for j, x in enumerate(row):
+            if check and type(x) is not int:
+                _check_ints((x,), "matrix entries")
+            if x:
+                indices.append(j)
+                values.append(x)
+        offsets.append(len(values))
+    return _trusted(len(rows), ncols, *_shared(offsets, indices, values), into=into)
+
+
+def _uniform(lists, length: int | None, kind: str) -> tuple[list[list], int]:
+    """The rows or columns as lists, and their common length (``length``,
+    or 0, when there are none)."""
+    lists = [list(x) for x in lists]
+    size = len(lists[0]) if lists else (0 if length is None else length)
+    if any(len(x) != size for x in lists):
+        raise ValueError(f"ragged {kind}")
+    if length is not None and lists and size != length:
+        raise ValueError(f"{kind} have length {size}, expected {length}")
+    _check_size(size)
+    return lists, size
 
 
 def _from_column_lists(cols: list[list[int]], nrows: int) -> IntMatrix:
-    return _trusted(nrows, len(cols), tuple(chain.from_iterable(zip(*cols))))
+    return _from_row_lists(list(zip(*cols)) if cols else [()] * nrows, len(cols))
 
 
 def _check_ints(values, what: str) -> None:
-    for e in values:
-        if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
-            raise TypeError(f"{what} must be Python ints, got {type(e).__name__}")
+    for t in dict.fromkeys(map(type, values)):  # each type once, first seen first
+        if t is not int and (not issubclass(t, int) or issubclass(t, bool)):
+            raise TypeError(f"{what} must be Python ints, got {t.__name__}")
 
 
 def _check_size(n) -> None:
-    _check_ints((n,), "matrix dimensions")
+    if type(n) is not int:
+        _check_ints((n,), "matrix dimensions")
     if n < 0:
         raise ValueError("matrix dimensions must be nonnegative")
 
@@ -282,11 +433,6 @@ def _int_vector(vec) -> tuple[int, ...]:
     vec = tuple(vec)
     _check_ints(vec, "vector entries")
     return vec
-
-
-def _dot(row, vec) -> int:
-    """The sum of ``row[k] * vec[k]`` over the nonzero entries of row."""
-    return sum(map(mul, compress(row, row), compress(vec, row)))
 
 
 def block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -354,16 +500,27 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         return _replay(self.s.cols, self.col_ops)
 
     def diagonal(self) -> tuple[int, ...]:
-        n = min(self.s.rows, self.s.cols)
-        return self.s.entries[:: self.s.cols + 1][:n]
+        """S's nonzeros are its nonzero diagonal entries, in order, and its
+        zeros come last."""
+        s = self.s
+        return s.values + (0,) * (min(s.rows, s.cols) - len(s.values))
 
     def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
+        return len(self.s.values)
 
     def kernel(self) -> IntMatrix:
         """A basis of the integer kernel ``{x : A x = 0}``: the columns of V
-        past the rank, taken from the replayed columns without building V."""
-        return _from_column_lists(self._v_columns[self.rank() :], self.s.cols)
+        past the rank, taken from the replayed columns without building V.
+        The closed form of ``[I | R]`` (the only source of ``_add_multiples``
+        operations) needs no replay: those columns are ``[-R; I]``, and its
+        operation for pivot i lists row i of -R."""
+        n, r = self.s.cols, self.rank()
+        if self.col_ops and self.col_ops[0][0] is _add_multiples:
+            pairs = [p for op in self.col_ops for p in op[2]]
+            offsets = (0, *accumulate(len(op[2]) for op in self.col_ops))
+            minus_r = _trusted(r, n - r, offsets, tuple(j - r for j, _ in pairs), tuple(q for _, q in pairs))
+            return minus_r.vstack(_eye(n - r, n - r))
+        return _from_column_lists(self._v_columns[r:], n)
 
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the column lattice of A.
@@ -378,17 +535,15 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         if self.s.cols == 0 or m.cols == 0:
             return m.is_zero()
         diag = self.diagonal()
-        columns = [m.column(j) for j in range(m.cols)]
-        for i in range(self.s.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 1:
-                continue
-            urow = self.u.row(i)
-            for col in columns:
-                x = _dot(urow, col)
-                if x % d if d else x:  # past the rank (d == 0) the entry must vanish
-                    return False
-        return True
+        checked = [i for i in range(self.s.rows) if i >= len(diag) or diag[i] != 1]
+        if not checked:
+            return True
+        # past the rank (d == 0) the entry must vanish
+        divisors = [diag[i] if i < len(diag) else 0 for i in checked]
+        images = _sparse_rows(self.u.take_rows(checked) @ m)
+        return not any(
+            any(v % d for v in vals) if d else vals for d, (_, vals) in zip(divisors, images)
+        )
 
     def solve(self, b) -> tuple[int, ...] | None:
         """An integer solution x of ``A x = b``, or None (reads U and V)."""
@@ -435,7 +590,9 @@ def _negate_row(m, i):
 
 def _replay(n, ops):
     """The rows of the n x n identity after the operations ``(op, *args)``."""
-    rows = _identity_rows(n)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
     for op in ops:
         op[0](rows, *op[1:])
     return rows
@@ -456,13 +613,6 @@ def _least_entry(s, t):
                 if best == 1:
                     return at
     return at
-
-
-def _identity_rows(n):
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
 
 
 def _eliminate(a: IntMatrix) -> SmithDecomposition:
@@ -541,10 +691,15 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
 
 
 def _leads_with_identity(a: IntMatrix) -> bool:
-    """Whether the first ``a.rows`` columns of a are the identity."""
-    m, n, e = a.rows, a.cols, a.entries
-    return m <= n and all(
-        e[i * n + i] == 1 and not any(e[i * n : i * n + i]) and not any(e[i * n + i + 1 : i * n + m])
+    """Whether the first ``a.rows`` columns of a are the identity: row i
+    starts with a 1 in column i, and its next nonzero, if any, lies past
+    those columns."""
+    m, o, idx, vals = a.rows, a.offsets, a.indices, a.values
+    return m <= a.cols and all(
+        o[i] < o[i + 1]
+        and idx[o[i]] == i
+        and vals[o[i]] == 1
+        and (o[i] + 1 == o[i + 1] or idx[o[i] + 1] >= m)
         for i in range(m)
     )
 
@@ -568,13 +723,12 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """
     if not _leads_with_identity(a):
         return _eliminate(a)
-    m, n, e = a.rows, a.cols, a.entries
-    rows = (e[i * n + m : (i + 1) * n] for i in range(m))  # row i of R
-    col_ops = tuple(
-        (_add_multiples, i, tuple(zip(compress(range(m, n), r), map(neg, compress(r, r)))))
-        for i, r in enumerate(rows)
+    o, idx, vals = a.offsets, a.indices, a.values
+    col_ops = tuple(  # the nonzeros of row i of R follow its leading 1
+        (_add_multiples, i, tuple(zip(idx[o[i] + 1 : o[i + 1]], map(neg, vals[o[i] + 1 : o[i + 1]]))))
+        for i in range(a.rows)
     )
-    return SmithDecomposition(_trusted(m, n, _eye_entries(m, n)), (), col_ops)
+    return SmithDecomposition(_eye(a.rows, a.cols), (), col_ops)
 
 
 # -- Hermite normal form -----------------------------------------------------
@@ -597,7 +751,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     IntMatrix([[1, 0]])
     """
     m, n = a.rows, a.cols
-    h = [list(a.column(j)) for j in range(n)]  # h[j] is column j of H
+    h = a.transpose().to_rows()  # h[j] is column j of H
     pc = 0  # next pivot column
     for r in range(m):
         if pc == n:
@@ -633,8 +787,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
 def lattice_basis(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the column lattice (nonzero Hermite columns)."""
     h = hermite_normal_form(a)
-    keep = [j for j in range(h.cols) if any(h.column(j))]
-    return h.take_columns(keep)
+    return h.take_columns(sorted(set(h.indices)))
 
 
 def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
@@ -650,17 +803,14 @@ def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
     ...                 IntMatrix.from_columns([(2, 1), (0, 3)], rows=2))
     IntMatrix([[1, 1], [0, 2]])
     """
-    cols = [list(a.column(j)) for j in range(a.cols)]
-    for j in range(basis.cols):
-        b = basis.column(j)
-        r = next(i for i, x in enumerate(b) if x)
-        piv = b[r]
+    cols = a.transpose().to_rows()
+    for idx, vals in _sparse_rows(basis.transpose()):  # the columns of basis
+        r, piv = idx[0], vals[0]
         for col in cols:
             q = col[r] // piv
             if q:
-                for i in range(r, len(b)):
-                    if b[i]:
-                        col[i] -= q * b[i]
+                for i, b in zip(idx, vals):
+                    col[i] -= q * b
     return _from_column_lists(cols, a.rows)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .intlin import IntMatrix, _Frozen
+from .intlin import IntMatrix, _Frozen, block_diagonal
 from .abgroup import AbHom, FpAbGroup, coinvariants, cokernel, direct_sum, kernel, tensor_product
 
 
@@ -249,24 +249,34 @@ class GSet(_Frozen, fields=("fixed", "free")):
 
 
 def permutation_functor(p: int, s: GSet) -> MackeyFunctor:
-    """The fixed-point functor of the permutation module Z[s].
+    """The fixed-point functor of the permutation module Z[s], written down
+    from the orbits.
+
+    The bottom is free on the points, fixed ones first, and the action moves
+    the i-th point of each free orbit to the next.  The top is free on the
+    orbits, with the Hermite basis of the fixed points as restriction: a
+    fixed point goes to itself and a free orbit to the sum of its points.
+    The transfer is p on a fixed point and sends each point of a free orbit
+    to that orbit.  This is ``fixed_point_functor`` of the module, built
+    without solving for the transfer.
 
     >>> permutation_functor(5, GSet(1, 0)) == constant_z(5)
     True
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    n = s.fixed + p * s.free
-    module = FpAbGroup.free(n)
-    entries = [[0] * n for _ in range(n)]
-    for i in range(s.fixed):
-        entries[i][i] = 1
-    for b in range(s.free):
-        base = s.fixed + b * p
-        for i in range(p):
-            entries[base + (i + 1) % p][base + i] = 1
-    gamma = AbHom(module, module, IntMatrix.from_rows(entries, cols=n))
-    return fixed_point_functor(p, module, gamma)
+    eye, f, r = IntMatrix.identity, s.fixed, s.free
+    orbit_of_point = eye(r).take_rows([b for b in range(r) for _ in range(p)])
+    next_point = eye(r * p).take_columns([b * p + (i + 1) % p for b in range(r) for i in range(p)])
+    top, module = FpAbGroup.free(f + r), FpAbGroup.free(f + r * p)
+    return MackeyFunctor(
+        p,
+        top,
+        module,
+        AbHom(module, module, block_diagonal(eye(f), next_point)),
+        AbHom(top, module, block_diagonal(eye(f), orbit_of_point)),
+        AbHom(module, top, block_diagonal(eye(f).scaled(p), orbit_of_point.transpose())),
+    )
 
 
 # -- the box product ---------------------------------------------------------

@@ -131,6 +131,37 @@ def is_trivial(g: FpAbGroup) -> bool:
     return invariant_factors(g) == (0, ())
 
 
+# -- a dense reference for the sparse kernels -----------------------------------
+#
+# Each takes and returns matrices as lists of rows; ``canonical`` checks the
+# stored fields of an IntMatrix against those rows.
+
+
+def dense_product(a, b, inner):
+    return [[sum(r[k] * b[k][j] for k in range(inner)) for j in range(len(b[0]) if b else 0)] for r in a]
+
+
+def dense_transpose(a, cols):
+    return [[r[j] for r in a] for j in range(cols)]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def canonical(m: IntMatrix, rows) -> bool:
+    """Whether m stores exactly the nonzeros of the dense rows, in row-compressed
+    form: ``offsets`` from 0, ascending indices within a row, no zero value."""
+    want = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+    o = m.offsets
+    return (
+        (m.rows, len(o), o[0]) == (len(rows), len(rows) + 1, 0)
+        and all(a <= b for a, b in zip(o, o[1:]))
+        and [list(zip(m.indices[a:b], m.values[a:b])) for a, b in zip(o, o[1:])] == want
+        and len(m.indices) == len(m.values) == o[-1]
+    )
+
+
 # -- constructions only tests use ----------------------------------------------
 
 

@@ -23,6 +23,7 @@ from mackeybox.mackey import (
     GSet,
     box_product,
     check_axioms,
+    fixed_point_functor,
     permutation_functor,
     twisted_burnside,
 )
@@ -46,13 +47,16 @@ def eliminated(monkeypatch):
     return inputs
 
 
-def test_a_permutation_functor_takes_two_eliminations(eliminated):
-    """The kernel lattice of gamma - 1, then one Smith form of [basis |
-    relations] for both the top's relations and the transfer (three before
-    the kernel and the transfer shared one)."""
-    for p in (2, 3, 5):
-        for s in (GSet(1, 0), GSet(0, 1), GSet(1, 1)):
-            permutation_functor(p, s)
+def test_a_fixed_point_functor_takes_two_eliminations(eliminated):
+    """The fixed-point functor of a permutation module: the kernel lattice of
+    gamma - 1, then one Smith form of [basis | relations] for both the top's
+    relations and the transfer (three before the kernel and the transfer
+    shared one).  ``permutation_functor`` writes the same functor down from
+    the orbits and eliminates nothing."""
+    built = [permutation_functor(p, s) for p in (2, 3, 5) for s in (GSet(1, 0), GSet(0, 1), GSet(1, 1))]
+    assert not eliminated
+    for m in built:
+        fixed_point_functor(m.p, m.bottom, m.gamma)
     assert len(eliminated) == 18
 
 

@@ -173,6 +173,25 @@ def test_permutation_functor_special_cases():
     assert same_lattice(fr.tr.matrix, IntMatrix.identity(fr.top.ngens))
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_permutation_functor_is_the_fixed_point_functor_of_its_module(p):
+    """The functor written down from the orbits equals the fixed-point
+    functor of Z[s] under the cyclic action, built here entry by entry, for
+    every G-set with at most two orbits of each kind."""
+    for fixed in range(3):
+        for free in range(3):
+            n = fixed + p * free
+            action = [[0] * n for _ in range(n)]
+            for i in range(fixed):
+                action[i][i] = 1
+            for b in range(free):
+                for i in range(p):
+                    action[fixed + b * p + (i + 1) % p][fixed + b * p + i] = 1
+            module = FpAbGroup.free(n)
+            gamma = AbHom(module, module, IntMatrix.from_rows(action, cols=n))
+            assert permutation_functor(p, GSet(fixed, free)) == fixed_point_functor(p, module, gamma)
+
+
 def test_twisted_burnside_rejects_nothing_but_nonprimes():
     with pytest.raises(ValueError):
         twisted_burnside(4, 1)
