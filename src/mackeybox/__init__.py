@@ -40,8 +40,6 @@ from .separation import (
 from .document import (
     DocumentError,
     parse_functor,
-    render_machine,
-    render_text,
     render_lewis,
 )
 
@@ -80,7 +78,5 @@ __all__ = [
     "twisted_isomorphism",
     "DocumentError",
     "parse_functor",
-    "render_machine",
-    "render_text",
     "render_lewis",
 ]

@@ -23,6 +23,7 @@ from .intlin import (
     IntMatrix,
     SmithDecomposition,
     _Frozen,
+    _check_height,
     _reduce_columns,
     _sparse_rows,
     block_diagonal,
@@ -45,11 +46,6 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
             raise ValueError(f"relation columns have length {relations.rows}, expected {ngens}")
         object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "relations", relations)
-
-    def __eq__(self, other):
-        if other.__class__ is not FpAbGroup:
-            return NotImplemented
-        return self is other or (self.ngens, self.relations) == (other.ngens, other.relations)
 
     @classmethod
     def free(cls, n: int) -> "FpAbGroup":
@@ -89,6 +85,7 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
         True
         """
+        _check_height(m, self.ngens)
         if self.relations.cols == 0 or m.is_zero():
             return m.is_zero()
         known = self._members_by_inspection
@@ -147,13 +144,6 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not AbHom:
-            return NotImplemented
-        return self is other or (self.source, self.target, self.matrix) == (
-            other.source, other.target, other.matrix
-        )
 
     @classmethod
     def identity(cls, g: FpAbGroup) -> "AbHom":
@@ -325,13 +315,19 @@ def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
     >>> invariant_factors(coinvariants(FpAbGroup.free(1), sign, 2)[0])
     (0, (2,))
     """
-    if gamma.source != g or gamma.target != g:
-        raise ValueError("gamma must be an endomorphism of the group")
-    if not gamma.is_well_defined():
-        raise ValueError("gamma is not well-defined")
-    if not gamma.orbit(p)[0].equals(AbHom.identity(g)):
-        raise ValueError("gamma does not have order dividing p")
+    _check_action(g, gamma, p)
     return cokernel(gamma - AbHom.identity(g))
+
+
+def _check_action(g: FpAbGroup, gamma: AbHom, p: int) -> None:
+    """Raise ValueError unless gamma is a well-defined endomorphism of g
+    whose p-th power is the identity."""
+    if gamma.source != g or gamma.target != g:
+        raise ValueError("the action must be an endomorphism of the group")
+    if not gamma.is_well_defined():
+        raise ValueError("the action is not well-defined")
+    if not gamma.orbit(p)[0].equals(AbHom.identity(g)):
+        raise ValueError("the action does not have order dividing p")
 
 
 def _image(f: AbHom) -> tuple[FpAbGroup, AbHom]:

@@ -28,14 +28,14 @@ class _Frozen:
     """Shared cold half of a frozen record ``class R(_Frozen, fields=(...))``.
     R's ``__init__`` sets each field once by ``object.__setattr__``, which
     keeps it out of a ``__dict__`` (144 bytes more per record on CPython 3.11).
-    Assignment raises; ``==``, ``hash`` and the repr read no memo, only fields.
-    A record that keeps no memo can declare its fields as ``__slots__``."""
+    Assignment raises.  Every record takes ``==`` (a class check, identity,
+    then the fields), ``hash`` and the repr from here, and none of them reads
+    a memo.  A record that keeps no memo can declare ``__slots__``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, fields: tuple[str, ...]):
         cls._fields, cls._values = fields, property(attrgetter(*fields))
-        cls.__hash__ = _Frozen.__hash__  # which a class that writes its own __eq__ would lose
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -80,12 +80,12 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
 
     __slots__ = ("rows", "cols", "offsets", "indices", "values")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
         _check_size(rows)
         _check_size(cols)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        _from_row_lists([entries[i * cols : (i + 1) * cols] for i in range(rows)], cols, True, self)
+        return _from_row_lists([entries[i * cols : (i + 1) * cols] for i in range(rows)], cols, check=True)
 
     # -- construction -----------------------------------------------------
 
@@ -246,10 +246,6 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         zeros are dropped."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        if self.offsets == other.offsets and self.indices == other.indices:
-            values = tuple(map(op, self.values, other.values))
-            if all(values):  # the same nonzero positions, none cancelled
-                return _trusted(self.rows, self.cols, self.offsets, self.indices, values)
         offsets, indices, values = [0], [], []
         for (ai, av), (bi, bv) in zip(_sparse_rows(self), _sparse_rows(other)):
             if ai == bi:
@@ -342,11 +338,11 @@ _set_rows, _set_cols, _set_offsets, _set_indices, _set_values = (
 )
 
 
-def _trusted(rows, cols, offsets, indices, values, into=None) -> IntMatrix:
-    """An IntMatrix built without ``__init__``'s checks, from canonical
-    fields this module computed.  Each field is set through its slot, so
-    the matrix has no ``__dict__``."""
-    m = _new(IntMatrix) if into is None else into
+def _trusted(rows, cols, offsets, indices, values) -> IntMatrix:
+    """An IntMatrix built from canonical fields this module computed,
+    without the checks of the public constructors.  Each field is set
+    through its slot, so the matrix has no ``__dict__``."""
+    m = _new(IntMatrix)
     _set_rows(m, rows)
     _set_cols(m, cols)
     _set_offsets(m, offsets)
@@ -383,7 +379,7 @@ def _sparse_rows(m: IntMatrix) -> list[tuple[tuple, tuple]]:
     return [(idx[a:b], vals[a:b]) for a, b in zip(o, o[1:])]
 
 
-def _from_row_lists(rows, ncols: int, check=False, into=None) -> IntMatrix:
+def _from_row_lists(rows, ncols: int, check=False) -> IntMatrix:
     """The matrix of the dense rows; with ``check``, as at the public
     boundary, each entry is checked (in row-major order) as it is read."""
     offsets, indices, values = [0], [], []
@@ -395,7 +391,7 @@ def _from_row_lists(rows, ncols: int, check=False, into=None) -> IntMatrix:
                 indices.append(j)
                 values.append(x)
         offsets.append(len(values))
-    return _trusted(len(rows), ncols, *_shared(offsets, indices, values), into=into)
+    return _trusted(len(rows), ncols, *_shared(offsets, indices, values))
 
 
 def _uniform(lists, length: int | None, kind: str) -> tuple[list[list], int]:
@@ -419,6 +415,11 @@ def _check_ints(values, what: str) -> None:
     for t in dict.fromkeys(map(type, values)):  # each type once, first seen first
         if t is not int and (not issubclass(t, int) or issubclass(t, bool)):
             raise TypeError(f"{what} must be Python ints, got {t.__name__}")
+
+
+def _check_height(m: IntMatrix, rows: int) -> None:
+    if m.rows != rows:
+        raise ValueError(f"columns of length {m.rows} for a lattice in Z^{rows}")
 
 
 def _check_size(n) -> None:
@@ -472,8 +473,9 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
     (``col_ops``, which make V, replayed as row operations on its
     transpose).  U, U⁻¹ and V are built from them the first time they are
     read and then kept, so a question that reads neither (``diagonal``,
-    ``rank``) builds neither, and ``kernel`` takes its columns from the
-    replayed columns of V without building V itself.
+    ``rank``) builds neither, and ``kernel`` and ``solve`` take their columns
+    from the replayed columns of V without building V itself.  ``solve`` and
+    ``contains_all`` answer for a matrix of columns from one product with U.
     """
 
     def __init__(self, s: IntMatrix, row_ops: tuple, col_ops: tuple):
@@ -525,40 +527,38 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the column lattice of A.
 
-        A column b is in the lattice exactly when each entry of ``U @ b`` is
-        divisible by the matching diagonal entry of S (zero past the
-        diagonal), so one decomposition answers for all columns.  Rows with
-        invariant factor 1 need no check, so U is read only when some
-        invariant factor is not 1; with no relations (or no columns to test)
-        only zero columns are members.
+        Rows with invariant factor 1, which come first, need no check
+        (``_divisible``), so U is read only when some invariant factor is
+        not 1; with no relations (or no columns to test) only zero columns
+        are members.
         """
+        _check_height(m, self.s.rows)
         if self.s.cols == 0 or m.cols == 0:
             return m.is_zero()
-        diag = self.diagonal()
-        checked = [i for i in range(self.s.rows) if i >= len(diag) or diag[i] != 1]
-        if not checked:
-            return True
-        # past the rank (d == 0) the entry must vanish
-        divisors = [diag[i] if i < len(diag) else 0 for i in checked]
-        images = _sparse_rows(self.u.take_rows(checked) @ m)
-        return not any(
-            any(v % d for v in vals) if d else vals for d, (_, vals) in zip(divisors, images)
-        )
+        ones = self.s.values.count(1)
+        return ones == self.s.rows or self._divisible(self.u.take_rows(range(ones, self.s.rows)) @ m, ones)
 
-    def solve(self, b) -> tuple[int, ...] | None:
-        """An integer solution x of ``A x = b``, or None (reads U and V)."""
-        c = self.u.apply(b)
-        diag = self.diagonal()
-        y = [0] * self.v.rows
-        for i, ci in enumerate(c):
-            d = diag[i] if i < len(diag) else 0
-            if d:
-                if ci % d:
-                    return None
-                y[i] = ci // d
-            elif ci:
-                return None
-        return self.v.apply(y)
+    def solve(self, b: IntMatrix) -> IntMatrix | None:
+        """X with ``A @ X == b``, or None when some column of b is not in the
+        column lattice of A.  With Y = ``U @ b`` divided by S's diagonal,
+        ``S @ Y == U @ b`` and X = ``V @ Y``; Y is zero past the rank, so X
+        reads only V's first ``rank`` replayed columns."""
+        _check_height(b, self.s.rows)
+        ub = self.u @ b
+        if not self._divisible(ub, 0):
+            return None
+        r, o = self.rank(), ub.offsets
+        quotients = (v // d for d, (_, vals) in zip(self.s.values, _sparse_rows(ub)) for v in vals)
+        y = _trusted(r, b.cols, o[: r + 1], ub.indices[: o[r]], tuple(quotients))
+        return _from_column_lists(self._v_columns[:r], self.s.cols) @ y
+
+    def _divisible(self, ub: IntMatrix, first: int) -> bool:
+        """Whether ub, the rows of ``U @ b`` from ``first`` on, is divisible
+        row by row by S's diagonal (past the rank, zero): the one test of
+        whether the columns of b lie in the column lattice."""
+        r, diag = self.rank(), self.s.values  # S's nonzeros are its diagonal
+        rows = enumerate(_sparse_rows(ub), first)
+        return not any(vals and (i >= r or any(v % diag[i] for v in vals)) for i, (_, vals) in rows)
 
 
 def _swap_rows(m, i, j):
@@ -815,26 +815,22 @@ def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
 
 
 def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
-    """An integer solution x of ``A x = b``, or None.
+    """An integer solution x of ``A x = b``, or None: the vector form of
+    ``SmithDecomposition.solve``, from a fresh Smith form of a.
 
     >>> solve_linear(IntMatrix.from_rows([[2, 4], [6, 8]]), (2, 10))
     (3, -1)
     >>> solve_linear(IntMatrix.from_rows([[2]]), (3,)) is None
     True
     """
-    b = _int_vector(b)
-    if len(b) != a.rows:
-        raise ValueError(f"right-hand side of length {len(b)} for {a.rows} rows")
-    return smith_normal_form(a).solve(b)
+    x = smith_normal_form(a).solve(IntMatrix.column_vector(_int_vector(b)))
+    return None if x is None else x.entries
 
 
 def lattice_contains(a: IntMatrix, vec) -> bool:
     """Whether vec lies in the column lattice of a, read from a fresh Smith
     form of a (``SmithDecomposition.contains_all``)."""
-    col = IntMatrix.column_vector(vec)
-    if col.rows != a.rows:
-        raise ValueError(f"columns of length {col.rows} for a lattice in Z^{a.rows}")
-    return smith_normal_form(a).contains_all(col)
+    return smith_normal_form(a).contains_all(IntMatrix.column_vector(vec))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

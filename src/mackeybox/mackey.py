@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .intlin import IntMatrix, _Frozen, block_diagonal
-from .abgroup import AbHom, FpAbGroup, coinvariants, cokernel, direct_sum, kernel, tensor_product
+from .abgroup import AbHom, FpAbGroup, _check_action, coinvariants, direct_sum, kernel, tensor_product
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -106,13 +106,6 @@ class MackeyFunctor(_Frozen, fields=("p", "top", "bottom", "gamma", "res", "tr")
         object.__setattr__(self, "res", res)
         object.__setattr__(self, "tr", tr)
 
-    def __eq__(self, other):
-        if other.__class__ is not MackeyFunctor:
-            return NotImplemented
-        return self is other or (self.p, self.top, self.bottom, self.gamma, self.res, self.tr) == (
-            other.p, other.top, other.bottom, other.gamma, other.res, other.tr
-        )
-
     @cached_property
     def _memo(self) -> dict:
         return {}
@@ -195,22 +188,11 @@ def burnside(p: int) -> MackeyFunctor:
     return twisted_burnside(p, 1)
 
 
-def _check_module(module: FpAbGroup, gamma: AbHom, p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if gamma.source != module or gamma.target != module:
-        raise ValueError("the action must be an endomorphism of the module")
-    if not gamma.is_well_defined():
-        raise ValueError("the action is not well-defined")
-    if not gamma.orbit(p)[0].equals(AbHom.identity(module)):
-        raise ValueError("the action does not have order dividing p")
-
-
 def fixed_point_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFunctor:
     """Top = fixed points of the action, res = inclusion, tr = the norm.
 
     The fixed points are ``kernel(gamma - 1)``, and the inclusion is the
-    restriction.  Each column of the transfer is the norm column solved from
+    restriction.  The transfer is the norm solved, all columns at once, from
     the inclusion's Smith decomposition (the one that gave the top its
     relations), so no further system is eliminated.
 
@@ -218,23 +200,20 @@ def fixed_point_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFuncto
     >>> fixed_point_functor(3, z, AbHom.identity(z)) == constant_z(3)
     True
     """
-    _check_module(module, gamma, p)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    _check_action(module, gamma, p)
     top, res = kernel(gamma - AbHom.identity(module))
-    norm = action_norm(gamma, p).matrix
-    tr_cols = []
-    for j in range(module.ngens):
-        sol = res.smith.solve(norm.column(j))
-        if sol is None:  # unreachable: norm values are fixed by the action
-            raise ValueError("norm image does not land in the fixed points")
-        tr_cols.append(sol[: top.ngens])
-    tr = AbHom(module, top, IntMatrix.from_columns(tr_cols, rows=top.ngens))
+    x = res.smith.solve(action_norm(gamma, p).matrix)
+    tr = AbHom(module, top, x.take_rows(range(top.ngens)))
     return MackeyFunctor(p, top, module, gamma, res, tr)
 
 
 def orbit_functor(p: int, module: FpAbGroup, gamma: AbHom) -> MackeyFunctor:
     """Top = coinvariants of the action, tr = projection, res = the norm."""
-    _check_module(module, gamma, p)
-    quot, proj = cokernel(gamma - AbHom.identity(module))
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    quot, proj = coinvariants(module, gamma, p)
     res = AbHom(quot, module, action_norm(gamma, p).matrix)
     return MackeyFunctor(p, quot, module, gamma, res, proj)
 

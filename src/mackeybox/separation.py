@@ -335,24 +335,22 @@ def _bounded_points(offset, basis: IntMatrix, bound: int):
 
     The basis columns come from a Hermite form, so pivot rows are triangular
     and each coefficient is pinned to a finite window in turn, starting from
-    the offset size-reduced modulo the basis (pivot entries near zero).
+    the offset size-reduced modulo the basis (pivot entries near zero).  The
+    columns and their pivot rows are read once per walk.
     """
-    n, s = basis.rows, basis.cols
-    pivots = [next(i for i, x in enumerate(basis.column(j)) if x) for j in range(s)]
+    columns = basis.transpose().to_rows()
+    pivots = [next(i for i, x in enumerate(col) if x) for col in columns]
 
     def rec(j, current):
-        if j == s:
+        if j == len(columns):
             if all(-bound <= x <= bound for x in current):
                 yield tuple(current)
             return
-        r = pivots[j]
-        piv = basis.at(r, j)
-        col = basis.column(j)
-        lo = -((bound + current[r]) // piv)  # ceil((-bound - current[r]) / piv)
-        hi = (bound - current[r]) // piv
+        r, col = pivots[j], columns[j]
+        lo = -((bound + current[r]) // col[r])  # ceil((-bound - current[r]) / pivot)
+        hi = (bound - current[r]) // col[r]
         for k in range(lo, hi + 1):
-            nxt = [current[i] + k * col[i] for i in range(n)]
-            yield from rec(j + 1, nxt)
+            yield from rec(j + 1, [x + k * c for x, c in zip(current, col)])
 
     yield from rec(0, list(_reduce_columns(IntMatrix.column_vector(offset), basis).entries))
 
@@ -384,11 +382,11 @@ def _bounded_maps(shape: tuple[int, int], constraints, bound: int):
         modulus = block_diagonal(modulus, mod.kron(IntMatrix.identity(right.cols)))
         rhs.extend(const.entries if const is not None else (0,) * block.rows)
     span = smith_normal_form(maps.hstack(modulus))
-    particular = span.solve(rhs)
+    particular = span.solve(IntMatrix.column_vector(rhs))
     if particular is None:
         return
     free_part = lattice_basis(span.kernel().take_rows(range(rows * cols)))
-    for flat in _bounded_points(particular[: rows * cols], free_part, bound):
+    for flat in _bounded_points(particular.entries[: rows * cols], free_part, bound):
         yield IntMatrix(rows, cols, flat)
 
 

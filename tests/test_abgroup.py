@@ -25,7 +25,7 @@ from mackeybox.abgroup import (
     kernel,
     tensor_product,
 )
-from mackeybox.intlin import IntMatrix
+from mackeybox.intlin import IntMatrix, smith_normal_form
 
 from helpers import random_presentation, same_lattice
 
@@ -260,6 +260,24 @@ def test_group_contains_all_agrees_with_the_smith_decomposition(case):
     for j in range(columns.cols):
         column = columns.take_columns([j])
         assert group.contains_all(column) == group.smith.contains_all(column)
+
+
+@pytest.mark.parametrize(
+    "ask, columns, height",
+    [
+        (FpAbGroup.cyclic(4).contains_all, IntMatrix.from_rows([[4], [0]]), 1),
+        (FpAbGroup.free(1).contains_all, IntMatrix.zeros(3, 2), 1),
+        (smith_normal_form(IntMatrix.zeros(2, 0)).contains_all, IntMatrix.zeros(5, 1), 2),
+        (FpAbGroup.cyclic(4).contains_all, IntMatrix.from_rows([[3], [0]]), 1),
+        (smith_normal_form(IntMatrix.zeros(2, 0)).solve, IntMatrix.zeros(5, 1), 2),
+    ],
+    ids=["matched-by-inspection", "relation-free-group", "no-relations", "multiplied-into-U", "solve"],
+)
+def test_membership_and_solve_reject_columns_of_the_wrong_length(ask, columns, height):
+    """A wrong-length column is refused with both sizes named, not matched
+    against the relations by inspection nor multiplied into U."""
+    with pytest.raises(ValueError, match=f"length {columns.rows} for a lattice in Z\\^{height}$"):
+        ask(columns)
 
 
 def test_membership_by_inspection_needs_no_elimination():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from mackeybox.abgroup import AbHom, FpAbGroup, invariant_factors
+from mackeybox.abgroup import AbHom, FpAbGroup, coinvariants, invariant_factors
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
     GSet,
@@ -270,6 +270,31 @@ def test_each_axiom_failure_detected():
     )
     assert "transfer is not well-defined" in check_axioms(wild)
     del bad_gamma
+
+
+def test_every_construction_rejects_a_bad_action_with_the_same_message():
+    """``coinvariants``, ``fixed_point_functor`` and ``orbit_functor`` share
+    one action check, so each fault reads the same whichever one is called:
+    a map that is not an endomorphism, one that is not well defined, and one
+    whose p-th power is not the identity."""
+    z = FpAbGroup.free(1)
+    z2_z = FpAbGroup(2, IntMatrix.from_columns([(2, 0)], rows=2))
+    cases = (
+        (z, AbHom(z, FpAbGroup.cyclic(2), IntMatrix.from_rows([[1]])), "endomorphism"),
+        (z2_z, AbHom(z2_z, z2_z, IntMatrix.from_rows([[1, 0], [1, 1]])), "not well-defined"),
+        (z, AbHom(z, z, IntMatrix.from_rows([[2]])), "order dividing p"),
+    )
+    for module, gamma, fault in cases:
+        messages = set()
+        for build in (
+            lambda: coinvariants(module, gamma, 2),
+            lambda: fixed_point_functor(2, module, gamma),
+            lambda: orbit_functor(2, module, gamma),
+        ):
+            with pytest.raises(ValueError, match=fault) as raised:
+                build()
+            messages.add(str(raised.value))
+        assert len(messages) == 1, (fault, messages)
 
 
 def test_structural_validation_raises():

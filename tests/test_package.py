@@ -40,7 +40,7 @@ def test_core_workflow_via_root_namespace():
     assert mackeybox.classify_invertible(m).d_class == 2
     inverse, certificate = mackeybox.invert(m)
     assert mackeybox.is_mackey_isomorphism(certificate)
-    assert mackeybox.parse_functor(mackeybox.render_machine(inverse)) == inverse
+    assert mackeybox.parse_functor(mackeybox.render_lewis(inverse, "machine")) == inverse
     assert mackeybox.isotropy_sequence(m).exact
     assert mackeybox.is_mackey_isomorphism(mackeybox.unit_isomorphism(m))
 

@@ -216,6 +216,38 @@ def test_lattice_contains_all_equals_solve_per_column(case):
     assert smith_normal_form(rel).contains_all(m) == expected
 
 
+@st.composite
+def solve_cases(draw):
+    """A (up to 5x5, entries in [-5, 5]), X0 with a few columns, and one more
+    arbitrary column c of A's height."""
+    m, n, k = (draw(st.integers(0, 5)) for _ in range(3))
+    entries = st.integers(-5, 5)
+    a = IntMatrix(m, n, tuple(draw(st.lists(entries, min_size=m * n, max_size=m * n))))
+    x0 = IntMatrix(n, k, tuple(draw(st.lists(entries, min_size=n * k, max_size=n * k))))
+    c = IntMatrix.column_vector(draw(st.lists(entries, min_size=m, max_size=m)))
+    return a, x0, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve_cases())
+def test_matrix_solve_answers_every_column_at_once(case):
+    """``solve(A @ X0)`` is some X with ``A @ X == A @ X0``; one more column
+    that ``contains_all`` rejects makes the answer None; and each column of
+    an answer is the one ``solve_linear`` gives for that column alone."""
+    a, x0, c = case
+    dec = smith_normal_form(a)
+    b = a @ x0
+    x = dec.solve(b)
+    assert (x.rows, x.cols) == (a.cols, b.cols) and a @ x == b
+    for j in range(b.cols):
+        assert solve_linear(a, b.column(j)) == x.column(j)
+    wider = dec.solve(b.hstack(c))
+    if dec.contains_all(c):
+        assert a @ wider == b.hstack(c)
+    else:
+        assert wider is None and solve_linear(a, c.column(0)) is None
+
+
 # -- Smith transforms built when first read -------------------------------------------------
 
 
@@ -303,7 +335,7 @@ def test_replayed_transforms_equal_the_eager_elimination(a):
 def test_each_question_builds_only_the_transforms_it_reads():
     """The diagonal and the rank build no transform, the kernel only the
     columns of V (not U, nor V as a matrix), membership only U and only when
-    some invariant factor is not 1, and a solution both."""
+    some invariant factor is not 1, and a solution U and the columns of V."""
 
     def built(dec):
         return {t for t in ("u", "v", "_v_columns") if t in dec.__dict__}
@@ -326,8 +358,8 @@ def test_each_question_builds_only_the_transforms_it_reads():
     assert dec.contains_all(IntMatrix.from_columns([(5, -7)], rows=2))
     assert built(dec) == set()
     dec = smith_normal_form(torsion)
-    assert dec.solve((2, 8, 0)) == (1, 2)
-    assert built(dec) == {"u", "v", "_v_columns"}
+    assert dec.solve(IntMatrix.column_vector((2, 8, 0))) == IntMatrix.column_vector((1, 2))
+    assert built(dec) == {"u", "_v_columns"}
 
 
 @settings(max_examples=150, deadline=None)
