@@ -136,6 +136,8 @@ def describe_group(g: FpAbGroup) -> str:
 class AbHom(_Frozen, fields=("source", "target", "matrix")):
     """A homomorphism of presented groups, as a matrix on coordinates."""
 
+    _well_defined = False  # True on an inclusion that ``_image`` proved well defined
+
     def __init__(self, source: FpAbGroup, target: FpAbGroup, matrix: IntMatrix):
         if matrix.rows != target.ngens or matrix.cols != source.ngens:
             raise ValueError(
@@ -203,7 +205,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         False
         """
         rel = self.source.relations
-        return rel.cols == 0 or self.target.contains_all(self.matrix @ rel)
+        return self._well_defined or not rel.cols or self.target.contains_all(self.matrix @ rel)
 
     def equals(self, other: "AbHom") -> bool:
         """Equality as maps on the presented groups (not of matrices); equal
@@ -334,12 +336,12 @@ def _image(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     """im f, presented on f's source generators modulo ``f.kernel_lattice``,
     and its inclusion into the target: it has f's matrix, so it reads f's
     memoised ``smith`` and ``kernel_lattice`` instead of eliminating
-    ``[matrix | target.relations]`` again."""
-    im = FpAbGroup(f.source.ngens, f.kernel_lattice)
-    inclusion = AbHom(im, f.target, f.matrix)
-    inclusion.__dict__["smith"] = f.smith
-    inclusion.__dict__["kernel_lattice"] = f.kernel_lattice
-    return im, inclusion
+    ``[matrix | target.relations]`` again.  Its kernel [K; Z] (K: im's relations)
+    proves the inclusion well defined when matrix·K = relations·(−Z) holds."""
+    inclusion = AbHom(FpAbGroup(f.source.ngens, f.kernel_lattice), f.target, f.matrix)
+    proved = (f.matrix.hstack(f.target.relations) @ f.smith.kernel()).is_zero()
+    inclusion.__dict__.update(smith=f.smith, kernel_lattice=f.kernel_lattice, _well_defined=proved)
+    return inclusion.source, inclusion
 
 
 def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:

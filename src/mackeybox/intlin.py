@@ -12,14 +12,14 @@ the vectors handed to ``apply`` and ``solve_linear`` accept only Python ints,
 not bools.  A matrix this module computes from checked matrices (products,
 sums, stacks, transposes, row and column selections, identities and the
 outputs of the eliminations) is built by ``_trusted``, which skips the
-per-entry check.  The eliminations run on dense lists of rows.
+per-entry check.  The eliminations run on dense rows, their replays on sparse ones.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
 from operator import add, attrgetter, lt, mul, neg, sub
 
@@ -35,7 +35,7 @@ class _Frozen:
     __slots__ = ()
 
     def __init_subclass__(cls, fields: tuple[str, ...]):
-        cls._fields, cls._values = fields, property(attrgetter(*fields))
+        cls._fields, cls._field_values = fields, attrgetter(*fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,10 +50,10 @@ class _Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._values == other._values
+        return self is other or self._field_values(self) == other._field_values(other)
 
     def __hash__(self):
-        return hash(self._values)
+        return hash(self._field_values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -194,7 +194,7 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         return f"IntMatrix({self.to_rows()})"
 
     def __reduce__(self):  # pickle and copy rebuild from the fields, not by assignment
-        return _trusted, self._values
+        return _trusted, self._field_values(self)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -471,11 +471,12 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
     last.  The elimination keeps S and the operations that reached it: the
     row operations (``row_ops``, which make U) and the column operations
     (``col_ops``, which make V, replayed as row operations on its
-    transpose).  U, U⁻¹ and V are built from them the first time they are
-    read and then kept, so a question that reads neither (``diagonal``,
-    ``rank``) builds neither, and ``kernel`` and ``solve`` take their columns
-    from the replayed columns of V without building V itself.  ``solve`` and
-    ``contains_all`` answer for a matrix of columns from one product with U.
+    transpose).  U, U⁻¹ and V are replayed on sparse rows the first time
+    they are read and then kept, so a question that reads neither
+    (``diagonal``, ``rank``) builds neither, and ``kernel`` and ``solve``
+    take their columns from the replayed columns of V without building V.
+    ``solve`` and ``contains_all`` answer for a matrix of columns from one
+    product with U.
     """
 
     def __init__(self, s: IntMatrix, row_ops: tuple, col_ops: tuple):
@@ -483,7 +484,7 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
 
     @cached_property
     def u(self) -> IntMatrix:
-        return _from_row_lists(_replay(self.s.rows, self.row_ops), self.s.rows)
+        return _identity_after(self.s.rows, self.row_ops)
 
     @cached_property
     def u_inverse(self) -> IntMatrix:
@@ -491,14 +492,14 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         swap and a negation undo themselves; adding q times a row is undone
         by adding -q times it."""
         undo = [(*op[:3], -op[3]) if op[0] is _add_row else op for op in reversed(self.row_ops)]
-        return _from_row_lists(_replay(self.s.rows, undo), self.s.rows)
+        return _identity_after(self.s.rows, undo)
 
     @cached_property
     def v(self) -> IntMatrix:
-        return _from_column_lists(self._v_columns, self.s.cols)
+        return _from_dict_columns(self._v_columns, self.s.cols)
 
     @cached_property
-    def _v_columns(self) -> list[list[int]]:
+    def _v_columns(self) -> list[dict[int, int]]:
         return _replay(self.s.cols, self.col_ops)
 
     def diagonal(self) -> tuple[int, ...]:
@@ -522,7 +523,7 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
             offsets = (0, *accumulate(len(op[2]) for op in self.col_ops))
             minus_r = _trusted(r, n - r, offsets, tuple(j - r for j, _ in pairs), tuple(q for _, q in pairs))
             return minus_r.vstack(_eye(n - r, n - r))
-        return _from_column_lists(self._v_columns[r:], n)
+        return _from_dict_columns(self._v_columns[r:], n)
 
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the column lattice of A.
@@ -550,7 +551,7 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         r, o = self.rank(), ub.offsets
         quotients = (v // d for d, (_, vals) in zip(self.s.values, _sparse_rows(ub)) for v in vals)
         y = _trusted(r, b.cols, o[: r + 1], ub.indices[: o[r]], tuple(quotients))
-        return _from_column_lists(self._v_columns[:r], self.s.cols) @ y
+        return _from_dict_columns(self._v_columns[:r], self.s.cols) @ y
 
     def _divisible(self, ub: IntMatrix, first: int) -> bool:
         """Whether ub, the rows of ``U @ b`` from ``first`` on, is divisible
@@ -565,7 +566,7 @@ def _swap_rows(m, i, j):
     m[i], m[j] = m[j], m[i]
 
 
-def _add_row(m, dst, src, q):
+def _add_dense(m, dst, src, q):
     """Row dst += q * row src, in place, over the nonzero entries of row src."""
     if q:
         row = m[dst]
@@ -574,28 +575,54 @@ def _add_row(m, dst, src, q):
                 row[k] += q * b
 
 
-def _add_multiples(m, src, multiples):
-    """Row dst += q * row src for each ``(dst, q)``, finding row src's nonzeros once."""
-    srow = m[src]
-    support = [(k, srow[k]) for k in compress(range(len(srow)), srow)]
-    for dst, q in multiples:
+def _add_row(m, dst, src, q):
+    """``_add_dense`` on sparse rows (dicts); an entry that cancels is dropped."""
+    if q:
         row = m[dst]
-        for k, b in support:
-            row[k] += q * b
+        for k, b in m[src].items():
+            x = row.get(k, 0) + q * b
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _add_multiples(m, src, multiples):
+    for dst, q in multiples:
+        _add_row(m, dst, src, q)
 
 
 def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
+    m[i] = {k: -x for k, x in m[i].items()}
 
 
-def _replay(n, ops):
-    """The rows of the n x n identity after the operations ``(op, *args)``."""
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
+def _replay(n, ops) -> list[dict[int, int]]:
+    """The sparse rows of the n x n identity after the operations ``(op, *args)``."""
+    rows = [{i: 1} for i in range(n)]
     for op in ops:
         op[0](rows, *op[1:])
     return rows
+
+
+def _identity_after(n, row_ops) -> IntMatrix:
+    """The n x n identity after the row operations, built from the sparse
+    rows of their replay; with none, the shared identity."""
+    if not row_ops:
+        return _eye(n, n)
+    rows = [sorted(row.items()) for row in _replay(n, row_ops)]
+    pairs, offsets = [*chain(*rows)], [0, *accumulate(map(len, rows))]
+    return _trusted(n, n, *_shared(offsets, [j for j, _ in pairs], [x for _, x in pairs]))
+
+
+def _from_dict_columns(columns: list[dict[int, int]], nrows: int) -> IntMatrix:
+    """The matrix with the columns ``columns``, in one pass over them in order."""
+    indices, values = [[] for _ in range(nrows)], [[] for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            indices[i].append(j)
+            values[i].append(x)
+    offsets = [0, *accumulate(map(len, values))]
+    return _trusted(nrows, len(columns), *_shared(offsets, [*chain(*indices)], [*chain(*values)]))
 
 
 def _least_entry(s, t):
@@ -646,7 +673,7 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
                 for i in range(t + 1, m):
                     if s[i][t]:
                         q = s[i][t] // s[t][t]
-                        _add_row(s, i, t, -q)
+                        _add_dense(s, i, t, -q)
                         row_ops.append((_add_row, i, t, -q))
                         if s[i][t]:  # nonzero remainder becomes the smaller pivot
                             _swap_rows(s, t, i)
@@ -674,17 +701,13 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
             piv = s[t][t]
             if piv in (1, -1):  # a unit divides everything
                 break
-            viol = None
-            for i in range(t + 1, m):
-                if any(s[i][j] % piv for j in range(t + 1, n)):
-                    viol = i
-                    break
+            viol = next((i for i in range(t + 1, m) if any(s[i][j] % piv for j in range(t + 1, n))), None)
             if viol is None:
                 break
-            _add_row(s, t, viol, 1)
+            _add_dense(s, t, viol, 1)
             row_ops.append((_add_row, t, viol, 1))
         if s[t][t] < 0:
-            _negate_row(s, t)
+            s[t] = [-x for x in s[t]]
             row_ops.append((_negate_row, t))
 
     return SmithDecomposition(_from_row_lists(s, n), tuple(row_ops), tuple(col_ops))
@@ -767,7 +790,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
             for j in range(pc + 1, n):
                 if h[j][r]:
                     q = h[j][r] // h[pc][r]
-                    _add_row(h, j, pc, -q)
+                    _add_dense(h, j, pc, -q)
                     if h[j][r]:
                         done = False
             if done:
@@ -779,7 +802,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
         piv = h[pc][r]
         for l in range(pc):  # reduce earlier columns: 0 <= h[r][l] < pivot
             q = h[l][r] // piv
-            _add_row(h, l, pc, -q)
+            _add_dense(h, l, pc, -q)
         pc += 1
     return _from_column_lists(h, m)
 

@@ -142,10 +142,10 @@ def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
     relations span everything), and ker proj = im inc + relations, checked
     as the two lattice inclusions of ``_exact_in_middle``.  What each reads:
 
-    * the morphism conditions: membership in the target group
-      (``FpAbGroup.contains_all``), which settles zero and plus or minus
-      relation columns by inspection (all of Phi's), else the target's
-      ``FpAbGroup.smith`` (M's top, for the inclusion's top map);
+    * the morphism conditions: membership in the target group (which
+      settles zero and plus or minus relations by inspection, all of Phi's,
+      else reads ``FpAbGroup.smith``), or the proof from ``m.tr.smith``
+      that ``abgroup._image`` keeps on the inclusion's top map;
     * injectivity: the inclusion's ``kernel_lattice`` and membership in its
       source; on the top both come from ``m.tr.smith``, whose kernel lattice
       is Gamma's relations, so Gamma's top needs no elimination;

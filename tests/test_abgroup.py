@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mackeybox.abgroup import (
     AbHom,
     FpAbGroup,
+    _image,
     cokernel,
     coinvariants,
     describe_group,
@@ -161,6 +162,23 @@ def test_kernel_catches_torsion_kernels():
     k, inc = kernel(f)
     assert invariant_factors(k) == (0, (2,))
     assert (f @ inc).equals(AbHom.zero(k, z4))
+
+
+def test_an_image_inclusion_carries_the_proof_that_it_is_well_defined():
+    """``_image`` proves its inclusion well defined from the kernel of
+    ``[matrix | target relations]``; a copy without the proof reaches the
+    same verdict by the membership test, which a map still runs when its
+    memo holds no proof."""
+    rng = random.Random(18)
+    for _ in range(100):
+        g, h = random_presentation(rng), random_presentation(rng)
+        f = AbHom(g, h, IntMatrix(h.ngens, g.ngens, tuple(rng.randint(-4, 4) for _ in range(h.ngens * g.ngens))))
+        im, inclusion = _image(f)
+        assert inclusion.__dict__["_well_defined"] is True
+        assert AbHom(im, h, f.matrix).is_well_defined()
+    unproved = AbHom(FpAbGroup.cyclic(2), FpAbGroup.cyclic(4), IntMatrix.from_rows([[1]]))
+    unproved.__dict__["_well_defined"] = False
+    assert not unproved.is_well_defined()
 
 
 def test_torsion_free_and_lattice():

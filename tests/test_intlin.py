@@ -1,17 +1,22 @@
 """Exact integer linear algebra, cross-checked against independent oracles.
 
 The Smith form invariants are compared with the classical gcd-of-k-minors
-formula; kernels are compared with a Fraction-based Gaussian elimination;
-Hermite lattice membership is decided by an independent triangular solver.
+formula, which also decides lattice membership, negative answers included;
+kernels are compared with a Fraction-based Gaussian elimination; Hermite
+lattice membership is decided by an independent triangular solver.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mackeybox.abgroup import FpAbGroup
 from mackeybox.intlin import (
     IntMatrix,
     extended_gcd,
@@ -23,7 +28,7 @@ from mackeybox.intlin import (
     solve_linear,
 )
 
-from helpers import column_hermite, det
+from helpers import column_hermite, det, same_lattice
 
 
 def random_matrix(rng, max_dim=6, entry=9):
@@ -219,6 +224,55 @@ def test_smith_invariants_match_minor_gcd_oracle():
         dec = smith_normal_form(a)
         nonzero = [d for d in dec.diagonal() if d]
         assert nonzero == minor_gcd_invariants(a)
+
+
+def in_lattice_by_minors(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether the column b lies in the column lattice of A, from minors
+    alone.  L(A) lies in L([A | b]); the two have the same rank r exactly
+    when b is in the rational span, and then the index between them is
+    d_r(A) / d_r([A | b]), the quotients of the gcds of the r x r minors
+    (the products of the nonzero invariant factors)."""
+    inside, wider = minor_gcd_invariants(a), minor_gcd_invariants(a.hstack(b))
+    return len(inside) == len(wider) and math.prod(inside) == math.prod(wider)
+
+
+@st.composite
+def lattice_and_column(draw):
+    """A (up to 4 x 4, entries in [-6, 6]) and a column b of its height: a
+    combination of A's columns or an arbitrary column, so both answers occur."""
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.integers(-6, 6)
+    a = IntMatrix(n, k, tuple(draw(st.lists(entries, min_size=n * k, max_size=n * k))))
+    if k and draw(st.booleans()):
+        b = a.apply(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+    else:
+        b = draw(st.lists(entries, min_size=n, max_size=n))
+    return a, IntMatrix.column_vector(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_and_column())
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.column_vector((1, 3))))
+@example((IntMatrix.from_rows([[2, 4], [1, 2]]), IntMatrix.column_vector((1, 0))))
+def test_membership_answers_agree_with_the_minors_oracle(case):
+    """Every membership question, the negative answers too, against
+    ``in_lattice_by_minors``, which shares no code with the library's
+    eliminations: ``same_lattice(A, [A | b])``, ``FpAbGroup.contains_all``
+    (which settles some columns by inspection), and the Smith
+    decomposition's ``contains_all`` and ``solve``.  The last three share
+    ``SmithDecomposition._divisible``, so this is the check of a column they
+    all reject.  The examples are a non-member of full rank and one outside
+    the rational span."""
+    a, b = case
+    member = in_lattice_by_minors(a, b)
+    dec = smith_normal_form(a)
+    x = dec.solve(b)
+    assert same_lattice(a, a.hstack(b)) == member
+    assert FpAbGroup(a.rows, a).contains_all(b) == member
+    assert dec.contains_all(b) == member
+    assert (x is not None) == member
+    if member:
+        assert a @ x == b
 
 
 def test_smith_huge_entries_stay_exact():
