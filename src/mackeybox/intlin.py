@@ -201,12 +201,15 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row-wise sparse product (Gustavson): row i of the result sums
         ``a * (row k of other)`` over the nonzeros ``a`` at (i, k).  A row
-        with one nonzero copies that row of other, scaled, so identity and
-        signed-permutation factors cost a copy."""
+        with one nonzero copies that row of other, scaled; a factor that is
+        the shared ``IntMatrix.identity`` gives the other factor itself."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        for one, m in ((self, other), (other, self)):  # integers first; ``_eye`` only for a square
+            if one.rows == one.cols == len(one.values) and one is _eye(one.rows, one.rows):
+                return m
         ao, ai, av = self.offsets, self.indices, self.values
         bo, bi, bv = other.offsets, other.indices, other.values
         span = range(other.cols)
@@ -242,22 +245,39 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         return self._entrywise(sub, other)
 
     def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
-        """Merge each pair of rows over the union of their nonzero columns;
-        zeros are dropped."""
+        """Each pair of rows merged in one pass down their two ascending runs
+        of indices, so a row costs its nonzeros; zeros are dropped."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         offsets, indices, values = [0], [], []
         for (ai, av), (bi, bv) in zip(_sparse_rows(self), _sparse_rows(other)):
             if ai == bi:
                 row = list(map(op, av, bv))
+                indices += compress(ai, row)
+                values += compress(row, row)
             else:
-                acc = dict(zip(ai, av))
-                for j, b in zip(bi, bv):
-                    acc[j] = op(acc.get(j, 0), b)
-                ai = sorted(acc)
-                row = list(map(acc.__getitem__, ai))
-            indices += compress(ai, row)
-            values += compress(row, row)
+                i = k = 0
+                na, nb = len(ai), len(bi)
+                while i < na and k < nb:
+                    x, y = ai[i], bi[k]
+                    if x < y:
+                        indices.append(x)
+                        values.append(av[i])
+                        i += 1
+                    elif y < x:
+                        indices.append(y)
+                        values.append(op(0, bv[k]))
+                        k += 1
+                    else:
+                        v = op(av[i], bv[k])
+                        if v:
+                            indices.append(x)
+                            values.append(v)
+                        i += 1
+                        k += 1
+                indices += ai[i:] + bi[k:]  # one of the two runs is used up
+                values += av[i:]
+                values += map(op, repeat(0), bv[k:])
             offsets.append(len(values))
         return _trusted(self.rows, self.cols, tuple(offsets), tuple(indices), tuple(values))
 
@@ -512,11 +532,15 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         return len(self.s.values)
 
     def kernel(self) -> IntMatrix:
-        """A basis of the integer kernel ``{x : A x = 0}``: the columns of V
-        past the rank, taken from the replayed columns without building V.
+        """A basis of the integer kernel ``{x : A x = 0}``, memoised: the
+        columns of V past the rank, from the replayed columns without V.
         The closed form of ``[I | R]`` (the only source of ``_add_multiples``
         operations) needs no replay: those columns are ``[-R; I]``, and its
         operation for pivot i lists row i of -R."""
+        return self._kernel
+
+    @cached_property
+    def _kernel(self) -> IntMatrix:
         n, r = self.s.cols, self.rank()
         if self.col_ops and self.col_ops[0][0] is _add_multiples:
             pairs = [p for op in self.col_ops for p in op[2]]
@@ -643,13 +667,12 @@ def _least_entry(s, t):
 
 
 def _eliminate(a: IntMatrix) -> SmithDecomposition:
-    """The Smith elimination itself.
-
-    Every step is a row operation on a list of rows.  A row operation on S
-    is recorded for U.  A column operation on S touches only rows ``t`` and
-    below, since the rows above the pivot are already zero in the columns
-    that remain, and is recorded for V as a row operation on its transpose.
-    """
+    """The Smith elimination itself: row operations on a list of rows,
+    recorded for U, and column operations, recorded for V as row operations
+    on its transpose.  Adding a multiple of column t touches only the rows
+    (``live``) with a nonzero in column t: row t alone after the row pass,
+    until a column swap moves nonzeros under the pivot, which collects the
+    list again.  S is written from its diagonal."""
     m, n = a.rows, a.cols
     s = a.to_rows()
     row_ops, col_ops = [], []
@@ -679,26 +702,28 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
                             _swap_rows(s, t, i)
                             row_ops.append((_swap_rows, t, i))
                             dirty = True
+            top = s[t]
+            live = [top]
             dirty = True
             while dirty:
                 dirty = False
                 for j in range(t + 1, n):
-                    if s[t][j]:
-                        q = s[t][j] // s[t][t]
-                        for row in s[t:]:
-                            if row[t]:
-                                row[j] -= q * row[t]
+                    if top[j]:
+                        q = top[j] // top[t]
+                        for row in live:
+                            row[j] -= q * row[t]
                         col_ops.append((_add_row, j, t, -q))
-                        if s[t][j]:
+                        if top[j]:
                             for row in s[t:]:
                                 row[t], row[j] = row[j], row[t]
+                            live = [row for row in s[t:] if row[t]]
                             col_ops.append((_swap_rows, t, j))
                             dirty = True
-            if any(s[i][t] for i in range(t + 1, m)):
+            if len(live) > 1:
                 continue  # a column swap disturbed the cleared column
             # make the pivot divide everything that remains, so the final
             # diagonal automatically forms a divisibility chain
-            piv = s[t][t]
+            piv = top[t]
             if piv in (1, -1):  # a unit divides everything
                 break
             viol = next((i for i in range(t + 1, m) if any(s[i][j] % piv for j in range(t + 1, n))), None)
@@ -706,11 +731,14 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
                 break
             _add_dense(s, t, viol, 1)
             row_ops.append((_add_row, t, viol, 1))
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
+        if s[t][t] < 0:  # the pivot is all that is left of row t
+            s[t][t] = -s[t][t]
             row_ops.append((_negate_row, t))
 
-    return SmithDecomposition(_from_row_lists(s, n), tuple(row_ops), tuple(col_ops))
+    diag = [x for t in range(min(m, n)) if (x := s[t][t])]
+    r = len(diag)
+    offsets = [*range(r + 1), *repeat(r, m - r)]
+    return SmithDecomposition(_trusted(m, n, *_shared(offsets, range(r), diag)), tuple(row_ops), tuple(col_ops))
 
 
 def _leads_with_identity(a: IntMatrix) -> bool:

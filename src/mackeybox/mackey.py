@@ -99,12 +99,7 @@ class MackeyFunctor(_Frozen, fields=("p", "top", "bottom", "gamma", "res", "tr")
             raise ValueError("res must map the top tier to the bottom tier")
         if tr.source != bottom or tr.target != top:
             raise ValueError("tr must map the bottom tier to the top tier")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "res", res)
-        object.__setattr__(self, "tr", tr)
+        self._set_fields(p, top, bottom, gamma, res, tr)
 
     @cached_property
     def _memo(self) -> dict:

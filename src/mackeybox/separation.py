@@ -169,9 +169,7 @@ def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
     for (name, inc), (_, proj) in zip(_tier_maps(inclusion), _tier_maps(projection)):
         if not _exact_in_middle(inc, proj):
             report.append(f"sequence is not exact at the middle {name} tier")
-    return IsotropySequence(
-        gamma_part, inclusion, m, projection, phi_part, not report, tuple(report)
-    )
+    return IsotropySequence(gamma_part, inclusion, m, projection, phi_part, not report, tuple(report))
 
 
 # -- twisted Burnside functors -------------------------------------------------
@@ -443,9 +441,7 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
             (((eye_n, m.top.relations),), None, rel_n),
         )
         for phi_t_mat in _bounded_maps((n.top.ngens, m.top.ngens), squares, bound):
-            candidate = MackeyMorphism(
-                m, n, AbHom(m.top, n.top, phi_t_mat), phi_b
-            )
+            candidate = MackeyMorphism(m, n, AbHom(m.top, n.top, phi_t_mat), phi_b)
             if is_mackey_isomorphism(candidate):
                 return IsoSearchResult(FOUND, witness=candidate)
     return IsoSearchResult(UNKNOWN, detail=f"no isomorphism with entries within {bound}")

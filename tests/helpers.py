@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from mackeybox.intlin import IntMatrix, block_diagonal, kernel_basis, smith_normal_form, solve_linear
+from mackeybox.intlin import IntMatrix, block_diagonal, kernel_basis, solve_linear
 from mackeybox.abgroup import AbHom, FpAbGroup, direct_sum, invariant_factors
 from mackeybox.mackey import (
     GSet,
@@ -120,11 +120,17 @@ def column_hermite(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def same_lattice(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether two generating sets span the same column lattice: each lies
-    in the other's, by Smith membership, with no Hermite form."""
+    """Whether two generating sets span the same column lattice: their
+    Hermite forms (``column_hermite``, which shares no code with the
+    library's eliminations) agree once their zero columns are dropped, since
+    that form is unique for the lattice."""
     if a.rows != b.rows:
         raise ValueError("lattices in different ambient spaces")
-    return smith_normal_form(a).contains_all(b) and smith_normal_form(b).contains_all(a)
+
+    def basis(m):
+        return [col for col in column_hermite(m)[0].transpose().to_rows() if any(col)]
+
+    return basis(a) == basis(b)
 
 
 def is_trivial(g: FpAbGroup) -> bool:

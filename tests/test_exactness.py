@@ -2,11 +2,13 @@
 
 ``AbHom.is_injective`` and ``is_surjective`` are compared with the trivial
 kernel and cokernel presentations they replace, the two lattice inclusions
-of the middle-exactness test with an equality of lattices read from a fresh
-Smith form of each side (``helpers.same_lattice``), and ``isotropy_sequence``
-with a copy of its former version, kept below as the reference.  Maps are drawn between groups
-with and without torsion, and include maps that are not well defined, pairs
-that are not exact and diagrams that break the axioms.
+of the middle-exactness test with an equality of lattices read from the
+Hermite form of each side (``helpers.same_lattice``, which shares no code
+with the membership test ``_exact_in_middle`` reads), and
+``isotropy_sequence`` with a copy of its former version, kept below as the
+reference.  Maps are drawn between groups with and without torsion, and
+include maps that are not well defined, pairs that are not exact and
+diagrams that break the axioms.
 """
 
 import pytest

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mackeybox.intlin import (
@@ -325,21 +325,29 @@ def eager_smith(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 @st.composite
-def box_shaped(draw):
+def box_shaped(draw, values=(1, -1)):
     """Sparse matrices shaped like ``[tr | top relations]`` of a box product:
-    up to 12 x 30, each entry 1 or -1 with odds of 5, 10 or 20 %, and half
-    of them led by an identity block (whose decomposition is the closed
-    form, recorded as ``_add_multiples``).  Their replays meet entries that
-    cancel to zero, negated rows and rows with one nonzero."""
+    up to 12 x 30, each entry one of ``values`` with odds of 5, 10 or 20 %,
+    and half of them led by an identity block (whose decomposition is the
+    closed form, recorded as ``_add_multiples``).  Their replays meet
+    entries that cancel to zero, negated rows and rows with one nonzero;
+    with entries in ±{1, 2, 3} the pivots need not be units, so column
+    passes leave remainders and swap columns."""
     rng = draw(st.randoms(use_true_random=False))
     rows, cols, fill = draw(st.integers(1, 12)), draw(st.integers(1, 30)), draw(st.sampled_from((0.05, 0.1, 0.2)))
-    a = IntMatrix(rows, cols, tuple(rng.choice((1, -1)) if rng.random() < fill else 0 for _ in range(rows * cols)))
+    a = IntMatrix(rows, cols, tuple(rng.choice(values) if rng.random() < fill else 0 for _ in range(rows * cols)))
     return IntMatrix.identity(rows).hstack(a) if draw(st.booleans()) else a
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(matrices(max_dim=7), box_shaped()))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(max_dim=7), box_shaped(), box_shaped(values=(1, -1, 2, -2, 3, -3))))
+@example(IntMatrix.from_rows([[2, 0], [0, 3]]))
 def test_replayed_transforms_equal_the_eager_elimination(a):
+    """The example reaches a column pass that swaps columns while a row
+    below the pivot is nonzero in the new column t: 3 is not a multiple of
+    2, so row 1 is added to row 0, the remainder 1 of [2, 3] is swapped into
+    column 0, and the 3 of row 1 comes with it, so the next column operation
+    must update row 1 as well as the pivot row."""
     dec = smith_normal_form(a)
     assert (dec.u, dec.s, dec.v) == eager_smith(a)
     assert dec.u @ a @ dec.v == dec.s

@@ -11,7 +11,7 @@ import copy
 import pickle
 import tracemalloc
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mackeybox import intlin
@@ -87,6 +87,81 @@ def test_entrywise_kernels(a, data):
     same(m - m, [[0] * c for _ in rows], c)
     same(-m, [[-x for x in p] for p in rows], c)
     same(m.scaled(k), [[k * x for x in p] for p in rows], c)
+
+
+def wide_rows(r, width=200):
+    """r rows of the given width, each with at most two nonzeros, in columns
+    drawn from a few so that two rows are often disjoint, overlap or cancel."""
+    columns = st.sampled_from((0, 1, 2, width // 2, width - 1))
+    pairs = st.dictionaries(columns, st.sampled_from((1, -1, 2, -2)), max_size=2)
+    return st.lists(pairs.map(lambda row: [row.get(j, 0) for j in range(width)]), min_size=r, max_size=r)
+
+
+def row(**nonzeros):
+    """A row of width 200 with the given nonzeros, ``c7=5`` for 5 in column 7."""
+    return [nonzeros.get(f"c{j}", 0) for j in range(200)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(wide_rows(r), wide_rows(r))))
+@example(([row(c3=1, c150=2)], [row(c7=5, c199=-1)]))  # disjoint
+@example(([row(c3=1, c150=2)], [row(c3=4, c160=-1)]))  # overlapping in column 3
+@example(([row(c3=1, c150=2)], [row(c3=-1, c160=2)]))  # one entry cancels under +
+@example(([row(c0=2, c199=1)], [row(c0=2, c5=3)]))  # one entry cancels under -
+@example(([row(c3=1, c9=2)], [row(c3=-1, c9=-2)]))  # everything cancels under +
+@example(([row()], [row(c5=1, c9=2)]))
+@example(([row(c5=1, c9=2)], [row()]))
+def test_sums_of_rows_with_different_patterns(pair):
+    """``+`` and ``-`` merge two rows with different patterns in one pass
+    down both: rows up to 1 x 200 with two nonzeros each that are disjoint,
+    overlap or cancel to zero, against the dense entrywise result."""
+    rows, other = pair
+    m, o = built(rows, 200), built(other, 200)
+    same(m + o, [[x + y for x, y in zip(p, q)] for p, q in zip(rows, other)], 200)
+    same(m - o, [[x - y for x, y in zip(p, q)] for p, q in zip(rows, other)], 200)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped())
+def test_a_product_with_the_shared_identity_is_the_other_factor(a):
+    """``IntMatrix.identity`` is one shared object per size, and a product
+    with it returns the other factor itself; an identity built by
+    ``from_rows`` is an ordinary matrix and gives an equal product."""
+    rows, r, c = a
+    m = built(rows, c)
+    assert m @ IntMatrix.identity(c) is m
+    assert IntMatrix.identity(r) @ m is m
+    eye_c = IntMatrix.from_rows([[int(i == j) for j in range(c)] for i in range(c)], cols=c)
+    eye_r = IntMatrix.from_rows([[int(i == j) for j in range(r)] for i in range(r)], cols=r)
+    same(m @ eye_c, rows, c)
+    same(eye_r @ m, rows, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_a_rectangular_identity_block_is_not_the_identity(n, extra, data):
+    """``[I | 0]`` (``intlin._eye(n, n + extra)``) and its transpose have one
+    stored value per row, yet a product with them is a real product; the
+    test for the shared identity asks ``_eye`` only for square shapes."""
+    asked, original = [], intlin._eye
+
+    def eye(rows, cols):
+        asked.append((rows, cols))
+        return original(rows, cols)
+
+    wide = intlin._eye(n, n + extra)
+    tall = wide.transpose()
+    left = data.draw(dense_rows(data.draw(st.integers(0, 4)), n))
+    right = data.draw(dense_rows(n + extra, data.draw(st.integers(0, 4))))
+    width = len(right[0]) if right else 0
+    intlin._eye = eye
+    try:
+        same(built(left, n) @ wide, dense_product(left, wide.to_rows(), n), n + extra)
+        same(tall @ built(left, n).transpose(), dense_product(tall.to_rows(), dense_transpose(left, n), n), len(left))
+        same(wide @ built(right, width), dense_product(wide.to_rows(), right, n + extra), width)
+    finally:
+        intlin._eye = original
+    assert all(rows == cols for rows, cols in asked)
 
 
 @settings(max_examples=200, deadline=None)
