@@ -9,9 +9,9 @@ cokernels) reduces to integer linear algebra from :mod:`.intlin`.
 
 Groups and homomorphisms are frozen, so a fact derived from one is computed
 at most once and kept on it (``functools.cached_property``; the memo is not a
-field, so ``==`` and ``hash`` ignore it): a group's Smith decomposition,
-Hermite basis and the columns it recognises as relations, a homomorphism's
-Smith decomposition and kernel lattice, and an endomorphism's order-p orbit.
+field, so ``==`` and ``hash`` ignore it): a group's Smith decomposition and
+the columns it recognises as relations, a homomorphism's Smith decomposition
+and kernel lattice, and an endomorphism's orbits.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         columns = _sparse_rows(self.relations.transpose())
         return frozenset(columns + [(idx, tuple(map(neg, vals))) for idx, vals in columns])
 
-    @cached_property
-    def hermite_basis(self) -> IntMatrix:
-        """The canonical (Hermite) basis of the relation lattice, memoised;
-        products in an orbit are reduced modulo it."""
-        return lattice_basis(self.relations)
-
 
 def invariant_factors(g: FpAbGroup) -> tuple[int, tuple[int, ...]]:
     """``(free_rank, torsion)`` with torsion a divisibility chain, 1s dropped.
@@ -180,20 +174,15 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         return AbHom(self.source, self.target, self.matrix.scaled(k))
 
     def power(self, k: int) -> "AbHom":
-        """The k-th iterate: the first half of ``orbit(k)``, and the identity
-        at k = 0.  On a group with relations its matrix is the orbit's
-        reduced representative, equal to ``matrix^k`` as a map.
+        """The k-th iterate, the first half of ``orbit(k)``: on a group with
+        relations, the orbit's reduced representative of ``matrix^k``.
 
         >>> swap = AbHom(FpAbGroup.free(2), FpAbGroup.free(2),
         ...              IntMatrix.from_rows([[0, 1], [1, 0]]))
         >>> swap.power(5).matrix
         IntMatrix([[0, 1], [1, 0]])
         """
-        if self.source != self.target:
-            raise ValueError("powers need an endomorphism")
-        if k < 0:
-            raise ValueError("negative power")
-        return self.orbit(k)[0] if k else AbHom.identity(self.source)
+        return self.orbit(k)[0]
 
     def is_well_defined(self) -> bool:
         """Whether every source relation maps into the target relation lattice.
@@ -245,42 +234,42 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
     def _orbits(self) -> dict:
         return {}
 
-    def orbit(self, p: int) -> tuple["AbHom", "AbHom"]:
-        """``(f^p, 1 + f + ... + f^(p-1))`` for p >= 1, memoised per p.
+    def orbit(self, k: int) -> tuple["AbHom", "AbHom"]:
+        """``(f^k, 1 + f + ... + f^(k-1))`` for k >= 0, memoised per k.
 
-        Both come from one doubling pass over the bits of p, in O(log p)
-        matrix products: with ``N_k = 1 + f + ... + f^(k-1)``,
-        ``N_2k = N_k + f^k N_k`` and ``N_(2k+1) = N_2k + f^(2k)``, and the
-        pass ends holding ``f^p``.  The identity has the orbit ``(1, p)``
-        with no product at all.  When the group has relations and f is well
-        defined, each step of the pass ends by reducing both matrices modulo
-        the Hermite basis of the relations, so the entries stay small however
-        large p is; both results then equal the exact ones as maps of the
-        group.  Otherwise the products are exact.
+        Both come from one doubling pass over the bits of k, in O(log k)
+        matrix products: with ``N_j = 1 + f + ... + f^(j-1)``,
+        ``N_2j = N_j + f^j N_j`` and ``N_(2j+1) = N_2j + f^(2j)``, and the
+        pass ends holding ``f^k``.  k = 0 and the identity have the orbit
+        ``(1, k)`` with no product at all.  When the group has relations and
+        f is well defined, each step of the pass ends by reducing both
+        matrices modulo the Hermite basis of the relations, so the entries
+        stay small however large k is; both results then equal the exact
+        ones as maps of the group.  Otherwise the products are exact.
 
         >>> z5 = FpAbGroup.cyclic(5)
         >>> power, norm = AbHom(z5, z5, IntMatrix.from_rows([[6]])).orbit(1000000007)
         >>> power.matrix, norm.matrix
         (IntMatrix([[1]]), IntMatrix([[2]]))
         """
-        found = self._orbits.get(p)
+        found = self._orbits.get(k)
         if found is None:
-            found = self._orbits[p] = self._orbit(p)
+            found = self._orbits[k] = self._orbit(k)
         return found
 
-    def _orbit(self, p: int) -> tuple["AbHom", "AbHom"]:
+    def _orbit(self, k: int) -> tuple["AbHom", "AbHom"]:
         if self.source != self.target:
             raise ValueError("orbits need an endomorphism")
-        if p < 1:
-            raise ValueError("orbits need p >= 1")
+        if k < 0:
+            raise ValueError(f"orbits need k >= 0, got k = {k}")
         g = self.source
         eye = IntMatrix.identity(g.ngens)
-        if self.matrix == eye:
-            return AbHom(g, g, eye), AbHom(g, g, eye.scaled(p))
-        basis = g.hermite_basis if g.relations.cols and self.is_well_defined() else None
+        if k == 0 or self.matrix == eye:
+            return AbHom(g, g, eye), AbHom(g, g, eye.scaled(k))
+        basis = lattice_basis(g.relations) if g.relations.cols and self.is_well_defined() else None
         gamma = self.matrix
         total, power = eye, gamma  # N_1 and f^1
-        for bit in bin(p)[3:]:
+        for bit in bin(k)[3:]:
             total = total + power @ total
             power = power @ power
             if bit == "1":
@@ -323,13 +312,19 @@ def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
 
 def _check_action(g: FpAbGroup, gamma: AbHom, p: int) -> None:
     """Raise ValueError unless gamma is a well-defined endomorphism of g
-    whose p-th power is the identity."""
+    whose p-th power is the identity, for p >= 1.  On a relation-free Z^n
+    with no divisor of p in [2, n + 1], gamma^p = 1 forces gamma = 1 (a
+    nontrivial cyclotomic factor Φ_d, d | p, would need φ(d) ≤ n), so there
+    gamma is compared with 1 and gamma^p is never formed."""
     if gamma.source != g or gamma.target != g:
         raise ValueError("the action must be an endomorphism of the group")
     if not gamma.is_well_defined():
         raise ValueError("the action is not well-defined")
-    if not gamma.orbit(p)[0].equals(AbHom.identity(g)):
-        raise ValueError("the action does not have order dividing p")
+    if p < 1:
+        raise ValueError(f"the action's order must divide p >= 1, got p = {p}")
+    forced = not g.relations.cols and all(p % d for d in range(2, g.ngens + 2))
+    if not (gamma if forced else gamma.orbit(p)[0]).equals(AbHom.identity(g)):
+        raise ValueError(f"the action does not have order dividing {p}")
 
 
 def _image(f: AbHom) -> tuple[FpAbGroup, AbHom]:

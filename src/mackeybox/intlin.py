@@ -143,9 +143,6 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         k = bisect_left(self.indices, j, lo, hi)
         return self.values[k] if k < hi and self.indices[k] == j else 0
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.take_rows((i,)).entries
-
     def column(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside [0, {self.cols})")
@@ -792,8 +789,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     H is the canonical lower column echelon form (positive pivots, entries
     left of a pivot reduced into [0, pivot), zero columns last), so two
     matrices span the same column lattice iff their H agree.  Computed
-    afresh on each call; a presented group keeps the basis of its relation
-    lattice memoised (``FpAbGroup.hermite_basis``).
+    afresh on each call.
 
     The column reduction runs on the transpose of H, so that each column
     operation is a row operation on a list.

@@ -71,11 +71,6 @@ def action_norm(gamma: AbHom, p: int) -> AbHom:
     It is the second half of the action's memoised orbit
     (:meth:`AbHom.orbit`): O(log p) matrix products, once per action and p.
     """
-    if gamma.source != gamma.target:
-        raise ValueError("the action must be an endomorphism")
-    if p < 1:
-        n = gamma.source.ngens
-        return AbHom(gamma.source, gamma.target, IntMatrix.zeros(n, n))
     return gamma.orbit(p)[1]
 
 
@@ -109,7 +104,9 @@ class MackeyFunctor(_Frozen, fields=("p", "top", "bottom", "gamma", "res", "tr")
 def check_axioms(m: MackeyFunctor) -> tuple[str, ...]:
     """All violated axioms, as human-readable strings; empty means valid.
 
-    The verdict is memoised on m, so checking a functor again is free.
+    The faults of res and tr come first, then the action's fault (worded as
+    in every other action check) or else the norm rule, which presumes an
+    order-p action.  The verdict is memoised on m, so checking again is free.
 
     >>> check_axioms(burnside(3))
     ()
@@ -122,21 +119,21 @@ def check_axioms(m: MackeyFunctor) -> tuple[str, ...]:
 
 def _violations(m: MackeyFunctor) -> tuple[str, ...]:
     problems = []
-    if not m.gamma.is_well_defined():
-        problems.append("action is not well-defined on the bottom presentation")
     if not m.res.is_well_defined():
         problems.append("restriction is not well-defined")
     if not m.tr.is_well_defined():
         problems.append("transfer is not well-defined")
-    power, norm = m.gamma.orbit(m.p)
-    if not power.equals(AbHom.identity(m.bottom)):
-        problems.append(f"action's {m.p}-th power is not the identity")
     if not (m.gamma @ m.res).equals(m.res):
         problems.append("restrictions are not fixed by the action")
     if not (m.tr @ m.gamma).equals(m.tr):
         problems.append("transfers are not invariant under the action")
-    if not (m.res @ m.tr).equals(norm):
-        problems.append("res of a transfer differs from the action norm")
+    try:
+        _check_action(m.bottom, m.gamma, m.p)
+    except ValueError as exc:
+        problems.append(str(exc))
+    else:
+        if not (m.res @ m.tr).equals(action_norm(m.gamma, m.p)):
+            problems.append("res of a transfer differs from the action norm")
     return tuple(problems)
 
 
@@ -144,22 +141,14 @@ def _violations(m: MackeyFunctor) -> tuple[str, ...]:
 
 
 def zero_functor(p: int) -> MackeyFunctor:
-    t = FpAbGroup.trivial()
-    z = AbHom.zero(t, t)
-    return MackeyFunctor(p, t, t, z, z, z)
+    """The zero functor: the permutation functor of the empty C_p-set."""
+    return permutation_functor(p, GSet(0, 0))
 
 
 def constant_z(p: int) -> MackeyFunctor:
-    """Both tiers Z, trivial action, res = 1, tr = p."""
-    z = FpAbGroup.free(1)
-    return MackeyFunctor(
-        p,
-        z,
-        z,
-        AbHom.identity(z),
-        AbHom(z, z, IntMatrix.from_rows([[1]])),
-        AbHom(z, z, IntMatrix.from_rows([[p]])),
-    )
+    """The constant functor Z, the permutation functor of one fixed point:
+    both tiers Z, trivial action, res = 1, tr = p."""
+    return permutation_functor(p, GSet(1, 0))
 
 
 def twisted_burnside(p: int, d: int) -> MackeyFunctor:
@@ -234,8 +223,9 @@ def permutation_functor(p: int, s: GSet) -> MackeyFunctor:
     to that orbit.  This is ``fixed_point_functor`` of the module, built
     without solving for the transfer.
 
-    >>> permutation_functor(5, GSet(1, 0)) == constant_z(5)
-    True
+    >>> point = permutation_functor(5, GSet(1, 0))
+    >>> point.gamma.matrix, point.res.matrix, point.tr.matrix
+    (IntMatrix([[1]]), IntMatrix([[1]]), IntMatrix([[5]]))
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

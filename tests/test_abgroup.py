@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mackeybox.abgroup import (
     AbHom,
     FpAbGroup,
+    _check_action,
     _image,
     cokernel,
     coinvariants,
@@ -142,6 +143,21 @@ def test_coinvariants_sign_action():
     assert proj.is_well_defined()
     with pytest.raises(ValueError):
         coinvariants(g, AbHom(g, g, IntMatrix.from_rows([[2]])), 2)
+
+
+def test_coinvariants_take_any_order_and_refuse_a_wrong_one():
+    """rot90 has order 4, so it acts with order dividing 4 but not 5; at
+    p = 5 no integer in [2, 3] divides p, so only rot90 = 1 could pass.  An
+    order below 1 is refused whatever the action."""
+    z2 = FpAbGroup.free(2)
+    rot90 = AbHom(z2, z2, IntMatrix.from_rows([[0, -1], [1, 0]]))
+    c, _ = coinvariants(z2, rot90, 4)
+    assert invariant_factors(c) == (0, (2,))
+    with pytest.raises(ValueError, match="the action does not have order dividing 5"):
+        coinvariants(z2, rot90, 5)
+    for p in (0, -3):
+        with pytest.raises(ValueError, match="p >= 1"):
+            _check_action(z2, AbHom.identity(z2), p)
 
 
 def test_kernel_and_cokernel():

@@ -189,6 +189,20 @@ def test_check_torsion_action_at_a_large_prime(capsys, monkeypatch):
     assert "res: [[2]]" in render_machine(m)  # the norm is 1000000007 ≡ 2 (mod 5)
 
 
+@pytest.mark.parametrize("p", (1000000007, 1000000000039))
+def test_check_refuses_an_action_of_the_wrong_order_without_its_orbit(p, capsys, monkeypatch):
+    """The action 2 on Z has infinite order, and with one generator and p odd
+    no integer in [2, 2] divides p, so the check compares it with 1.  Its
+    p-th power and its norm, numbers of p bits, are never formed, and the
+    norm rule, which presumes an order-p action, is not reported."""
+    doc = (f"p: {p}\ntop.generators: 1\ntop.relations: []\nbottom.generators: 1\n"
+           "bottom.relations: []\naction: [[2]]\nres: [[0]]\ntr: [[0]]\n")
+    monkeypatch.setattr(AbHom, "_orbit", lambda *_: pytest.fail("the orbit was formed"))
+    code, out, _ = cli(["check", "-"], capsys, monkeypatch, stdin_text=doc)
+    assert code == 1
+    assert out == f"status: fail\nviolation: the action does not have order dividing {p}\n"
+
+
 def test_check_syntax_error(capsys, monkeypatch):
     code, _, err = cli(["check"], capsys, monkeypatch, stdin_text="p = 2\n")
     assert code == 2

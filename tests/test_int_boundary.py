@@ -155,11 +155,11 @@ def test_every_operation_gives_a_checked_matrix(ops):
 @example(IntMatrix.from_rows([[1, 2], [3, 4]]), [0, -1])  # -1 once wrapped around
 @example(IntMatrix.zeros(2, 0), [0])
 def test_rows_and_columns_check_their_indices(a, picks):
-    """``row``, ``column``, ``take_rows`` and ``take_columns`` raise
-    ``IndexError`` outside [0, n), negative indices included, and in range
-    build what the checked constructors build."""
+    """``column``, ``take_rows`` and ``take_columns`` raise ``IndexError``
+    outside [0, n), negative indices included, and in range build what the
+    checked constructors build; a single row is ``take_rows((i,))``."""
     for take, n, access, build in (
-        (a.take_rows, a.rows, a.row, lambda ps: IntMatrix.from_rows([a.row(i) for i in ps], cols=a.cols)),
+        (a.take_rows, a.rows, lambda i: a.take_rows((i,)), lambda ps: IntMatrix.from_rows([a.to_rows()[i] for i in ps], cols=a.cols)),
         (a.take_columns, a.cols, a.column, lambda ps: IntMatrix.from_columns([a.column(j) for j in ps], rows=a.rows)),
     ):
         if all(0 <= i < n for i in picks):

@@ -162,8 +162,19 @@ def test_constructor_shapes():
     assert f.tr.matrix.to_rows() == [[1, 1]]
 
 
+@pytest.mark.parametrize("p", (2, 3, 101))
+def test_constant_and_zero_functors_read_field_by_field(p):
+    """The permutation functors of one fixed point and of the empty set."""
+    c, z = constant_z(p), zero_functor(p)
+    assert (c.p, c.top, c.bottom) == (p, FpAbGroup.free(1), FpAbGroup.free(1))
+    assert (c.gamma.matrix, c.res.matrix, c.tr.matrix) == (
+        IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[p]])
+    )
+    assert (z.p, z.top, z.bottom) == (p, FpAbGroup.free(0), FpAbGroup.free(0))
+    assert {f.matrix for f in (z.gamma, z.res, z.tr)} == {IntMatrix.zeros(0, 0)}
+
+
 def test_permutation_functor_special_cases():
-    assert permutation_functor(5, GSet(1, 0)) == constant_z(5)
     assert permutation_functor(3, GSet(1, 1)) == direct_sum_functors(
         constant_z(3), permutation_functor(3, GSet(0, 1))
     )
@@ -246,7 +257,12 @@ def test_each_axiom_failure_detected():
     assert check_axioms(good) == ()
 
     bad_power = MackeyFunctor(2, z1, z2, AbHom(z2, z2, IntMatrix.from_rows([[1, 1], [0, 1]])), res, tr)
-    assert "action's 2-th power is not the identity" in check_axioms(bad_power)
+    # the action's fault comes last, in the words of every other action check
+    assert check_axioms(bad_power) == (
+        "restrictions are not fixed by the action",
+        "transfers are not invariant under the action",
+        "the action does not have order dividing 2",
+    )
 
     bad_res = MackeyFunctor(2, z1, z2, swap, AbHom(z1, z2, IntMatrix.from_rows([[1], [0]])), tr)
     assert "restrictions are not fixed by the action" in check_axioms(bad_res)
@@ -282,7 +298,7 @@ def test_every_construction_rejects_a_bad_action_with_the_same_message():
     cases = (
         (z, AbHom(z, FpAbGroup.cyclic(2), IntMatrix.from_rows([[1]])), "endomorphism"),
         (z2_z, AbHom(z2_z, z2_z, IntMatrix.from_rows([[1, 0], [1, 1]])), "not well-defined"),
-        (z, AbHom(z, z, IntMatrix.from_rows([[2]])), "order dividing p"),
+        (z, AbHom(z, z, IntMatrix.from_rows([[2]])), "order dividing 2"),
     )
     for module, gamma, fault in cases:
         messages = set()

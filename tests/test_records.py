@@ -78,7 +78,7 @@ def fill_memos(record) -> None:
     if isinstance(record, SmithDecomposition):
         record.u, record.u_inverse, record.v
     elif isinstance(record, FpAbGroup):
-        record.smith, record.hermite_basis
+        record.smith, record._members_by_inspection
     elif isinstance(record, AbHom):
         record.smith, record.kernel_lattice, record.orbit(5)
     elif isinstance(record, MackeyFunctor):

@@ -28,6 +28,7 @@ from mackeybox.intlin import (
 from mackeybox.abgroup import (
     AbHom,
     FpAbGroup,
+    _check_action,
     coinvariants,
     direct_sum,
     invariant_factors,
@@ -163,6 +164,30 @@ def test_power_and_norm_small_exponents():
     for k in range(0, 40):
         assert gamma.power(k).matrix == loop_power(gamma.matrix, k)
         assert action_norm(gamma, k).matrix == loop_norm(gamma.matrix, k)
+
+
+def test_the_order_check_agrees_with_the_loop_power():
+    """``_check_action`` accepts exactly the p with gamma^p = 1 by the loop,
+    for actions of order 1, 2, 3, 4, 5 (the companion matrix of the 5th
+    cyclotomic polynomial, which needs n = 4 = p - 1), 6 and infinite order
+    on free modules, at every p from 1 to 13, composite ones included.  Where
+    no integer in [2, n + 1] divides p it compares gamma with 1 instead."""
+    actions = [
+        [[1]], [[-1]], [[2]], [[0, 1], [1, 0]], [[0, -1], [1, 0]], [[0, -1], [1, -1]],
+        [[1, -1], [1, 0]], [[1, 1], [0, 1]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]],
+    ]
+    for rows in actions:
+        m = IntMatrix.from_rows(rows)
+        g = FpAbGroup.free(m.rows)
+        for p in range(1, 14):
+            try:
+                _check_action(g, AbHom(g, g, m), p)
+            except ValueError as exc:
+                assert str(exc) == f"the action does not have order dividing {p}"
+                assert loop_power(m, p) != IntMatrix.identity(m.rows), (rows, p)
+            else:
+                assert loop_power(m, p) == IntMatrix.identity(m.rows), (rows, p)
 
 
 # -- sparse products -------------------------------------------------------------------

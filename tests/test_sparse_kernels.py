@@ -55,7 +55,7 @@ def test_access_reads_the_dense_entries(a, data):
     rows, r, c = a
     m = built(rows, c)
     for i in range(r):
-        assert list(m.row(i)) == rows[i]
+        assert m.to_rows()[i] == rows[i]
         for j in range(c):
             assert m.at(i, j) == rows[i][j]
     for j in range(c):
