@@ -24,6 +24,7 @@ from .intlin import (
     SmithDecomposition,
     _Frozen,
     _check_height,
+    _cycle_orbit,
     _reduce_columns,
     _sparse_rows,
     block_diagonal,
@@ -237,15 +238,14 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
     def orbit(self, k: int) -> tuple["AbHom", "AbHom"]:
         """``(f^k, 1 + f + ... + f^(k-1))`` for k >= 0, memoised per k.
 
-        Both come from one doubling pass over the bits of k, in O(log k)
-        matrix products: with ``N_j = 1 + f + ... + f^(j-1)``,
-        ``N_2j = N_j + f^j N_j`` and ``N_(2j+1) = N_2j + f^(2j)``, and the
-        pass ends holding ``f^k``.  k = 0 and the identity have the orbit
-        ``(1, k)`` with no product at all.  When the group has relations and
-        f is well defined, each step of the pass ends by reducing both
-        matrices modulo the Hermite basis of the relations, so the entries
-        stay small however large k is; both results then equal the exact
-        ones as maps of the group.  Otherwise the products are exact.
+        A signed permutation f (the identity among them) has both written
+        from its cycles (``intlin._cycle_orbit``) with no product at any k;
+        any other f takes a doubling pass of O(log k) products, with
+        ``N_2j = N_j + f^j N_j`` and ``N_(2j+1) = N_2j + f^(2j)``.  On a group
+        with relations, for f well defined and not 1 and k >= 2, both are
+        reduced (by the pass, after each step) to canonical representatives
+        modulo the relations' Hermite basis, so entries stay small at any k;
+        otherwise they are exact.  An f^k equal to 1 is the shared identity.
 
         >>> z5 = FpAbGroup.cyclic(5)
         >>> power, norm = AbHom(z5, z5, IntMatrix.from_rows([[6]])).orbit(1000000007)
@@ -262,22 +262,22 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
             raise ValueError("orbits need an endomorphism")
         if k < 0:
             raise ValueError(f"orbits need k >= 0, got k = {k}")
-        g = self.source
-        eye = IntMatrix.identity(g.ngens)
-        if k == 0 or self.matrix == eye:
-            return AbHom(g, g, eye), AbHom(g, g, eye.scaled(k))
-        basis = lattice_basis(g.relations) if g.relations.cols and self.is_well_defined() else None
-        gamma = self.matrix
-        total, power = eye, gamma  # N_1 and f^1
-        for bit in bin(k)[3:]:
-            total = total + power @ total
-            power = power @ power
-            if bit == "1":
-                total = total + power
-                power = gamma @ power
-            if basis is not None:
-                total, power = _reduce_columns(total, basis), _reduce_columns(power, basis)
-        return AbHom(g, g, power), AbHom(g, g, total)
+        g, gamma, eye = self.source, self.matrix, IntMatrix.identity(self.source.ngens)
+        reduced = g.relations.cols and k > 1 and gamma != eye and self.is_well_defined()
+        basis = lattice_basis(g.relations) if reduced else None
+        if walked := _cycle_orbit(gamma, k):
+            power, total = walked if basis is None else (_reduce_columns(m, basis) for m in walked)
+        else:
+            total, power = (eye, gamma) if k else (eye.scaled(0), eye)  # N_1 and f^1, or N_0 and f^0
+            for bit in bin(k)[3:]:
+                total = total + power @ total
+                power = power @ power
+                if bit == "1":
+                    total = total + power
+                    power = gamma @ power
+                if basis is not None:
+                    total, power = _reduce_columns(total, basis), _reduce_columns(power, basis)
+        return AbHom(g, g, eye if power == eye else power), AbHom(g, g, total)
 
 
 def tensor_product(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
@@ -313,17 +313,22 @@ def coinvariants(g: FpAbGroup, gamma: AbHom, p: int) -> tuple[FpAbGroup, AbHom]:
 def _check_action(g: FpAbGroup, gamma: AbHom, p: int) -> None:
     """Raise ValueError unless gamma is a well-defined endomorphism of g
     whose p-th power is the identity, for p >= 1.  On a relation-free Z^n
-    with no divisor of p in [2, n + 1], gamma^p = 1 forces gamma = 1 (a
-    nontrivial cyclotomic factor Φ_d, d | p, would need φ(d) ≤ n), so there
-    gamma is compared with 1 and gamma^p is never formed."""
+    gamma^p = 1 makes the minimal polynomial a product of cyclotomic Φ_e,
+    e | p, φ(e) ≤ n, so gamma^d is formed for d = gcd(p, lcm{e : φ(e) ≤ n}),
+    of each prime q ≤ n + 1 the largest q^j | p with q^(j−1)(q − 1) ≤ n (gamma
+    itself at d = 1); with relations, gamma^p reduced modulo them."""
     if gamma.source != g or gamma.target != g:
         raise ValueError("the action must be an endomorphism of the group")
     if not gamma.is_well_defined():
         raise ValueError("the action is not well-defined")
     if p < 1:
         raise ValueError(f"the action's order must divide p >= 1, got p = {p}")
-    forced = not g.relations.cols and all(p % d for d in range(2, g.ngens + 2))
-    if not (gamma if forced else gamma.orbit(p)[0]).equals(AbHom.identity(g)):
+    d, rest = (p, 1) if g.relations.cols else (1, p)  # with relations, no loop: d = p
+    for q in range(2, min(g.ngens + 1, rest) + 1):  # only a prime q divides rest: smaller ones are out
+        step = 1  # q^(j−1) for the next factor q^j, whose φ is step·(q − 1)
+        while rest % q == 0:
+            rest, d, step = rest // q, d * q if step * (q - 1) <= g.ngens else d, step * q
+    if not (gamma if d == 1 else gamma.orbit(d)[0]).equals(AbHom.identity(g)):
         raise ValueError(f"the action does not have order dividing {p}")
 
 

@@ -149,8 +149,12 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         return tuple(map(self._at, range(self.rows), repeat(j)))
 
     def to_rows(self) -> list[list[int]]:
-        flat, c = self.entries, self.cols
-        return [list(flat[i * c : (i + 1) * c]) for i in range(self.rows)]
+        o, idx, vals = self.offsets, self.indices, self.values
+        rows = [[0] * self.cols for _ in range(self.rows)]
+        for row, a, b in zip(rows, o, o[1:]):
+            for k in range(a, b):
+                row[idx[k]] = vals[k]
+        return rows
 
     def take_rows(self, indices) -> "IntMatrix":
         o, idx, vals = self.offsets, self.indices, self.values
@@ -197,9 +201,9 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row-wise sparse product (Gustavson): row i of the result sums
-        ``a * (row k of other)`` over the nonzeros ``a`` at (i, k).  A row
-        with one nonzero copies that row of other, scaled; a factor that is
-        the shared ``IntMatrix.identity`` gives the other factor itself."""
+        ``a * (row k of other)`` over the nonzeros ``a`` at (i, k), reading other's
+        nonzeros in place, and a sum that cancels is not compressed.  A row with
+        one nonzero copies a row of other; the shared identity gives the other factor."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -220,10 +224,11 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
             elif hi > lo:
                 out = [0] * other.cols
                 for k, a in zip(ai[lo:hi], av[lo:hi]):
-                    for j, b in zip(bi[bo[k] : bo[k + 1]], bv[bo[k] : bo[k + 1]]):
-                        out[j] += a * b
-                indices += compress(span, out)
-                values += compress(out, out)
+                    for t in range(bo[k], bo[k + 1]):
+                        out[bi[t]] += a * bv[t]
+                if any(out):
+                    indices += compress(span, out)
+                    values += compress(out, out)
             offsets.append(len(values))
         return _trusted(self.rows, other.cols, tuple(offsets), tuple(indices), tuple(values))
 
@@ -859,6 +864,44 @@ def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
                 for i, b in zip(idx, vals):
                     col[i] -= q * b
     return _from_column_lists(cols, a.rows)
+
+
+def _cycle_orbit(m: IntMatrix, k: int) -> tuple[IntMatrix, IntMatrix] | None:
+    """``(m^k, 1 + m + ... + m^(k-1))`` of a signed permutation m (one ±1 in each row
+    and column) from its cycles, or None.  Row i of m^t ends t steps of the walk
+    i → ``indices[i]``, times their signs; on a cycle of length L and sign product σ,
+    offset r recurs ⌈(k − r)/L⌉ times below k: that count if σ = 1, else its parity.
+    Each row visits only the offsets it holds, so the cost is O(n + nnz of the norm),
+    times log L where a row holds only some of its cycle (k < L, or σ = −1)."""
+    n, idx, vals = m.rows, m.indices, m.values
+    if m.offsets != _offsets(n, True) or not (m.cols == n == len(vals) == len({*idx}) and {*vals} <= {1, -1}):
+        return None
+    power_j, power_v, norm_j, norm_v = [0] * n, [0] * n, [None] * n, [None] * n
+    for start in range(n):
+        if norm_j[start] is not None:
+            continue
+        if idx[start] == start:  # a fixed point with sign v: v^k, and k or its parity in the norm
+            v, c = vals[start], k if vals[start] > 0 else k & 1
+            power_j[start], power_v[start] = start, v ** (k & 1)
+            norm_j[start], norm_v[start] = ([start], [c]) if c else ([], [])
+            continue
+        cycle = [start]
+        while idx[cycle[-1]] != start:
+            cycle.append(idx[cycle[-1]])
+        size, cycle = len(cycle), cycle * 2
+        signs = [*accumulate(map(vals.__getitem__, cycle), mul, initial=1)]  # of t steps from cycle[0]
+        turns, phase = divmod(k, size)  # ⌈(k − r)/L⌉ = turns + (r < phase); parity if σ = −1
+        counts = [(turns + (r < phase)) & (1 if signs[size] < 0 else -1) for r in range(size)]
+        live = [r for r in range(size) if counts[r]]  # the offsets each row of the norm holds
+        order = sorted(range(size), key=cycle.__getitem__) if len(live) == size else None
+        for s, i in enumerate(cycle[:size]):
+            power_j[i], power_v[i] = cycle[s + phase], signs[s] * signs[s + phase] * signs[size] ** (turns & 1)
+            # row i's offsets by column: all of them from the cycle's positions by column, else sorted here
+            steps = [(q - s) % size for q in order] if order else sorted(live, key=lambda r: cycle[s + r])
+            norm_j[i] = [cycle[s + r] for r in steps]
+            norm_v[i] = [signs[s] * signs[s + r] * counts[r] for r in steps]
+    norm = _shared([0, *accumulate(map(len, norm_j))], [*chain(*norm_j)], [*chain(*norm_v)])
+    return _trusted(n, n, _offsets(n, True), tuple(power_j), tuple(power_v)), _trusted(n, n, *norm)
 
 
 def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:

@@ -68,8 +68,8 @@ def is_prime(n: int) -> bool:
 def action_norm(gamma: AbHom, p: int) -> AbHom:
     """The norm 1 + gamma + ... + gamma^(p-1) of an order-p action.
 
-    It is the second half of the action's memoised orbit
-    (:meth:`AbHom.orbit`): O(log p) matrix products, once per action and p.
+    It is the second half of the action's memoised orbit (:meth:`AbHom.orbit`),
+    once per action and p: no product for a signed permutation, else O(log p).
     """
     return gamma.orbit(p)[1]
 

@@ -147,8 +147,9 @@ def test_coinvariants_sign_action():
 
 def test_coinvariants_take_any_order_and_refuse_a_wrong_one():
     """rot90 has order 4, so it acts with order dividing 4 but not 5; at
-    p = 5 no integer in [2, 3] divides p, so only rot90 = 1 could pass.  An
-    order below 1 is refused whatever the action."""
+    p = 5 the checked exponent is gcd(5, lcm{e : φ(e) ≤ 2}) = gcd(5, 12) = 1,
+    so only rot90 = 1 could pass.  An order below 1 is refused whatever the
+    action."""
     z2 = FpAbGroup.free(2)
     rot90 = AbHom(z2, z2, IntMatrix.from_rows([[0, -1], [1, 0]]))
     c, _ = coinvariants(z2, rot90, 4)
@@ -158,6 +159,24 @@ def test_coinvariants_take_any_order_and_refuse_a_wrong_one():
     for p in (0, -3):
         with pytest.raises(ValueError, match="p >= 1"):
             _check_action(z2, AbHom.identity(z2), p)
+
+
+@pytest.mark.parametrize("entry, p, ok", [(2, 10**8, False), (-1, 2 * 10**7, True)])
+def test_a_composite_order_is_checked_without_the_pth_power(monkeypatch, entry, p, ok):
+    """On Z the checked exponent is gcd(p, lcm{e : φ(e) ≤ 1}) = gcd(p, 2) =
+    2 for even p: 2 is refused and -1 accepted from their squares, and
+    gamma^p, a number of p bits for 2, is never formed."""
+    formed = []
+    original = AbHom._orbit
+    monkeypatch.setattr(AbHom, "_orbit", lambda f, k: formed.append(k) or original(f, k))
+    z = FpAbGroup.free(1)
+    gamma = AbHom(z, z, IntMatrix.from_rows([[entry]]))
+    if ok:
+        assert invariant_factors(coinvariants(z, gamma, p)[0]) == (0, (2,))
+    else:
+        with pytest.raises(ValueError, match=f"the action does not have order dividing {p}"):
+            coinvariants(z, gamma, p)
+    assert formed == [2]
 
 
 def test_kernel_and_cokernel():

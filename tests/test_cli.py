@@ -192,7 +192,7 @@ def test_check_torsion_action_at_a_large_prime(capsys, monkeypatch):
 @pytest.mark.parametrize("p", (1000000007, 1000000000039))
 def test_check_refuses_an_action_of_the_wrong_order_without_its_orbit(p, capsys, monkeypatch):
     """The action 2 on Z has infinite order, and with one generator and p odd
-    no integer in [2, 2] divides p, so the check compares it with 1.  Its
+    gcd(p, lcm{e : φ(e) ≤ 1}) = gcd(p, 2) = 1, so the check compares it with 1.  Its
     p-th power and its norm, numbers of p bits, are never formed, and the
     norm rule, which presumes an order-p action, is not reported."""
     doc = (f"p: {p}\ntop.generators: 1\ntop.relations: []\nbottom.generators: 1\n"

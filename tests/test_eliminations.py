@@ -8,16 +8,20 @@ replayed from the tier's one decomposition.  Every elimination goes
 through ``intlin.smith_normal_form``; the counts below are pinned by
 wrapping it, so a change that eliminates a system twice fails here.  A
 matrix ``[I | R]`` handed to ``smith_normal_form`` gets its decomposition in
-closed form, without the elimination loop (``intlin._eliminate``).
+closed form, without the elimination loop (``intlin._eliminate``).  The
+orbit of a permutation action is pinned the same way, at no matrix product,
+and its cost by the lines of ``intlin`` it runs.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mackeybox import abgroup, intlin, separation
+from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
     GSet,
@@ -201,3 +205,45 @@ def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
     assert len(eliminated) == 5
     assert sum(map(leads_with_identity, eliminated)) == 1
     assert loops == [a for a in eliminated if not leads_with_identity(a)]
+
+
+def test_the_orbit_of_a_permutation_action_takes_no_product(monkeypatch):
+    """The action of a permutation functor is a permutation matrix, so its
+    orbit is written down from its cycles: at k = 10^12 + 39 no
+    ``IntMatrix.__matmul__`` runs (a doubling pass would take about 80), and
+    the norm sums each free orbit ⌈(k − r)/7⌉ times at offset r."""
+    gamma = permutation_functor(7, GSet(1, 2)).gamma
+    products = []
+    original = IntMatrix.__matmul__
+    monkeypatch.setattr(IntMatrix, "__matmul__", lambda a, b: products.append(1) or original(a, b))
+    k = 10**12 + 39
+    power, norm = gamma.orbit(k)
+    assert products == []
+    assert power.matrix == gamma.power(k % 7).matrix
+    assert sorted(norm.matrix.values) == sorted([k] + [-(-(k - r) // 7) for r in range(7)] * 14)
+
+
+@pytest.mark.parametrize("sign, k", [(1, 2), (-1, 3), (-1, 4000)])
+def test_the_orbit_of_a_long_cycle_costs_its_norm(sign, k):
+    """A 2000-cycle at k = 2 or 3 has a norm of 2000·k nonzeros, and at
+    k = 4000 with sign product −1 an empty one; the orbit runs a number of
+    ``intlin`` lines proportional to n and that norm (about 20 per row at
+    k = 2), not to the 4,000,000 entries of a full cycle."""
+    n = 2000
+    m = IntMatrix.from_rows([[0] * (n - 1) + [sign]]).vstack(  # i -> i - 1, and 0 -> n - 1 with the sign
+        IntMatrix.identity(n - 1).hstack(IntMatrix.zeros(n - 1, 1)))
+    g = FpAbGroup.free(n)
+    lines = []
+
+    def count(frame, event, arg):
+        lines.append(event == "line")
+        return count
+
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == intlin.__file__ else None)
+    try:
+        power, norm = AbHom(g, g, m).orbit(k)
+    finally:
+        sys.settrace(None)
+    assert sum(lines) < 30 * n
+    assert len(norm.matrix.values) == (0 if k > n else k * n)
+    assert power.matrix.indices == tuple((i - k) % n for i in range(n))

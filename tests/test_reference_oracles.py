@@ -1,11 +1,13 @@
 """The fast linear-algebra kernel against naive reference implementations.
 
 Powers and norms are compared with the p-step loops (on torsion modules, as
-maps, since the orbit is reduced modulo the relations), sparse products with a
-dense triple loop, and batched lattice membership with one ``solve_linear``
-per column.  The operation-count test pins the logarithmic cost in p.  The
-Smith transforms replayed from the recorded operations are compared with an
-elimination that updates them at each step, the row-operation Hermite form
+maps, since the orbit is reduced modulo the relations), also for the
+signed permutations whose orbit is written from their cycles, sparse
+products (rows that cancel among them) with a dense triple loop, and
+batched lattice membership with one ``solve_linear`` per column.  The
+operation-count test pins the logarithmic cost in p.  The Smith transforms
+replayed from the recorded operations are compared with an elimination that
+updates them at each step, the row-operation Hermite form
 with the column-operation version in the test helpers, and the Smith diagonal
 of dense matrices with the Bareiss determinant.  The Kronecker-built Frobenius relations are compared with the
 hand-indexed loop, and the isomorphism search with a brute force over both
@@ -16,12 +18,15 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mackeybox.intlin import (
     IntMatrix,
+    _reduce_columns,
     hermite_normal_form,
+    lattice_basis,
     smith_normal_form,
     solve_linear,
 )
@@ -170,8 +175,8 @@ def test_the_order_check_agrees_with_the_loop_power():
     """``_check_action`` accepts exactly the p with gamma^p = 1 by the loop,
     for actions of order 1, 2, 3, 4, 5 (the companion matrix of the 5th
     cyclotomic polynomial, which needs n = 4 = p - 1), 6 and infinite order
-    on free modules, at every p from 1 to 13, composite ones included.  Where
-    no integer in [2, n + 1] divides p it compares gamma with 1 instead."""
+    on free modules, at every p from 1 to 13 and at composite p up to 120.
+    It forms gamma^d for d = gcd(p, lcm{e : φ(e) ≤ n}) instead of gamma^p."""
     actions = [
         [[1]], [[-1]], [[2]], [[0, 1], [1, 0]], [[0, -1], [1, 0]], [[0, -1], [1, -1]],
         [[1, -1], [1, 0]], [[1, 1], [0, 1]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
@@ -180,7 +185,7 @@ def test_the_order_check_agrees_with_the_loop_power():
     for rows in actions:
         m = IntMatrix.from_rows(rows)
         g = FpAbGroup.free(m.rows)
-        for p in range(1, 14):
+        for p in (*range(1, 14), 14, 15, 16, 18, 20, 24, 30, 36, 45, 60, 72, 120):
             try:
                 _check_action(g, AbHom(g, g, m), p)
             except ValueError as exc:
@@ -188,6 +193,60 @@ def test_the_order_check_agrees_with_the_loop_power():
                 assert loop_power(m, p) != IntMatrix.identity(m.rows), (rows, p)
             else:
                 assert loop_power(m, p) == IntMatrix.identity(m.rows), (rows, p)
+
+
+@st.composite
+def signed_permutation_modules(draw):
+    """A random signed permutation gamma of size <= 8 on Z^n, either free or
+    modulo the gamma-orbits of a few random vectors (so gamma is well
+    defined), and an exponent k <= 40."""
+    n = draw(st.integers(0, 8))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, 1, -1)), min_size=n, max_size=n))
+    m = IntMatrix.from_rows([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)], cols=n)
+    cols = []
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        v = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        for _ in range(2 * math.lcm(*range(1, n + 1))):  # gamma^(2 lcm) = 1 closes the orbit
+            if v in cols:
+                break
+            cols.append(v)
+            v = list(m.apply(v))
+    g = FpAbGroup(n, IntMatrix.from_columns(cols, rows=n))
+    return AbHom(g, g, m), draw(st.integers(0, 40))
+
+
+@settings(max_examples=120, deadline=None)
+@given(signed_permutation_modules())
+def test_the_cycle_walk_equals_the_loops(case):
+    """The orbit of a signed permutation, written from its cycles, against
+    the k-fold multiply-and-add: equal as matrices on a free module, and
+    after reduction modulo the Hermite basis of the relations otherwise."""
+    gamma, k = case
+    m, rel = gamma.matrix, gamma.source.relations
+    power, norm = gamma.orbit(k)
+    if not rel.cols:
+        assert (power.matrix, norm.matrix) == (loop_power(m, k), loop_norm(m, k))
+    else:
+        basis = lattice_basis(rel)
+        assert _reduce_columns(power.matrix, basis) == _reduce_columns(loop_power(m, k), basis)
+        assert _reduce_columns(norm.matrix, basis) == _reduce_columns(loop_norm(m, k), basis)
+    if power.matrix == IntMatrix.identity(m.rows):
+        assert power.matrix is IntMatrix.identity(m.rows)
+
+
+@pytest.mark.parametrize("k", (101, 10**12 + 39))
+def test_the_cycle_walk_telescopes_at_large_k(k):
+    """(gamma - 1) N = gamma^k - 1, by dense products, for signed
+    permutations with cycles of both sign products."""
+    rng = random.Random(k)
+    for n in range(1, 9):
+        perm = rng.sample(range(n), n)
+        m = IntMatrix.from_rows([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        g = FpAbGroup.free(n)
+        power, norm = AbHom(g, g, m).orbit(k)
+        eye = IntMatrix.identity(n)
+        assert dense_matmul(m - eye, norm.matrix) == power.matrix - eye
 
 
 # -- sparse products -------------------------------------------------------------------
@@ -199,8 +258,29 @@ def product_pairs(draw):
     return draw(matrices(rows=r, cols=k)), draw(matrices(rows=k, cols=c))
 
 
-@settings(max_examples=150, deadline=None)
-@given(product_pairs())
+@st.composite
+def cancelling_pairs(draw):
+    """a @ b where b repeats some of its rows, possibly negated, and a gives
+    the copies coefficients that cancel, among them many 1s and -1s."""
+    k, c = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    b_rows = [list(draw(sparse_entries(c, zeros=1))) for _ in range(k)]
+    copies = [draw(st.integers(0, k - 1)) for _ in range(draw(st.integers(0, 4)))]
+    flips = [draw(st.sampled_from((1, -1))) for _ in copies]
+    b_rows += [[f * x for x in b_rows[i]] for i, f in zip(copies, flips)]
+    a_rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = list(draw(sparse_entries(len(b_rows), zeros=1, entry=1)))
+        if copies and draw(st.booleans()):  # cancel a copy against its original
+            j = draw(st.integers(0, len(copies) - 1))
+            coef = draw(st.sampled_from((1, -1, 3)))
+            row = [0] * len(b_rows)
+            row[copies[j]], row[k + j] = coef, -coef * flips[j]
+        a_rows.append(row)
+    return IntMatrix.from_rows(a_rows, cols=len(b_rows)), IntMatrix.from_rows(b_rows, cols=c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(product_pairs(), cancelling_pairs()))
 def test_sparse_matmul_equals_dense(pair):
     a, b = pair
     assert a @ b == dense_matmul(a, b)
