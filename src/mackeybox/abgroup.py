@@ -8,15 +8,15 @@ question (membership of the relation lattice, well-definedness, kernels,
 cokernels) reduces to integer linear algebra from :mod:`.intlin`.
 
 Groups and homomorphisms are frozen, so a fact derived from one is computed
-at most once and kept on it (``functools.cached_property``; the memo is not a
-field, so ``==`` and ``hash`` ignore it): a group's Smith decomposition and
-the columns it recognises as relations, a homomorphism's Smith decomposition
-and kernel lattice, and an endomorphism's orbits.
+at most once and kept on it (``intlin._memoised``, a lock-free
+``functools.cached_property``; the memo is not a field, so ``==`` and
+``hash`` ignore it): a group's Smith decomposition and the columns it
+recognises as relations, a homomorphism's Smith decomposition and kernel
+lattice, and an endomorphism's orbits.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import neg
 
 from .intlin import (
@@ -25,6 +25,8 @@ from .intlin import (
     _Frozen,
     _check_height,
     _cycle_orbit,
+    _eye,
+    _memoised,
     _reduce_columns,
     _sparse_rows,
     block_diagonal,
@@ -60,7 +62,7 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
     def trivial(cls) -> "FpAbGroup":
         return cls.free(0)
 
-    @cached_property
+    @_memoised
     def smith(self) -> SmithDecomposition:
         """``U @ relations @ V == S``, memoised.
 
@@ -94,7 +96,7 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
             not col[0] or col in known for col in _sparse_rows(m.transpose())
         ) or self.smith.contains_all(m)
 
-    @cached_property
+    @_memoised
     def _members_by_inspection(self) -> frozenset:
         """Each relation and its negative, as the ``(indices, values)`` of
         its nonzeros (a row of the transposed relations), memoised."""
@@ -144,7 +146,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
 
     @classmethod
     def identity(cls, g: FpAbGroup) -> "AbHom":
-        return cls(g, g, IntMatrix.identity(g.ngens))
+        return cls(g, g, _eye(g.ngens, g.ngens))
 
     @classmethod
     def zero(cls, source: FpAbGroup, target: FpAbGroup) -> "AbHom":
@@ -154,7 +156,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         """Composite self ∘ other."""
         if not isinstance(other, AbHom):
             return NotImplemented
-        if other.target != self.source:
+        if other.target is not self.source and other.target != self.source:
             raise ValueError("homomorphisms do not compose")
         return AbHom(other.source, self.target, self.matrix @ other.matrix)
 
@@ -202,9 +204,10 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         matrices answer at once."""
         if (self.source, self.target) != (other.source, other.target):
             return False
-        return self.matrix == other.matrix or self.target.contains_all(self.matrix - other.matrix)
+        m, n = self.matrix, other.matrix
+        return m is n or m == n or self.target.contains_all(m - n)
 
-    @cached_property
+    @_memoised
     def smith(self) -> SmithDecomposition:
         """``U @ [matrix | target.relations] @ V == S``, memoised.
 
@@ -214,7 +217,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         """
         return smith_normal_form(self.matrix.hstack(self.target.relations))
 
-    @cached_property
+    @_memoised
     def kernel_lattice(self) -> IntMatrix:
         """Generators of ``{x : matrix·x ∈ target relations}``: the top
         ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``,
@@ -231,7 +234,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         """Whether the kernel lattice lies in the source relation lattice."""
         return self.source.contains_all(self.kernel_lattice)
 
-    @cached_property
+    @_memoised
     def _orbits(self) -> dict:
         return {}
 
@@ -258,12 +261,12 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         return found
 
     def _orbit(self, k: int) -> tuple["AbHom", "AbHom"]:
-        if self.source != self.target:
+        if self.source is not self.target and self.source != self.target:
             raise ValueError("orbits need an endomorphism")
         if k < 0:
             raise ValueError(f"orbits need k >= 0, got k = {k}")
-        g, gamma, eye = self.source, self.matrix, IntMatrix.identity(self.source.ngens)
-        reduced = g.relations.cols and k > 1 and gamma != eye and self.is_well_defined()
+        g, gamma, eye = self.source, self.matrix, _eye(self.source.ngens, self.source.ngens)
+        reduced = g.relations.cols and k > 1 and gamma is not eye and gamma != eye and self.is_well_defined()
         basis = lattice_basis(g.relations) if reduced else None
         if walked := _cycle_orbit(gamma, k):
             power, total = walked if basis is None else (_reduce_columns(m, basis) for m in walked)
@@ -277,7 +280,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
                     power = gamma @ power
                 if basis is not None:
                     total, power = _reduce_columns(total, basis), _reduce_columns(power, basis)
-        return AbHom(g, g, eye if power == eye else power), AbHom(g, g, total)
+        return AbHom(g, g, eye if power is eye or power == eye else power), AbHom(g, g, total)
 
 
 def tensor_product(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
@@ -287,8 +290,7 @@ def tensor_product(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
     >>> invariant_factors(tensor_product(FpAbGroup.cyclic(4), FpAbGroup.cyclic(6)))
     (0, (2,))
     """
-    eye_g = IntMatrix.identity(g.ngens)
-    eye_h = IntMatrix.identity(h.ngens)
+    eye_g, eye_h = _eye(g.ngens, g.ngens), _eye(h.ngens, h.ngens)
     relations = g.relations.kron(eye_h).hstack(eye_g.kron(h.relations))
     return FpAbGroup(g.ngens * h.ngens, relations)
 
@@ -317,7 +319,7 @@ def _check_action(g: FpAbGroup, gamma: AbHom, p: int) -> None:
     e | p, φ(e) ≤ n, so gamma^d is formed for d = gcd(p, lcm{e : φ(e) ≤ n}),
     of each prime q ≤ n + 1 the largest q^j | p with q^(j−1)(q − 1) ≤ n (gamma
     itself at d = 1); with relations, gamma^p reduced modulo them."""
-    if gamma.source != g or gamma.target != g:
+    if (gamma.source, gamma.target) != (g, g):
         raise ValueError("the action must be an endomorphism of the group")
     if not gamma.is_well_defined():
         raise ValueError("the action is not well-defined")
@@ -356,7 +358,7 @@ def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
 def cokernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     """coker f = target / image, with the projection from the target."""
     c = FpAbGroup(f.target.ngens, f.target.relations.hstack(f.matrix))
-    return c, AbHom(f.target, c, IntMatrix.identity(f.target.ngens))
+    return c, AbHom(f.target, c, _eye(f.target.ngens, f.target.ngens))
 
 
 def is_isomorphism(f: AbHom) -> bool:

@@ -9,16 +9,16 @@ matrix is the set of integer combinations of its columns.
 Entries are checked once, where they come in: the public constructors
 (``IntMatrix(...)``, ``from_rows``, ``from_columns``, ``column_vector``) and
 the vectors handed to ``apply`` and ``solve_linear`` accept only Python ints,
-not bools.  A matrix this module computes from checked matrices (products,
-sums, stacks, transposes, row and column selections, identities and the
-outputs of the eliminations) is built by ``_trusted``, which skips the
-per-entry check.  The eliminations run on dense rows, their replays on sparse ones.
+not bools; ``_apply`` takes a vector the package computed, unchecked.  A
+matrix this module computes from checked matrices (products, sums, stacks,
+transposes, row and column selections, identities and the outputs of the
+eliminations) is built by ``_trusted``, which skips the per-entry check.  The eliminations run on dense rows, their replays on sparse ones.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
 from operator import add, attrgetter, lt, mul, neg, sub
@@ -58,6 +58,22 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class _memoised:
+    """``functools.cached_property`` without the lock that CPython 3.11 takes
+    on each first read: the first read keeps the value in the record's
+    ``__dict__``, where later reads find it.  Memo values are pure, so a race
+    can only compute one twice."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.func(record)
+        return value
 
 
 class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")):
@@ -237,6 +253,10 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         vec = _int_vector(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
+        return self._apply(vec)
+
+    def _apply(self, vec) -> tuple[int, ...]:
+        """``apply`` of a vector of ints of the right length, unchecked."""
         o, idx, vals, at = self.offsets, self.indices, self.values, vec.__getitem__
         return tuple(sum(map(mul, vals[a:b], map(at, idx[a:b]))) for a, b in zip(o, o[1:]))
 
@@ -504,11 +524,11 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
     def __init__(self, s: IntMatrix, row_ops: tuple, col_ops: tuple):
         self._set_fields(s, row_ops, col_ops)
 
-    @cached_property
+    @_memoised
     def u(self) -> IntMatrix:
         return _identity_after(self.s.rows, self.row_ops)
 
-    @cached_property
+    @_memoised
     def u_inverse(self) -> IntMatrix:
         """U⁻¹: the row operations undone, last first, on the identity.  A
         swap and a negation undo themselves; adding q times a row is undone
@@ -516,11 +536,11 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         undo = [(*op[:3], -op[3]) if op[0] is _add_row else op for op in reversed(self.row_ops)]
         return _identity_after(self.s.rows, undo)
 
-    @cached_property
+    @_memoised
     def v(self) -> IntMatrix:
         return _from_dict_columns(self._v_columns, self.s.cols)
 
-    @cached_property
+    @_memoised
     def _v_columns(self) -> list[dict[int, int]]:
         return _replay(self.s.cols, self.col_ops)
 
@@ -541,7 +561,7 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         operation for pivot i lists row i of -R."""
         return self._kernel
 
-    @cached_property
+    @_memoised
     def _kernel(self) -> IntMatrix:
         n, r = self.s.cols, self.rank()
         if self.col_ops and self.col_ops[0][0] is _add_multiples:

@@ -16,9 +16,9 @@ coinvariants of the bottom tensor, glued by Frobenius reciprocity.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .intlin import IntMatrix, _Frozen, block_diagonal
+from .intlin import IntMatrix, _eye, _Frozen, _memoised, block_diagonal
 from .abgroup import AbHom, FpAbGroup, _check_action, coinvariants, direct_sum, kernel, tensor_product
 
 
@@ -88,15 +88,15 @@ class MackeyFunctor(_Frozen, fields=("p", "top", "bottom", "gamma", "res", "tr")
     ):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        if gamma.source != bottom or gamma.target != bottom:
+        if (gamma.source, gamma.target) != (bottom, bottom):
             raise ValueError("gamma must be an endomorphism of the bottom tier")
-        if res.source != top or res.target != bottom:
+        if (res.source, res.target) != (top, bottom):
             raise ValueError("res must map the top tier to the bottom tier")
-        if tr.source != bottom or tr.target != top:
+        if (tr.source, tr.target) != (bottom, top):
             raise ValueError("tr must map the bottom tier to the top tier")
         self._set_fields(p, top, bottom, gamma, res, tr)
 
-    @cached_property
+    @_memoised
     def _memo(self) -> dict:
         return {}
 
@@ -282,7 +282,7 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
         -res_m.kron(eye(n.bottom.ngens)).hstack(eye(m.bottom.ngens).kron(res_n))
     )
     top = FpAbGroup(nt + nb, top0.relations.hstack(frobenius))
-    tr = AbHom(bottom, top, IntMatrix.zeros(nt, nb).vstack(IntMatrix.identity(nb)))
+    tr = AbHom(bottom, top, IntMatrix.zeros(nt, nb).vstack(_eye(nb, nb)))
     res_matrix = res_m.kron(res_n).hstack(action_norm(gamma, p).matrix)
     res = AbHom(top, bottom, res_matrix)
     return MackeyFunctor(p, top, bottom, gamma, res, tr)
@@ -295,15 +295,15 @@ class MackeyMorphism(_Frozen, fields=("source", "target", "phi_top", "phi_bottom
     """A pair of tier maps; see :func:`verify_morphism` for the conditions."""
 
     def __init__(self, source, target, phi_top, phi_bottom):
-        if phi_top.source != source.top or phi_top.target != target.top:
+        if (phi_top.source, phi_top.target) != (source.top, target.top):
             raise ValueError("phi_top must map source top to target top")
-        if phi_bottom.source != source.bottom or phi_bottom.target != target.bottom:
+        if (phi_bottom.source, phi_bottom.target) != (source.bottom, target.bottom):
             raise ValueError("phi_bottom must map source bottom to target bottom")
         self._set_fields(source, target, phi_top, phi_bottom)
 
     def then(self, other: "MackeyMorphism") -> "MackeyMorphism":
         """Composite: first self, then other."""
-        if self.target != other.source:
+        if self.target is not other.source and self.target != other.source:
             raise ValueError("morphisms do not compose")
         return MackeyMorphism(
             self.source,

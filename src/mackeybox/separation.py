@@ -14,10 +14,12 @@ with a verified isomorphism box(M, inverse) → burnside(p).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd
 
 from .intlin import (
     IntMatrix,
+    _eye,
     _Frozen,
     _reduce_columns,
     block_diagonal,
@@ -83,7 +85,7 @@ def gamma_functor(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism]:
     """
     top, inclusion_top = _image(m.tr)
     res = AbHom(top, m.bottom, action_norm(m.gamma, m.p).matrix)
-    tr = AbHom(m.bottom, top, IntMatrix.identity(m.bottom.ngens))
+    tr = AbHom(m.bottom, top, _eye(m.bottom.ngens, m.bottom.ngens))
     part = MackeyFunctor(m.p, top, m.bottom, m.gamma, res, tr)
     return part, MackeyMorphism(part, m, inclusion_top, AbHom.identity(m.bottom))
 
@@ -185,20 +187,22 @@ def twisted_iso_criterion(p: int, c: int, d: int) -> bool:
 
 
 def twisted_isomorphism(p: int, c: int, d: int) -> MackeyMorphism | None:
-    """An explicit isomorphism twisted(p, c) → twisted(p, d), when one exists.
+    """An explicit isomorphism twisted(p, c) → twisted(p, d), when one exists
+    (``twisted_iso_criterion``); when none does, no functor is built.
 
     With c = y·d + p·x (y = ±1), the top map sends u ↦ y·u + x·t and fixes t;
-    the bottom map is the identity.
+    the bottom map is the identity (``_retwist``).
     """
-    if (c - d) % p == 0:
-        y = 1
-    elif (c + d) % p == 0:
-        y = -1
-    else:
-        return None
-    x = (c - y * d) // p
-    src, tgt = twisted_burnside(p, c), twisted_burnside(p, d)
-    phi_top = AbHom(src.top, tgt.top, IntMatrix.from_rows([[y, 0], [x, 1]]))
+    return _retwist(twisted_burnside(p, c), d) if twisted_iso_criterion(p, c, d) else None
+
+
+def _retwist(src: MackeyFunctor, d: int) -> MackeyMorphism:
+    """``twisted_isomorphism`` from src, an already built twisted(p, c) with
+    c ≡ ±d (mod p), so that a composite ending in src meets it by identity."""
+    p, c = src.p, src.res.matrix.at(0, 0)
+    y = 1 if (c - d) % p == 0 else -1
+    tgt = twisted_burnside(p, d)
+    phi_top = AbHom(src.top, tgt.top, IntMatrix.from_rows([[y, 0], [(c - y * d) // p, 1]]))
     return MackeyMorphism(src, tgt, phi_top, AbHom.identity(src.bottom))
 
 
@@ -217,7 +221,8 @@ def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
     return dec.u.take_rows(past), dec.u_inverse.take_columns(past)
 
 
-def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | None]:
+def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, Callable[[], MackeyMorphism] | None]:
+    """The verdict and, for an invertible m, a builder of its witness isomorphism."""
     violations = check_axioms(m)
     if violations:
         raise ValueError("not a Mackey functor: " + "; ".join(violations))
@@ -242,12 +247,12 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
     pi_t, sec_t = _quotient_iso(m.top, 2)
     g = sec_b.column(0)  # a generator of the bottom
     # coker tr = Z, so tr(g) is primitive in the top Z^2: gcd(t1, t2) = 1
-    t1, t2 = pi_t.apply(m.tr.matrix.apply(g))
+    t1, t2 = pi_t._apply(m.tr.matrix._apply(g))
     _, a, b = extended_gcd(t1, t2)
     w = (b, -a)  # completes tr(g) to a basis: det [w | t] = a·t1 + b·t2 = 1
-    lift_w = sec_t.apply(w)
-    (d_raw,) = pi_b.apply(m.res.matrix.apply(lift_w))
-    (p_check,) = pi_b.apply(m.res.matrix.apply(sec_t.apply((t1, t2))))
+    lift_w = sec_t._apply(w)
+    (d_raw,) = pi_b._apply(m.res.matrix._apply(lift_w))
+    (p_check,) = pi_b._apply(m.res.matrix._apply(sec_t._apply((t1, t2))))
     if p_check != p:  # unreachable for valid functors: res(tr(g)) = p·g
         raise AssertionError("restriction of the transfer generator is not p")
 
@@ -257,16 +262,14 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, MackeyMorphism | 
             False, reason=TWIST_NOT_COPRIME, d_class=d_class, twist_found=d_raw
         ), None
 
-    # witness: an isomorphism M → twisted_burnside(p, d_raw) sending the
-    # basis (lift of w, tr g) of the top to (u, t)
-    b_inv = IntMatrix.from_rows([[t2, -t1], [a, b]])  # inverse of [w | t]
-    target = twisted_burnside(p, d_raw)
-    witness = MackeyMorphism(
-        m,
-        target,
-        AbHom(m.top, target.top, b_inv @ pi_t),
-        AbHom(m.bottom, target.bottom, pi_b),
-    )
+    def witness() -> MackeyMorphism:
+        """M → twisted_burnside(p, d_raw), sending the basis (lift of w, tr g)
+        of the top to (u, t)."""
+        b_inv = IntMatrix.from_rows([[t2, -t1], [a, b]])  # inverse of [w | t]
+        target = twisted_burnside(p, d_raw)
+        phi_top = AbHom(m.top, target.top, b_inv @ pi_t)
+        return MackeyMorphism(m, target, phi_top, AbHom(m.bottom, target.bottom, pi_b))
+
     result = ClassificationResult(True, d_class=d_class, sign_ambiguous=(2 * d_class) % p != 0)
     return result, witness
 
@@ -275,8 +278,8 @@ def classify_invertible(m: MackeyFunctor) -> ClassificationResult:
     """Decide invertibility for the box product.
 
     The verdict is memoised on m, so :func:`invert` after it, or a second
-    call, does not classify m again.  The witness is not kept: only
-    :func:`invert` reads one, that of a fresh product.
+    call, does not classify m again.  No witness isomorphism is built: only
+    :func:`invert` builds one, that of a fresh product.
 
     >>> classify_invertible(twisted_burnside(5, 7)).d_class
     2
@@ -292,7 +295,9 @@ def classify_invertible(m: MackeyFunctor) -> ClassificationResult:
 def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     """The box inverse and a verified isomorphism box(M, inverse) → burnside(p).
 
-    Returns None when M is not invertible.
+    Returns None when M is not invertible.  The certificate is the product's
+    witness onto twisted(p, c), c ≡ ±1 (mod p), then ``twisted_isomorphism(p,
+    c, 1)`` built on that same target: three twisted functors in all.
     """
     result = classify_invertible(m)
     if not result.invertible:
@@ -301,14 +306,14 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     _, x, _ = extended_gcd(result.d_class, p)
     inverse = twisted_burnside(p, x % p)
     product = box_product(m, inverse)
-    _, witness = _classify(product)
-    if witness is None:  # unreachable: the product of twists is a unit mod p
+    _, build_witness = _classify(product)
+    if build_witness is None:  # unreachable: the product of twists is a unit mod p
         raise AssertionError("box against the inverse failed to classify")
+    witness = build_witness()
     twist = witness.target.res.matrix.at(0, 0)
-    bridge = twisted_isomorphism(p, twist, 1)
-    if bridge is None:  # unreachable: twist ≡ ±1 (mod p) by construction
+    if not twisted_iso_criterion(p, twist, 1):  # unreachable: twist ≡ ±1 (mod p) by construction
         raise AssertionError("product twist is not ±1 modulo p")
-    certificate = witness.then(bridge)
+    certificate = witness.then(_retwist(witness.target, 1))
     if not is_mackey_isomorphism(certificate):
         raise AssertionError("inverse certificate failed verification")
     return inverse, certificate

@@ -10,7 +10,8 @@ wrapping it, so a change that eliminates a system twice fails here.  A
 matrix ``[I | R]`` handed to ``smith_normal_form`` gets its decomposition in
 closed form, without the elimination loop (``intlin._eliminate``).  The
 orbit of a permutation action is pinned the same way, at no matrix product,
-and its cost by the lines of ``intlin`` it runs.
+and its cost by the lines of ``intlin`` it runs; so are the functors and
+morphisms that classifying and inverting build.
 """
 
 import random
@@ -20,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackeybox import abgroup, intlin, separation
+from mackeybox import abgroup, intlin, mackey, separation
 from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
     GSet,
+    MackeyMorphism,
     box_product,
     check_axioms,
     fixed_point_functor,
@@ -205,6 +207,42 @@ def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
     assert len(eliminated) == 5
     assert sum(map(leads_with_identity, eliminated)) == 1
     assert loops == [a for a in eliminated if not leads_with_identity(a)]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The twists of the functors built by ``mackey.twisted_burnside``
+    (``separation`` imports it by name) and the number of ``MackeyMorphism``s."""
+    counts = {"twists": [], "morphisms": 0}
+    twisted, init = mackey.twisted_burnside, MackeyMorphism.__init__
+
+    def counting_twisted(p, d):
+        counts["twists"].append(d)
+        return twisted(p, d)
+
+    def counting_init(self, *args):
+        counts["morphisms"] += 1
+        init(self, *args)
+
+    for module in (mackey, separation):
+        monkeypatch.setattr(module, "twisted_burnside", counting_twisted)
+    monkeypatch.setattr(MackeyMorphism, "__init__", counting_init)
+    return counts
+
+
+def test_classifying_builds_no_witness_and_inverting_three_twisted_functors(built):
+    """``classify_invertible`` keeps only the verdict, so it builds neither the
+    witness nor its target (1 twisted functor and 1 morphism before).
+    ``invert`` builds the inverse, the target of the product's witness and
+    burnside(p), and bridges to burnside(p) from that same target (4 twisted
+    functors before, when the bridge built its own copy of the target); its
+    morphisms are the witness, the bridge and their composite."""
+    m = twisted_burnside(10007, 3)
+    assert separation.classify_invertible(m).invertible
+    assert built == {"twists": [], "morphisms": 0}
+    inverse, certificate = separation.invert(m)
+    assert built == {"twists": [3336, 10008, 1], "morphisms": 3}  # 3 · 3336 = 10008
+    assert inverse == twisted_burnside(10007, 3336) and certificate.target == twisted_burnside(10007, 1)
 
 
 def test_the_orbit_of_a_permutation_action_takes_no_product(monkeypatch):

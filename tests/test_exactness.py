@@ -8,7 +8,9 @@ with the membership test ``_exact_in_middle`` reads), and
 ``isotropy_sequence`` with a copy of its former version, kept below as the
 reference.  Maps are drawn between groups with and without torsion, and
 include maps that are not well defined, pairs that are not exact and
-diagrams that break the axioms.
+diagrams that break the axioms.  Every group, map, functor and morphism
+that the library combines from such parts must rebuild, field by field,
+through its public constructor.
 """
 
 import pytest
@@ -20,14 +22,31 @@ from mackeybox.abgroup import (
     FpAbGroup,
     _image,
     cokernel,
+    direct_sum,
     is_isomorphism,
     kernel,
+    tensor_product,
 )
 from mackeybox.intlin import IntMatrix
-from mackeybox.mackey import MackeyFunctor, MackeyMorphism, action_norm, verify_morphism
-from mackeybox.separation import _exact_in_middle, _tier_maps, isotropy_sequence, phi_functor
+from mackeybox.mackey import (
+    MackeyFunctor,
+    MackeyMorphism,
+    action_norm,
+    box_product,
+    twisted_burnside,
+    unit_isomorphism,
+    verify_morphism,
+)
+from mackeybox.separation import (
+    _exact_in_middle,
+    _tier_maps,
+    gamma_functor,
+    invert,
+    isotropy_sequence,
+    phi_functor,
+)
 
-from helpers import is_trivial, preimage_gens, same_lattice
+from helpers import is_trivial, pad_functor, preimage_gens, random_functor, same_lattice
 
 ENTRY = st.sampled_from((0, 0, 0, 0, -3, -2, -1, 1, 2, 3, 4))
 
@@ -213,3 +232,43 @@ def test_isotropy_report_matches_the_reference(m):
     seq = isotropy_sequence(m)
     assert seq.report == reference_isotropy_report(m)
     assert seq.exact == (seq.report == ())
+
+
+# -- records combined from valid parts ------------------------------------------------
+
+
+def rebuilt(x):
+    """x rebuilt from its fields through the public constructors, down to the
+    entries of its matrices, so that every check of every constructor runs."""
+    if isinstance(x, IntMatrix):
+        return IntMatrix(x.rows, x.cols, x.entries)
+    if isinstance(x, (FpAbGroup, AbHom, MackeyFunctor, MackeyMorphism)):
+        return type(x)(*map(rebuilt, x._field_values(x)))
+    return x
+
+
+def assert_rebuilt(*records):
+    for x in records:
+        again = rebuilt(x)
+        assert type(again) is type(x) and again == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_pairs(), st.integers(-3, 3))
+def test_combined_groups_and_maps_rebuild_through_their_constructors(pair, k):
+    f, g = pair
+    a, b = f.source, f.target
+    assert_rebuilt(g @ f, f + f.scaled(k), f - f.scaled(k), -f, AbHom.identity(a), AbHom.zero(a, g.target))
+    assert_rebuilt(*kernel(f), *cokernel(f), *_image(f), *kernel(g @ f))
+    assert_rebuilt(tensor_product(a, b), direct_sum(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from((2, 3, 5)), st.integers(0, 12), diagrams())
+def test_combined_functors_and_morphisms_rebuild_through_their_constructors(rng, p, d, diagram):
+    m, n = random_functor(rng, p), random_functor(rng, p)
+    assert_rebuilt(box_product(m, n), unit_isomorphism(m), *gamma_functor(m), *phi_functor(m))
+    assert_rebuilt(*gamma_functor(diagram), *phi_functor(diagram))
+    inverted = invert(pad_functor(twisted_burnside(p, d), rng))
+    assert (inverted is None) == (d % p == 0)
+    assert_rebuilt(*inverted or ())
