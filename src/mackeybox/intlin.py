@@ -894,6 +894,8 @@ def _cycle_orbit(m: IntMatrix, k: int) -> tuple[IntMatrix, IntMatrix] | None:
     Each row visits only the offsets it holds, so the cost is O(n + nnz of the norm),
     times log L where a row holds only some of its cycle (k < L, or σ = −1)."""
     n, idx, vals = m.rows, m.indices, m.values
+    if k and m == (eye := _eye(n, n)):  # all fixed points, all signs 1: itself, and k times itself
+        return eye, _trusted(n, n, eye.offsets, idx, (k,) * n)
     if m.offsets != _offsets(n, True) or not (m.cols == n == len(vals) == len({*idx}) and {*vals} <= {1, -1}):
         return None
     power_j, power_v, norm_j, norm_v = [0] * n, [0] * n, [None] * n, [None] * n

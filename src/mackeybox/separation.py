@@ -191,17 +191,12 @@ def twisted_isomorphism(p: int, c: int, d: int) -> MackeyMorphism | None:
     (``twisted_iso_criterion``); when none does, no functor is built.
 
     With c = y·d + p·x (y = ±1), the top map sends u ↦ y·u + x·t and fixes t;
-    the bottom map is the identity (``_retwist``).
+    the bottom map is the identity.
     """
-    return _retwist(twisted_burnside(p, c), d) if twisted_iso_criterion(p, c, d) else None
-
-
-def _retwist(src: MackeyFunctor, d: int) -> MackeyMorphism:
-    """``twisted_isomorphism`` from src, an already built twisted(p, c) with
-    c ≡ ±d (mod p), so that a composite ending in src meets it by identity."""
-    p, c = src.p, src.res.matrix.at(0, 0)
+    if not twisted_iso_criterion(p, c, d):
+        return None
     y = 1 if (c - d) % p == 0 else -1
-    tgt = twisted_burnside(p, d)
+    src, tgt = twisted_burnside(p, c), twisted_burnside(p, d)
     phi_top = AbHom(src.top, tgt.top, IntMatrix.from_rows([[y, 0], [(c - y * d) // p, 1]]))
     return MackeyMorphism(src, tgt, phi_top, AbHom.identity(src.bottom))
 
@@ -221,8 +216,9 @@ def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
     return dec.u.take_rows(past), dec.u_inverse.take_columns(past)
 
 
-def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, Callable[[], MackeyMorphism] | None]:
-    """The verdict and, for an invertible m, a builder of its witness isomorphism."""
+def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, Callable[[], tuple] | None]:
+    """The verdict and, for an invertible m, a builder of its witness
+    isomorphism M → twisted(p, d) as ``(d, top matrix, bottom matrix)``."""
     violations = check_axioms(m)
     if violations:
         raise ValueError("not a Mackey functor: " + "; ".join(violations))
@@ -262,13 +258,10 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, Callable[[], Mack
             False, reason=TWIST_NOT_COPRIME, d_class=d_class, twist_found=d_raw
         ), None
 
-    def witness() -> MackeyMorphism:
-        """M → twisted_burnside(p, d_raw), sending the basis (lift of w, tr g)
-        of the top to (u, t)."""
+    def witness() -> tuple[int, IntMatrix, IntMatrix]:
+        """Sends the basis (lift of w, tr g) of the top to (u, t)."""
         b_inv = IntMatrix.from_rows([[t2, -t1], [a, b]])  # inverse of [w | t]
-        target = twisted_burnside(p, d_raw)
-        phi_top = AbHom(m.top, target.top, b_inv @ pi_t)
-        return MackeyMorphism(m, target, phi_top, AbHom(m.bottom, target.bottom, pi_b))
+        return d_raw, b_inv @ pi_t, pi_b
 
     result = ClassificationResult(True, d_class=d_class, sign_ambiguous=(2 * d_class) % p != 0)
     return result, witness
@@ -277,9 +270,10 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, Callable[[], Mack
 def classify_invertible(m: MackeyFunctor) -> ClassificationResult:
     """Decide invertibility for the box product.
 
-    The verdict is memoised on m, so :func:`invert` after it, or a second
-    call, does not classify m again.  No witness isomorphism is built: only
-    :func:`invert` builds one, that of a fresh product.
+    The verdict and, for an invertible m, a builder of its witness are
+    memoised on m, so :func:`invert` after it, or a second call, does not
+    classify m again.  Classifying never calls the builder: only
+    :func:`invert` does.
 
     >>> classify_invertible(twisted_burnside(5, 7)).d_class
     2
@@ -288,32 +282,34 @@ def classify_invertible(m: MackeyFunctor) -> ClassificationResult:
     """
     found = m._memo.get("classification")
     if found is None:
-        found = m._memo["classification"] = _classify(m)[0]
-    return found
+        found = m._memo["classification"] = _classify(m)
+    return found[0]
 
 
 def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     """The box inverse and a verified isomorphism box(M, inverse) → burnside(p).
 
-    Returns None when M is not invertible.  The certificate is the product's
-    witness onto twisted(p, c), c ≡ ±1 (mod p), then ``twisted_isomorphism(p,
-    c, 1)`` built on that same target: three twisted functors in all.
+    Returns None when M is not invertible.  For M's witness M → twisted(p, c),
+    the inverse is twisted(p, x) with c·x ≡ y = ±1 (mod p), and the
+    certificate is box(witness, 1) followed by twisted(c) ⊠ twisted(x) →
+    burnside(p) in closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to
+    y·u + (c·x − y)/p·t, c·t, x·t, p·t and t.  The product is not classified:
+    the verified isomorphism carries burnside(p)'s axioms over to it.
     """
-    result = classify_invertible(m)
-    if not result.invertible:
+    if not classify_invertible(m).invertible:
         return None
+    result, build_witness = m._memo["classification"]
     p = m.p
-    _, x, _ = extended_gcd(result.d_class, p)
-    inverse = twisted_burnside(p, x % p)
+    x = extended_gcd(result.d_class, p)[1] % p
+    inverse, target = twisted_burnside(p, x), burnside(p)
     product = box_product(m, inverse)
-    _, build_witness = _classify(product)
-    if build_witness is None:  # unreachable: the product of twists is a unit mod p
-        raise AssertionError("box against the inverse failed to classify")
-    witness = build_witness()
-    twist = witness.target.res.matrix.at(0, 0)
-    if not twisted_iso_criterion(p, twist, 1):  # unreachable: twist ≡ ±1 (mod p) by construction
-        raise AssertionError("product twist is not ±1 modulo p")
-    certificate = witness.then(_retwist(witness.target, 1))
+    c, w_top, w_bottom = build_witness()
+    y = 1 if (c * x - 1) % p == 0 else -1
+    onto = IntMatrix.from_columns([(y, (c * x - y) // p), (0, c), (0, x), (0, p), (0, 1)], rows=2)
+    top = onto @ block_diagonal(w_top.kron(IntMatrix.identity(2)), w_bottom)
+    certificate = MackeyMorphism(
+        product, target, AbHom(product.top, target.top, top), AbHom(product.bottom, target.bottom, w_bottom)
+    )
     if not is_mackey_isomorphism(certificate):
         raise AssertionError("inverse certificate failed verification")
     return inverse, certificate

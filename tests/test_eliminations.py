@@ -194,17 +194,18 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, 
 
 
 def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
-    """Of the 5 matrices that classifying and inverting twisted_burnside
-    (10007, 2) hands to ``smith_normal_form``, the one identity-led one (an
-    identity map) skips the loop.  The transfer is read only through the
-    relations of its cokernel, so neither ``[tr | top relations]`` nor
-    Gamma's top is eliminated (7 before the transfer-image rank was dropped),
-    and each tier's section is read from its U⁻¹, so no projection is
-    eliminated."""
+    """Classifying and inverting twisted_burnside(10007, 2) hands 3 matrices
+    to ``smith_normal_form``: M's transfer, and the certificate's two tier
+    maps when it is verified; the one identity-led one (the bottom map)
+    skips the loop.  The certificate is built from M's own witness by box
+    functoriality, so the product is not classified (5 before, when its top
+    and transfer were eliminated too).  The transfer is read only through
+    the relations of its cokernel, and each tier's section is read from its
+    U⁻¹, so no projection is eliminated."""
     m = twisted_burnside(10007, 2)
     assert separation.classify_invertible(m).invertible
     assert separation.invert(m) is not None
-    assert len(eliminated) == 5
+    assert len(eliminated) == 3
     assert sum(map(leads_with_identity, eliminated)) == 1
     assert loops == [a for a in eliminated if not leads_with_identity(a)]
 
@@ -231,17 +232,18 @@ def built(monkeypatch):
 
 
 def test_classifying_builds_no_witness_and_inverting_three_twisted_functors(built):
-    """``classify_invertible`` keeps only the verdict, so it builds neither the
-    witness nor its target (1 twisted functor and 1 morphism before).
-    ``invert`` builds the inverse, the target of the product's witness and
-    burnside(p), and bridges to burnside(p) from that same target (4 twisted
-    functors before, when the bridge built its own copy of the target); its
-    morphisms are the witness, the bridge and their composite."""
+    """``classify_invertible`` keeps the verdict and a builder of the witness
+    but never calls it, so it builds neither the witness nor its target (1
+    twisted functor and 1 morphism before).  ``invert`` builds the inverse
+    and burnside(p), and its one morphism is the certificate, written from
+    M's witness matrices in closed form (before, it also built the target of
+    the product's witness, and its morphisms were that witness, the bridge
+    to burnside(p) and their composite)."""
     m = twisted_burnside(10007, 3)
     assert separation.classify_invertible(m).invertible
     assert built == {"twists": [], "morphisms": 0}
     inverse, certificate = separation.invert(m)
-    assert built == {"twists": [3336, 10008, 1], "morphisms": 3}  # 3 · 3336 = 10008
+    assert built == {"twists": [3336, 1], "morphisms": 1}  # 3 · 3336 = 10008
     assert inverse == twisted_burnside(10007, 3336) and certificate.target == twisted_burnside(10007, 1)
 
 

@@ -11,7 +11,9 @@ updates them at each step, the row-operation Hermite form
 with the column-operation version in the test helpers, and the Smith diagonal
 of dense matrices with the Bareiss determinant.  The Kronecker-built Frobenius relations are compared with the
 hand-indexed loop, and the isomorphism search with a brute force over both
-tiers.
+tiers.  The certificate of ``invert``, written from the input's own
+witness by box functoriality, is compared with the isomorphism that the
+search finds from the box product onto burnside(p).
 """
 
 import itertools
@@ -51,16 +53,18 @@ from mackeybox.mackey import (
     is_mackey_isomorphism,
     orbit_functor,
     permutation_functor,
+    twisted_burnside,
 )
 from mackeybox.separation import (
     FOUND,
     NOT_ISOMORPHIC,
     UNKNOWN,
     _matrix_candidates,
+    invert,
     try_find_isomorphism,
 )
 
-from helpers import PRIMES, column_hermite, det, random_functor
+from helpers import PRIMES, column_hermite, det, pad_functor, random_functor
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -674,6 +678,49 @@ def test_iso_search_equals_brute_force(rng, p, related):
     expected = brute_force_iso(m, n, bound)
     assert result.status == (UNKNOWN if expected is None else FOUND)
     assert result.witness == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(-30, 30),
+    st.sampled_from(("canonical", "sheared", "padded")),
+)
+def test_invert_certificate_is_the_searched_isomorphism(rng, p, d, how):
+    """An isomorphism onto burnside(p) is fixed by its bottom map up to an
+    automorphism of burnside(p); for odd p those are ±1, so the certificate
+    is ± the one isomorphism the search finds within its largest entry.  At
+    p = 2 there are four, so there the certificate need only be one."""
+    if d % p == 0:
+        d += 1
+    m = twisted_burnside(p, d)
+    m = base_change(m, rng) if how == "sheared" else pad_functor(m, rng) if how == "padded" else m
+    inverse, certificate = invert(m)
+    product = box_product(m, inverse)
+    assert certificate.source == product and certificate.target == burnside(p)
+    assert is_mackey_isomorphism(certificate)
+    if p == 2:
+        return
+    maps = (certificate.phi_top.matrix, certificate.phi_bottom.matrix)
+    bound = max(abs(x) for a in maps for x in a.entries)
+    result = try_find_isomorphism(product, burnside(p), bound)
+    assert result.status == FOUND
+    found = (result.witness.phi_top.matrix, result.witness.phi_bottom.matrix)
+    assert maps in (found, tuple(a.scaled(-1) for a in found))
+
+
+def test_invert_certificates_of_a_canonical_and_a_padded_functor():
+    """The certificates, entry for entry, that inverting wrote when it
+    classified the box product itself."""
+    inverse, certificate = invert(twisted_burnside(5, 2))
+    assert inverse == twisted_burnside(5, 3)
+    assert certificate.phi_top.matrix.to_rows() == [[1, 0, 0, 0, 0], [1, 2, 3, 5, 1]]
+    assert certificate.phi_bottom.matrix.to_rows() == [[1]]
+    inverse, certificate = invert(pad_functor(twisted_burnside(7, 3), random.Random(4)))
+    assert inverse == twisted_burnside(7, 5)
+    assert certificate.phi_top.matrix.to_rows() == [[1, 0, 0, 0, -2, 0, 0, 0], [2, 3, 5, 7, -9, -13, 1, -3]]
+    assert certificate.phi_bottom.matrix.to_rows() == [[1, -3]]
 
 
 def test_equivariant_bottom_maps_are_the_circulants():
