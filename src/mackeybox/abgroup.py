@@ -11,8 +11,8 @@ Groups and homomorphisms are frozen, so a fact derived from one is computed
 at most once and kept on it (``intlin._memoised``, a lock-free
 ``functools.cached_property``; the memo is not a field, so ``==`` and
 ``hash`` ignore it): a group's Smith decomposition and the columns it
-recognises as relations, a homomorphism's Smith decomposition and kernel
-lattice, and an endomorphism's orbits.
+recognises as relations, a homomorphism's ``[matrix | target.relations]``,
+its Smith decomposition and kernel lattice, and an endomorphism's orbits.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .intlin import (
     _eye,
     _memoised,
     _reduce_columns,
-    _sparse_rows,
+    _sparse_columns,
     block_diagonal,
     lattice_basis,
     smith_normal_form,
@@ -80,27 +80,27 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         zero in the group: the one membership test behind
         ``is_well_defined``, ``equals`` and ``is_injective``.
 
-        A column that is zero or plus or minus a relation is a member by
-        inspection; with no relations only zero columns are.  When some
-        column is neither, the group's memoised Smith decomposition
-        (``smith``) answers for all of them.
+        The relations themselves (the very object) are members by identity,
+        and a column that is zero or plus or minus a relation by inspection
+        (``intlin._sparse_columns``); with no relations only zero columns are.
+        Otherwise the group's memoised Smith decomposition (``smith``) answers.
 
         >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
         True
         """
+        if m is self.relations:
+            return True
         _check_height(m, self.ngens)
         if self.relations.cols == 0 or m.is_zero():
             return m.is_zero()
         known = self._members_by_inspection
-        return all(
-            not col[0] or col in known for col in _sparse_rows(m.transpose())
-        ) or self.smith.contains_all(m)
+        return all(not col[0] or col in known for col in _sparse_columns(m)) or self.smith.contains_all(m)
 
     @_memoised
     def _members_by_inspection(self) -> frozenset:
         """Each relation and its negative, as the ``(indices, values)`` of
-        its nonzeros (a row of the transposed relations), memoised."""
-        columns = _sparse_rows(self.relations.transpose())
+        its nonzeros (``intlin._sparse_columns``), memoised."""
+        columns = _sparse_columns(self.relations)
         return frozenset(columns + [(idx, tuple(map(neg, vals))) for idx, vals in columns])
 
 
@@ -208,14 +208,20 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         return m is n or m == n or self.target.contains_all(m - n)
 
     @_memoised
+    def spanning(self) -> IntMatrix:
+        """``[matrix | target.relations]``, stacked once: ``smith``, ``_image``
+        and ``separation._exact_in_middle`` read it."""
+        return self.matrix.hstack(self.target.relations)
+
+    @_memoised
     def smith(self) -> SmithDecomposition:
-        """``U @ [matrix | target.relations] @ V == S``, memoised.
+        """``U @ spanning @ V == S``, memoised.
 
         Its column lattice is the image plus the target relations, so the
         diagonal says whether f is onto, V gives the kernel lattice and U
         answers membership in the image (``contains_all``).
         """
-        return smith_normal_form(self.matrix.hstack(self.target.relations))
+        return smith_normal_form(self.spanning)
 
     @_memoised
     def kernel_lattice(self) -> IntMatrix:
@@ -337,12 +343,14 @@ def _check_action(g: FpAbGroup, gamma: AbHom, p: int) -> None:
 def _image(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     """im f, presented on f's source generators modulo ``f.kernel_lattice``,
     and its inclusion into the target: it has f's matrix, so it reads f's
-    memoised ``smith`` and ``kernel_lattice`` instead of eliminating
-    ``[matrix | target.relations]`` again.  Its kernel [K; Z] (K: im's relations)
-    proves the inclusion well defined when matrix·K = relations·(−Z) holds."""
+    memoised ``spanning`` = ``[matrix | target.relations]``, ``smith`` and
+    ``kernel_lattice`` instead of stacking and eliminating it again.  Its kernel
+    [K; Z] (K: im's relations) proves the inclusion well defined when
+    ``spanning @ [K; Z] == 0``, i.e. matrix·K = relations·(−Z), holds."""
     inclusion = AbHom(FpAbGroup(f.source.ngens, f.kernel_lattice), f.target, f.matrix)
-    proved = (f.matrix.hstack(f.target.relations) @ f.smith.kernel()).is_zero()
-    inclusion.__dict__.update(smith=f.smith, kernel_lattice=f.kernel_lattice, _well_defined=proved)
+    proved = (f.spanning @ f.smith.kernel()).is_zero()
+    inclusion.__dict__.update(spanning=f.spanning, smith=f.smith, kernel_lattice=f.kernel_lattice,
+                              _well_defined=proved)
     return inclusion.source, inclusion
 
 

@@ -173,6 +173,8 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         return rows
 
     def take_rows(self, indices) -> "IntMatrix":
+        if indices == range(self.rows):  # all of them, in order
+            return self
         o, idx, vals = self.offsets, self.indices, self.values
         offsets, picked, values = [0], [], []
         for i in indices:
@@ -268,9 +270,14 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
 
     def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
         """Each pair of rows merged in one pass down their two ascending runs
-        of indices, so a row costs its nonzeros; zeros are dropped."""
+        of indices, so a row costs its nonzeros; zeros are dropped.  Against
+        a zero side the result is the other operand (negated, if subtracted)."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        if not other.values:
+            return self
+        if not self.values:
+            return other if op is add else -other
         offsets, indices, values = [0], [], []
         for (ai, av), (bi, bv) in zip(_sparse_rows(self), _sparse_rows(other)):
             if ai == bi:
@@ -351,7 +358,11 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product: entry at ((i, k), (j, l)) is self[i,j] * other[k,l].
-        A row of self with one nonzero gives a shifted, scaled copy of other."""
+        A row of self with one nonzero gives a shifted, scaled copy of other;
+        a zero factor (an empty relation matrix, say) gives the zero matrix."""
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        if not (self.values and other.values):
+            return _trusted(rows, cols, _offsets(rows, False), (), ())
         for one, m in ((self, other), (other, self)):
             if one.rows == one.cols == 1 and one.values == (1,):
                 return m
@@ -370,7 +381,6 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
                     indices += map(add, bi_k, repeat(j * c))
                     values += bv_k if a == 1 else [a * b for b in bv_k]
                 offsets.append(len(values))
-        rows, cols = self.rows * other.rows, self.cols * c
         return _trusted(rows, cols, tuple(offsets), tuple(indices), tuple(values))
 
 
@@ -419,6 +429,20 @@ def _sparse_rows(m: IntMatrix) -> list[tuple[tuple, tuple]]:
     """``(indices, values)`` of each row of m."""
     o, idx, vals = m.offsets, m.indices, m.values
     return [(idx[a:b], vals[a:b]) for a, b in zip(o, o[1:])]
+
+
+def _sparse_columns(m: IntMatrix) -> list[tuple[tuple, tuple]]:
+    """``(indices, values)`` of each column of m, as ``_sparse_rows`` of its
+    transpose, in one pass over the nonzeros without building the transpose."""
+    o, idx, vals = m.offsets, m.indices, m.values
+    rows, values = [[] for _ in range(m.cols)], [[] for _ in range(m.cols)]
+    i = 0  # the row of the k-th nonzero
+    for k, j in enumerate(idx):
+        while o[i + 1] <= k:
+            i += 1
+        rows[j].append(i)
+        values[j].append(vals[k])
+    return [*zip(map(tuple, rows), map(tuple, values))]
 
 
 def _from_row_lists(rows, ncols: int, check=False) -> IntMatrix:
@@ -876,7 +900,7 @@ def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
     IntMatrix([[1, 1], [0, 2]])
     """
     cols = a.transpose().to_rows()
-    for idx, vals in _sparse_rows(basis.transpose()):  # the columns of basis
+    for idx, vals in _sparse_columns(basis):
         r, piv = idx[0], vals[0]
         for col in cols:
             q = col[r] // piv

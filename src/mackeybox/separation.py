@@ -14,7 +14,6 @@ with a verified isomorphism box(M, inverse) → burnside(p).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from math import gcd
 
 from .intlin import (
@@ -129,9 +128,10 @@ def _exact_in_middle(inc: AbHom, proj: AbHom) -> bool:
     """Whether ker proj equals im inc plus the relations of the middle group,
     as two lattice inclusions: ker proj ⊆ im inc + relations (read from inc's
     memoised Smith decomposition) and proj·[inc | relations] ⊆ the relations
-    of proj's target (read from the target's)."""
+    of proj's target (read from the target's); ``[inc | relations]`` is
+    inc's memoised ``spanning``."""
     return inc.smith.contains_all(proj.kernel_lattice) and proj.target.contains_all(
-        proj.matrix @ inc.matrix.hstack(inc.target.relations)
+        proj.matrix @ inc.spanning
     )
 
 
@@ -216,9 +216,10 @@ def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
     return dec.u.take_rows(past), dec.u_inverse.take_columns(past)
 
 
-def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, Callable[[], tuple] | None]:
-    """The verdict and, for an invertible m, a builder of its witness
-    isomorphism M → twisted(p, d) as ``(d, top matrix, bottom matrix)``."""
+def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, tuple[int, ...] | None]:
+    """The verdict and, for an invertible m, ``(d, t1, t2, a, b)``: the twist,
+    tr(g) in the top's free quotient, and a·t1 + b·t2 = 1, from which
+    :func:`invert` writes the witness M → twisted(p, d)."""
     violations = check_axioms(m)
     if violations:
         raise ValueError("not a Mackey functor: " + "; ".join(violations))
@@ -257,23 +258,17 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, Callable[[], tupl
         return ClassificationResult(
             False, reason=TWIST_NOT_COPRIME, d_class=d_class, twist_found=d_raw
         ), None
-
-    def witness() -> tuple[int, IntMatrix, IntMatrix]:
-        """Sends the basis (lift of w, tr g) of the top to (u, t)."""
-        b_inv = IntMatrix.from_rows([[t2, -t1], [a, b]])  # inverse of [w | t]
-        return d_raw, b_inv @ pi_t, pi_b
-
     result = ClassificationResult(True, d_class=d_class, sign_ambiguous=(2 * d_class) % p != 0)
-    return result, witness
+    return result, (d_raw, t1, t2, a, b)
 
 
 def classify_invertible(m: MackeyFunctor) -> ClassificationResult:
     """Decide invertibility for the box product.
 
-    The verdict and, for an invertible m, a builder of its witness are
-    memoised on m, so :func:`invert` after it, or a second call, does not
-    classify m again.  Classifying never calls the builder: only
-    :func:`invert` does.
+    The verdict and, for an invertible m, the five integers its witness is
+    written from are memoised on m, so :func:`invert` after it, or a second
+    call, does not classify m again.  Classifying never builds the witness:
+    only :func:`invert` does.
 
     >>> classify_invertible(twisted_burnside(5, 7)).d_class
     2
@@ -290,20 +285,23 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     """The box inverse and a verified isomorphism box(M, inverse) → burnside(p).
 
     Returns None when M is not invertible.  For M's witness M → twisted(p, c),
-    the inverse is twisted(p, x) with c·x ≡ y = ±1 (mod p), and the
-    certificate is box(witness, 1) followed by twisted(c) ⊠ twisted(x) →
-    burnside(p) in closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to
-    y·u + (c·x − y)/p·t, c·t, x·t, p·t and t.  The product is not classified:
-    the verified isomorphism carries burnside(p)'s axioms over to it.
+    the inverse is twisted(p, x) with c·x ≡ y = ±1 (mod p).  The witness
+    sends the top basis (lift of w, tr g) to (u, t), through projections read
+    again from the tiers' memoised Smith forms.  The certificate is
+    box(witness, 1) followed by twisted(c) ⊠ twisted(x) → burnside(p) in
+    closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to y·u + (c·x − y)/p·t,
+    c·t, x·t, p·t and t.  The product is not classified: the verified
+    isomorphism carries burnside(p)'s axioms over to it.
     """
     if not classify_invertible(m).invertible:
         return None
-    result, build_witness = m._memo["classification"]
+    result, (c, t1, t2, a, b) = m._memo["classification"]
     p = m.p
     x = extended_gcd(result.d_class, p)[1] % p
     inverse, target = twisted_burnside(p, x), burnside(p)
     product = box_product(m, inverse)
-    c, w_top, w_bottom = build_witness()
+    w_bottom = _quotient_iso(m.bottom, 1)[0]
+    w_top = IntMatrix.from_rows([[t2, -t1], [a, b]]) @ _quotient_iso(m.top, 2)[0]  # [w | t]⁻¹ @ pi_t
     y = 1 if (c * x - 1) % p == 0 else -1
     onto = IntMatrix.from_columns([(y, (c * x - y) // p), (0, c), (0, x), (0, p), (0, 1)], rows=2)
     top = onto @ block_diagonal(w_top.kron(IntMatrix.identity(2)), w_bottom)

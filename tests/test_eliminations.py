@@ -193,6 +193,26 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, 
     assert "smith" in x.tr.__dict__
 
 
+def test_isotropy_sequence_stacks_the_transfer_once_and_transposes_nothing(monkeypatch):
+    """After the axiom check, the sequence of the p = 3 (0,1)x(1,1) product
+    stacks ``[tr | top relations]`` once (``AbHom.spanning``), for the
+    transfer's Smith form, the kernel proof of ``abgroup._image`` and
+    ``separation._exact_in_middle`` alike (three times before), and builds
+    no transpose: membership reads the columns of the query and of the
+    relations in one pass each (six transposes before, all of them for
+    membership)."""
+    x = box_product(permutation_functor(3, GSet(0, 1)), permutation_functor(3, GSet(1, 1)))
+    assert check_axioms(x) == ()
+    stacked, transposed = [], []
+    hstack, transpose = IntMatrix.hstack, IntMatrix.transpose
+    monkeypatch.setattr(IntMatrix, "hstack", lambda a, b: stacked.append((a, b)) or hstack(a, b))
+    monkeypatch.setattr(IntMatrix, "transpose", lambda a: transposed.append(a) or transpose(a))
+    assert separation.isotropy_sequence(x).exact
+    transfer_block = (x.tr.matrix, x.top.relations)
+    assert [pair for pair in stacked if pair == transfer_block] == [transfer_block]
+    assert transposed == []
+
+
 def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
     """Classifying and inverting twisted_burnside(10007, 2) hands 3 matrices
     to ``smith_normal_form``: M's transfer, and the certificate's two tier

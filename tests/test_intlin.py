@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from mackeybox.abgroup import FpAbGroup
 from mackeybox.intlin import (
     IntMatrix,
+    _sparse_columns,
+    _sparse_rows,
     extended_gcd,
     hermite_normal_form,
     kernel_basis,
@@ -28,7 +30,7 @@ from mackeybox.intlin import (
     solve_linear,
 )
 
-from helpers import column_hermite, det, same_lattice
+from helpers import canonical, column_hermite, dense_kron, det, same_lattice
 
 
 def random_matrix(rng, max_dim=6, entry=9):
@@ -273,6 +275,76 @@ def test_membership_answers_agree_with_the_minors_oracle(case):
     assert (x is not None) == member
     if member:
         assert a @ x == b
+
+
+def bump(column, i, negate):
+    """The column with entry i negated, or raised by 1."""
+    return tuple((-x if negate else x + 1) if j == i else x for j, x in enumerate(column))
+
+
+@st.composite
+def relations_and_query(draw):
+    """A group's relations A (up to 4 x 4, entries in [-4, 4]) and a query of
+    its height that ``FpAbGroup.contains_all`` may settle without the Smith
+    form: A itself, the very object, or columns each of which is a relation
+    (negated or not, in any order), zero, a sum of relations, a relation
+    with one entry bumped by 1 or negated, or arbitrary."""
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = IntMatrix(n, k, tuple(draw(st.lists(st.integers(-4, 4), min_size=n * k, max_size=n * k))))
+    if draw(st.booleans()):
+        return a, a
+    relation = st.integers(0, k - 1).map(a.column) if k else st.just((0,) * n)
+    signed = st.tuples(relation, st.sampled_from((1, -1))).map(lambda rs: tuple(rs[1] * x for x in rs[0]))
+    summed = st.tuples(relation, relation).map(lambda rr: tuple(map(sum, zip(*rr))))
+    bumped = st.builds(bump, relation, st.integers(0, max(n - 1, 0)), st.booleans())
+    arbitrary = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+    column = st.one_of(signed, st.just((0,) * n), summed, bumped, arbitrary)
+    return a, IntMatrix.from_columns(draw(st.lists(column, max_size=5)), rows=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations_and_query())
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]),) * 2)
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.from_rows([[0, -2, 2], [-3, 0, 1]])))
+@example((IntMatrix.from_rows([[2], [-3]]), IntMatrix.from_rows([[2], [3]])))
+def test_group_membership_shortcuts_agree_with_the_minors_oracle(case):
+    """``FpAbGroup.contains_all`` answers the relations object itself by
+    identity and signed relations and zero columns by inspection, reading
+    columns by ``intlin._sparse_columns``; every answer must be that of
+    ``in_lattice_by_minors``, column by column.  The query that is the
+    relations is also asked as an equal copy, which goes the long way."""
+    a, query = case
+    assert _sparse_columns(query) == _sparse_rows(query.transpose())
+    member = all(in_lattice_by_minors(a, query.take_columns([j])) for j in range(query.cols))
+    group = FpAbGroup(a.rows, a)
+    assert group.contains_all(query) == member
+    if query is a:
+        assert member and group.contains_all(IntMatrix.from_rows(a.to_rows(), cols=a.cols))
+
+
+def zero_or_not(shape):
+    """A matrix of the shape, zero (stored or built by ``zeros``) or not."""
+    r, c = shape
+    entries = st.lists(st.integers(-3, 3), min_size=r * c, max_size=r * c).map(tuple)
+    return st.one_of(st.just(IntMatrix.zeros(r, c)), entries.map(lambda e: IntMatrix(r, c, e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zero_operands_agree_with_the_dense_helpers(data):
+    """``+``, ``-`` and ``kron`` with a zero or empty operand on either side
+    (which return the other operand, its negative, or the zero matrix)
+    against entrywise sums and ``dense_kron``."""
+    shape = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    a, b = data.draw(zero_or_not(shape)), data.draw(zero_or_not(shape))
+    ra, rb = a.to_rows(), b.to_rows()
+    for got, op in ((a + b, int.__add__), (a - b, int.__sub__), (b - a, lambda x, y: y - x)):
+        assert got.cols == shape[1] and canonical(got, [list(map(op, x, y)) for x, y in zip(ra, rb)])
+    c = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(zero_or_not))
+    for left, right in ((a, c), (c, a), (IntMatrix.identity(1), a), (a, IntMatrix.identity(1))):
+        got = left.kron(right)
+        assert (got.rows, got.cols) == (left.rows * right.rows, left.cols * right.cols)
+        assert canonical(got, dense_kron(left.to_rows(), right.to_rows()))
 
 
 def test_smith_huge_entries_stay_exact():

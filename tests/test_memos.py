@@ -8,7 +8,9 @@ equal copy built from scratch, must leave ``==`` and ``hash`` alone, and
 must spare the second reader the work.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +22,7 @@ from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.mackey import MackeyFunctor, check_axioms, constant_z, twisted_burnside
 from mackeybox.separation import classify_invertible, gamma_functor, invert
 
-from helpers import PRIMES, preimage_gens, random_functor
+from helpers import PRIMES, pad_functor, preimage_gens, random_functor
 
 
 def fresh_copy(m: MackeyFunctor) -> MackeyFunctor:
@@ -56,7 +58,7 @@ def test_memos_equal_a_fresh_recomputation():
         assert copy == m and copy is not m
         assert check_axioms(m) == mackey._violations(copy)
         if not check_axioms(m):
-            assert classify_invertible(m) == separation._classify(copy)[0]
+            assert m._memo["classification"] == separation._classify(copy)
         for g, fresh in ((m.top, copy.top), (m.bottom, copy.bottom)):
             assert g.smith == smith_normal_form(fresh.relations)
         power, norm = m.gamma.orbit(p)
@@ -103,6 +105,31 @@ def test_classify_then_invert_checks_each_functor_once(monkeypatch, p, d):
     assert classify_invertible(m).invertible
     assert axioms == {id(m): 1}
     assert classified == {id(m): 1}
+
+
+def test_the_classification_memo_keeps_five_integers_per_functor():
+    """An invertible functor's classification memo holds the verdict and
+    ``(d, t1, t2, a, b)``, not a builder closed over the tiers' projections:
+    ``invert`` reads those again from the tiers' memoised Smith forms.  Read
+    by tracemalloc over these 300 classified functors on CPython 3.11, each
+    retains 4,950 bytes, 280 of them in the memo, against 5,910 and 1,250
+    with the builder; both bounds sit between the two."""
+    rng = random.Random(24)
+    functors = [pad_functor(twisted_burnside(p, d), rng) for p in (101, 1009, 10007) for d in range(1, 101)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for m in functors:
+            assert classify_invertible(m).invertible
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+        for m in functors:
+            del m._memo["classification"]
+        gc.collect()
+        in_memo = retained - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert in_memo / len(functors) < 600 and in_memo < retained / 10
 
 
 def test_cli_invert_of_a_non_invertible_functor_classifies_once(monkeypatch, tmp_path, capsys):
@@ -177,6 +204,7 @@ def test_the_inclusion_of_gamma_reads_the_transfers_decomposition():
         f = inclusion.phi_top
         assert (f.source, f.target, f.matrix) == (part.top, m.top, m.tr.matrix)
         assert f.smith is m.tr.smith and f.kernel_lattice is m.tr.kernel_lattice
+        assert f.spanning is m.tr.spanning
         fresh = AbHom(FpAbGroup(part.top.ngens, part.top.relations), fresh_copy(m).top, f.matrix)
         assert f == fresh and hash(f) == hash(fresh)
         assert f.smith == smith_normal_form(fresh.matrix.hstack(fresh.target.relations))

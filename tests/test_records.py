@@ -5,13 +5,16 @@
 ``IsotropySequence`` and ``IsoSearchResult`` are plain classes: assigning or
 deleting an attribute raises ``AttributeError``, ``==`` and ``hash`` read the
 fields alone (a memo filled on one of two equal records changes neither),
-and the repr is ``Name(field=value, ...)``, as a frozen dataclass prints it.
+pickle and deep copy keep the fields and the memos, and the repr is
+``Name(field=value, ...)``, as a frozen dataclass prints it.
 ``IntMatrix`` is the one record whose repr and constructor speak of other
 names than its fields: it stores its nonzeros row-compressed, and prints and
 takes the dense ``rows``, ``cols`` and ``entries``.
 """
 
+import copy
 import doctest
+import pickle
 
 import pytest
 
@@ -80,7 +83,7 @@ def fill_memos(record) -> None:
     elif isinstance(record, FpAbGroup):
         record.smith, record._members_by_inspection
     elif isinstance(record, AbHom):
-        record.smith, record.kernel_lattice, record.orbit(5)
+        record.spanning, record.smith, record.kernel_lattice, record.orbit(5)
     elif isinstance(record, MackeyFunctor):
         check_axioms(record)
         classify_invertible(record)
@@ -112,6 +115,16 @@ def test_equality_and_hash_read_the_fields_alone(cls):
     assert record != object() and record != repr(record)
     keywords = {name: getattr(record, name) for name in ARGUMENTS.get(cls, FIELDS[cls])}
     assert cls(**keywords) == record
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+def test_a_record_with_filled_memos_survives_pickle_and_copy(cls):
+    """Pickling or deep-copying a record keeps its fields and its memos."""
+    record = build(cls)
+    fill_memos(record)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert twin == record and hash(twin) == hash(record)
+        assert set(getattr(twin, "__dict__", ())) == set(getattr(record, "__dict__", ()))
 
 
 def test_memos_are_kept_outside_the_fields():

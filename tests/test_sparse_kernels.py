@@ -179,6 +179,8 @@ def test_stacks_transposes_and_selections(a, data):
     same(m.take_rows(picked), [rows[i] for i in picked], c)
     picked = data.draw(st.lists(st.integers(0, c - 1), max_size=6)) if c else []
     same(m.take_columns(picked), [[p[j] for j in picked] for p in rows], len(picked))
+    assert m.take_rows(range(r)) is m and m.take_columns(range(c)) is m  # all of them, in order
+    same(m.take_rows(range(r // 2, r)), rows[r // 2 :], c)
     same(block_diagonal(m, built(below, c)),
          [p + [0] * c for p in rows] + [[0] * c + q for q in below], 2 * c)
 
