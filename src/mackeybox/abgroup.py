@@ -13,6 +13,9 @@ at most once and kept on it (``intlin._memoised``, a lock-free
 ``hash`` ignore it): a group's Smith decomposition and the columns it
 recognises as relations, a homomorphism's ``[matrix | target.relations]``,
 its Smith decomposition and kernel lattice, and an endomorphism's orbits.
+Some answers are read from how an object was built: an identity map and a
+map into no generators are onto, with kernel lattices in the closed form of
+``[I | R]``, and a cokernel knows the two blocks it stacked by identity.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
     >>> invariant_factors(FpAbGroup.cyclic(6))
     (0, (6,))
     """
+
+    _stacked = (None, None)  # on a cokernel, the two blocks ``cokernel`` stacked into its relations
 
     def __init__(self, ngens: int, relations: IntMatrix):
         if ngens < 0:
@@ -81,14 +86,16 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         ``is_well_defined``, ``equals`` and ``is_injective``.
 
         The relations themselves (the very object) are members by identity,
-        and a column that is zero or plus or minus a relation by inspection
+        and so are the two blocks a cokernel's relations were stacked from;
+        a column that is zero or plus or minus a relation by inspection
         (``intlin._sparse_columns``); with no relations only zero columns are.
         Otherwise the group's memoised Smith decomposition (``smith``) answers.
 
         >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
         True
         """
-        if m is self.relations:
+        first, second = self._stacked
+        if m is self.relations or m is first or m is second:
             return True
         _check_height(m, self.ngens)
         if self.relations.cols == 0 or m.is_zero():
@@ -201,16 +208,19 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
 
     def equals(self, other: "AbHom") -> bool:
         """Equality as maps on the presented groups (not of matrices); equal
-        matrices answer at once."""
+        matrices answer at once.  Against a zero side the question is whether
+        the other side is a member itself (−n lies in a lattice iff n does),
+        so no negated copy is built and a block that ``cokernel`` stacked is
+        answered by identity."""
         if (self.source, self.target) != (other.source, other.target):
             return False
         m, n = self.matrix, other.matrix
-        return m is n or m == n or self.target.contains_all(m - n)
+        return m is n or m == n or self.target.contains_all(n if m.is_zero() else m - n)
 
     @_memoised
     def spanning(self) -> IntMatrix:
-        """``[matrix | target.relations]``, stacked once: ``smith``, ``_image``
-        and ``separation._exact_in_middle`` read it."""
+        """``[matrix | target.relations]``, stacked once: ``smith`` and
+        ``_image`` read it."""
         return self.matrix.hstack(self.target.relations)
 
     @_memoised
@@ -223,16 +233,30 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         """
         return smith_normal_form(self.spanning)
 
+    def _onto_by_construction(self) -> bool:
+        """Whether the target has no generators or the matrix is ``_eye`` (by value)."""
+        n = self.target.ngens
+        return not n or (n == self.source.ngens and self.matrix == _eye(n, n))
+
     @_memoised
     def kernel_lattice(self) -> IntMatrix:
         """Generators of ``{x : matrix·x ∈ target relations}``: the top
         ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``,
-        memoised."""
-        return self.smith.kernel().take_rows(range(self.source.ngens))
+        memoised.  A map onto by construction writes them without ``smith``,
+        as the closed form of ``[I | R]`` yields them: ``-R`` for the
+        identity, and V's top rows ``[I | 0]`` into no generators."""
+        n, rels = self.source.ngens, self.target.relations
+        if not self._onto_by_construction():
+            return self.smith.kernel().take_rows(range(n))
+        return -rels if self.target.ngens else _eye(n, n + rels.cols)
 
     def is_surjective(self) -> bool:
         """Whether the image and the target relations span Z^target.ngens,
-        i.e. whether the Smith diagonal is ``target.ngens`` ones."""
+        i.e. whether the Smith diagonal is ``target.ngens`` ones.  The
+        identity and a map into a group with no generators are onto by
+        construction and read no Smith form."""
+        if self._onto_by_construction():
+            return True
         diag = self.smith.diagonal()
         return len(diag) == self.target.ngens and all(d == 1 for d in diag)
 
@@ -364,8 +388,11 @@ def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
 
 
 def cokernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
-    """coker f = target / image, with the projection from the target."""
+    """coker f = target / image, with the projection from the target.  Its
+    relations stack ``[target relations | matrix]``, and it keeps both blocks
+    (``_stacked``), so ``contains_all`` answers either by identity."""
     c = FpAbGroup(f.target.ngens, f.target.relations.hstack(f.matrix))
+    c.__dict__["_stacked"] = (f.target.relations, f.matrix)
     return c, AbHom(f.target, c, _eye(f.target.ngens, f.target.ngens))
 
 
@@ -375,7 +402,8 @@ def is_isomorphism(f: AbHom) -> bool:
     These are three lattice inclusions: ``matrix · source relations`` in the
     target relation lattice, Z^target.ngens in the image plus the target
     relations, and the kernel lattice in the source relation lattice.  The
-    last two read f's one memoised Smith decomposition (``AbHom.smith``).
+    last two read f's one memoised Smith decomposition (``AbHom.smith``),
+    or none for a map onto by construction.
 
     >>> shear = AbHom(FpAbGroup.free(2), FpAbGroup.free(2),
     ...               IntMatrix.from_rows([[1, 5], [0, 1]]))

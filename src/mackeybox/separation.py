@@ -128,11 +128,12 @@ def _exact_in_middle(inc: AbHom, proj: AbHom) -> bool:
     """Whether ker proj equals im inc plus the relations of the middle group,
     as two lattice inclusions: ker proj ⊆ im inc + relations (read from inc's
     memoised Smith decomposition) and proj·[inc | relations] ⊆ the relations
-    of proj's target (read from the target's); ``[inc | relations]`` is
-    inc's memoised ``spanning``."""
-    return inc.smith.contains_all(proj.kernel_lattice) and proj.target.contains_all(
-        proj.matrix @ inc.spanning
-    )
+    of proj's target, asked one block at a time.  On the top, proj is the
+    identity, so the blocks are M's transfer and top relations themselves,
+    the two blocks Phi's cokernel stacked, and membership answers both by
+    identity; on the bottom the target has no generators."""
+    member, blocks = proj.target.contains_all, (inc.matrix, inc.target.relations)
+    return inc.smith.contains_all(proj.kernel_lattice) and all(member(proj.matrix @ b) for b in blocks)
 
 
 def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
@@ -145,17 +146,22 @@ def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
     as the two lattice inclusions of ``_exact_in_middle``.  What each reads:
 
     * the morphism conditions: membership in the target group (which
-      settles zero and plus or minus relations by inspection, all of Phi's,
-      else reads ``FpAbGroup.smith``), or the proof from ``m.tr.smith``
-      that ``abgroup._image`` keeps on the inclusion's top map;
+      settles the blocks Phi's cokernel stacked by identity, and zero and
+      plus or minus relations by inspection, else reads
+      ``FpAbGroup.smith``), or the proof from ``m.tr.smith`` that
+      ``abgroup._image`` keeps on the inclusion's top map;
     * injectivity: the inclusion's ``kernel_lattice`` and membership in its
       source; on the top both come from ``m.tr.smith``, whose kernel lattice
       is Gamma's relations, so Gamma's top needs no elimination;
-    * surjectivity: the projection's ``AbHom.smith``, on the top of
-      ``[I | relations | tr]``, which ``smith_normal_form`` writes down in
-      closed form;
-    * exactness in the middle: the inclusion's ``AbHom.smith`` and
-      membership in the projection's target.
+    * surjectivity: nothing but how the projection was built; its top map
+      is the identity and its bottom map goes into a group with no
+      generators, so both are onto without a Smith form;
+    * exactness in the middle: the inclusion's ``AbHom.smith``, the
+      projection's kernel lattice (written from its construction: the
+      negated relations of Phi's top, and the identity on the bottom, into
+      a group with no generators), and membership in the projection's
+      target, which answers the two blocks Phi's cokernel stacked by
+      identity.
     """
     gamma_part, inclusion = gamma_functor(m)
     phi_part, projection = phi_functor(m)
@@ -201,19 +207,23 @@ def twisted_isomorphism(p: int, c: int, d: int) -> MackeyMorphism | None:
     return MackeyMorphism(src, tgt, phi_top, AbHom.identity(src.bottom))
 
 
-def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
-    """For a group known free of the given rank: (projection, section) matrices.
-
-    The projection is a ``rank x ngens`` matrix inducing an isomorphism onto
-    Z^rank: the rows of the group's U past the rank.  The section is the
-    columns of U⁻¹ past the rank, so projection @ section = identity.
-    """
+def _projection(group: FpAbGroup, rank: int) -> IntMatrix:
+    """For a group known free of the given rank, a ``rank x ngens`` matrix
+    inducing an isomorphism onto Z^rank: the rows of the group's U past the
+    rank.  :func:`invert` reads it alone, without the section."""
     dec = group.smith
     r = dec.rank()
     if group.ngens - r != rank:
         raise ValueError("group does not have the expected free rank")
-    past = range(r, group.ngens)
-    return dec.u.take_rows(past), dec.u_inverse.take_columns(past)
+    return dec.u.take_rows(range(r, group.ngens))
+
+
+def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
+    """For a group known free of the given rank: the ``_projection`` and the
+    section, the columns of U⁻¹ past the rank, so projection @ section =
+    identity."""
+    past = range(group.ngens - rank, group.ngens)
+    return _projection(group, rank), group.smith.u_inverse.take_columns(past)
 
 
 def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, tuple[int, ...] | None]:
@@ -287,9 +297,9 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     Returns None when M is not invertible.  For M's witness M → twisted(p, c),
     the inverse is twisted(p, x) with c·x ≡ y = ±1 (mod p).  The witness
     sends the top basis (lift of w, tr g) to (u, t), through projections read
-    again from the tiers' memoised Smith forms.  The certificate is
-    box(witness, 1) followed by twisted(c) ⊠ twisted(x) → burnside(p) in
-    closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to y·u + (c·x − y)/p·t,
+    again from the tiers' memoised Smith forms without their sections
+    (``_projection``).  The certificate is box(witness, 1) followed by
+    twisted(c) ⊠ twisted(x) → burnside(p) in closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to y·u + (c·x − y)/p·t,
     c·t, x·t, p·t and t.  The product is not classified: the verified
     isomorphism carries burnside(p)'s axioms over to it.
     """
@@ -300,8 +310,8 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     x = extended_gcd(result.d_class, p)[1] % p
     inverse, target = twisted_burnside(p, x), burnside(p)
     product = box_product(m, inverse)
-    w_bottom = _quotient_iso(m.bottom, 1)[0]
-    w_top = IntMatrix.from_rows([[t2, -t1], [a, b]]) @ _quotient_iso(m.top, 2)[0]  # [w | t]⁻¹ @ pi_t
+    w_bottom = _projection(m.bottom, 1)
+    w_top = IntMatrix.from_rows([[t2, -t1], [a, b]]) @ _projection(m.top, 2)  # [w | t]⁻¹ @ pi_t
     y = 1 if (c * x - 1) % p == 0 else -1
     onto = IntMatrix.from_columns([(y, (c * x - y) // p), (0, c), (0, x), (0, p), (0, 1)], rows=2)
     top = onto @ block_diagonal(w_top.kron(IntMatrix.identity(2)), w_bottom)

@@ -29,7 +29,7 @@ from mackeybox.abgroup import (
 )
 from mackeybox.intlin import IntMatrix, smith_normal_form
 
-from helpers import random_presentation, same_lattice
+from helpers import preimage_gens, random_presentation, same_lattice
 
 
 # -- presentations and invariants ---------------------------------------------
@@ -346,3 +346,42 @@ def test_membership_by_inspection_needs_no_elimination():
     assert not free.contains_all(IntMatrix.from_columns([(0, 0, 1)], rows=3))
     assert invariant_factors(free) == (3, ())
     assert "smith" not in free.__dict__
+
+
+def diagonal_onto(f: AbHom) -> bool:
+    """Surjectivity by the general path: a fresh Smith form of
+    ``[matrix | target relations]`` whose diagonal is ``target.ngens`` ones."""
+    diag = smith_normal_form(f.matrix.hstack(f.target.relations)).diagonal()
+    return len(diag) == f.target.ngens and all(d == 1 for d in diag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_answers_read_from_construction_agree_with_the_general_path(rng):
+    """The identity (built afresh, so it is compared by value), a map into
+    ``FpAbGroup.trivial()`` and one into a 0-generator group with relation
+    columns are onto without a Smith form, and their kernel lattices
+    byte-equal ``helpers.preimage_gens``.  Both blocks a cokernel stacks are
+    members (``same_lattice`` confirms it without the library), and
+    ``equals`` with a zero side agrees with ``contains_all(m - n)``."""
+    g, h = random_presentation(rng), random_presentation(rng)
+    n = g.ngens
+    other = FpAbGroup(n, IntMatrix.from_columns(
+        [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 3))], rows=n))
+    eye = IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+    empty = FpAbGroup(0, IntMatrix.zeros(0, rng.randint(1, 3)))
+    closed = [AbHom(g, g, eye), AbHom(other, g, eye), AbHom.zero(g, FpAbGroup.trivial()), AbHom.zero(g, empty)]
+    for f in closed:
+        assert f.is_surjective() and diagonal_onto(f)
+        assert f.kernel_lattice == preimage_gens(f.matrix, f.target.relations)
+        assert "smith" not in f.__dict__
+    f = AbHom(h, g, IntMatrix(n, h.ngens, tuple(rng.randint(-3, 3) for _ in range(n * h.ngens))))
+    c = cokernel(f)[0]
+    for block in (g.relations, f.matrix):
+        assert c.contains_all(block)
+        assert same_lattice(c.relations, c.relations.hstack(block))
+    for target, m in ((g, f.matrix), (c, f.matrix), (c, g.relations)):
+        source = FpAbGroup.free(m.cols)
+        nonzero, zero = AbHom(source, target, m), AbHom.zero(source, target)
+        for a, b in ((zero, nonzero), (nonzero, zero)):
+            assert a.equals(b) == target.contains_all(a.matrix - b.matrix)

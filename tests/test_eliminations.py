@@ -8,8 +8,10 @@ replayed from the tier's one decomposition.  Every elimination goes
 through ``intlin.smith_normal_form``; the counts below are pinned by
 wrapping it, so a change that eliminates a system twice fails here.  A
 matrix ``[I | R]`` handed to ``smith_normal_form`` gets its decomposition in
-closed form, without the elimination loop (``intlin._eliminate``).  The
-orbit of a permutation action is pinned the same way, at no matrix product,
+closed form, without the elimination loop (``intlin._eliminate``), and an
+identity map or a map into a group with no generators hands over nothing:
+it is onto by construction and writes its kernel lattice as that closed
+form would.  The orbit of a permutation action is pinned the same way, at no matrix product,
 and its cost by the lines of ``intlin`` it runs; so are the functors and
 morphisms that classifying and inverting build.
 """
@@ -68,12 +70,15 @@ def test_a_fixed_point_functor_takes_two_eliminations(eliminated):
 
 def test_isomorphism_search_eliminates_each_system_once(eliminated):
     """One Smith form per lattice-coset walk gives its point and its
-    lattice, plus one per candidate tier map tested for bijectivity (80
-    before the walks solved and took the kernel separately)."""
+    lattice, plus one per candidate tier map tested for bijectivity but the
+    identity, which is onto with kernel lattice ``-relations`` by
+    construction (60 while the four identity bottom candidates took the
+    closed form of ``[I | relations]``; 80 before the walks solved and took
+    the kernel separately)."""
     for p in (3, 5, 7):
         for c, d in ((2, 3), (1, 2), (2, 2 + p)):
             separation.try_find_isomorphism(twisted_burnside(p, c), twisted_burnside(p, d), 2)
-    assert len(eliminated) == 60
+    assert len(eliminated) == 56
 
 
 @pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (7, 3), (3, 6)])
@@ -178,18 +183,22 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, 
     """After the axiom check, the sequence of the p = 5 (0,1)x(1,1) product
     eliminates only ``[tr | top relations]``: the inclusion's top map reads
     the transfer's decomposition, whose kernel also proves that map well
-    defined, so the top's relations are not eliminated.  Phi's cokernel
-    group and Gamma's top answer membership by inspection, and every other
-    matrix handed over, identity maps and the projection
-    ``[I | relations | tr]``, takes the closed form.  Before the inclusion
-    carried that proof, the top's relations went through the loop too."""
+    defined, so the top's relations are not eliminated.  The only other
+    matrix handed over is the inclusion's bottom ``[I | relations]``, in
+    closed form, for exactness in the middle.  The projection's tier maps,
+    the identity onto Phi's top and the map into its zero bottom, are onto
+    by construction and write their kernel lattices without a Smith form
+    (4 matrices before, when ``[I | relations | tr]`` and the bottom map's
+    took the closed form), and Phi's cokernel group answers the two blocks
+    it stacked by identity.  Before the inclusion carried its proof, the
+    top's relations went through the loop too."""
     x = box_product(permutation_functor(5, GSet(0, 1)), permutation_functor(5, GSet(1, 1)))
     assert check_axioms(x) == ()
     del eliminated[:], loops[:]
     assert separation.isotropy_sequence(x).exact
     assert loops == [x.tr.matrix.hstack(x.top.relations)]
     assert [a for a in eliminated if not leads_with_identity(a)] == loops
-    assert len(eliminated) == 4
+    assert len(eliminated) == 2
     assert "smith" in x.tr.__dict__
 
 
@@ -214,19 +223,20 @@ def test_isotropy_sequence_stacks_the_transfer_once_and_transposes_nothing(monke
 
 
 def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
-    """Classifying and inverting twisted_burnside(10007, 2) hands 3 matrices
-    to ``smith_normal_form``: M's transfer, and the certificate's two tier
-    maps when it is verified; the one identity-led one (the bottom map)
-    skips the loop.  The certificate is built from M's own witness by box
-    functoriality, so the product is not classified (5 before, when its top
-    and transfer were eliminated too).  The transfer is read only through
-    the relations of its cokernel, and each tier's section is read from its
-    U⁻¹, so no projection is eliminated."""
+    """Classifying and inverting twisted_burnside(10007, 2) hands 2 matrices
+    to ``smith_normal_form``, both through the loop: M's transfer, and the
+    certificate's top map when it is verified.  The certificate's bottom map
+    is the identity, onto with its kernel lattice by construction (3 before,
+    when its ``[I]`` took the closed form).  The certificate is built from
+    M's own witness by box functoriality, so the product is not classified
+    (5 before that, when its top and transfer were eliminated too).  The
+    transfer is read only through the relations of its cokernel, and each
+    tier's section is read from its U⁻¹, so no projection is eliminated."""
     m = twisted_burnside(10007, 2)
     assert separation.classify_invertible(m).invertible
     assert separation.invert(m) is not None
-    assert len(eliminated) == 3
-    assert sum(map(leads_with_identity, eliminated)) == 1
+    assert len(eliminated) == 2
+    assert sum(map(leads_with_identity, eliminated)) == 0
     assert loops == [a for a in eliminated if not leads_with_identity(a)]
 
 
