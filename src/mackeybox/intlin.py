@@ -607,7 +607,13 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         if self.s.cols == 0 or m.cols == 0:
             return m.is_zero()
         ones = self.s.values.count(1)
-        return ones == self.s.rows or self._divisible(self.u.take_rows(range(ones, self.s.rows)) @ m, ones)
+        return ones == self.s.rows or self._divisible(self.past_units()[0] @ m, ones)
+
+    def past_units(self) -> tuple[IntMatrix, tuple[int, ...]]:
+        """The rows of U past the unit invariant factors, and the factors past
+        them: the rows and divisors of the test ``contains_all`` makes."""
+        ones = self.s.values.count(1)
+        return self.u.take_rows(range(ones, self.s.rows)), self.s.values[ones:]
 
     def solve(self, b: IntMatrix) -> IntMatrix | None:
         """X with ``A @ X == b``, or None when some column of b is not in the

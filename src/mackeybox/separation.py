@@ -20,7 +20,7 @@ from .intlin import (
     IntMatrix,
     _eye,
     _Frozen,
-    _reduce_columns,
+    _sparse_columns,
     block_diagonal,
     extended_gcd,
     lattice_basis,
@@ -209,13 +209,13 @@ def twisted_isomorphism(p: int, c: int, d: int) -> MackeyMorphism | None:
 
 def _projection(group: FpAbGroup, rank: int) -> IntMatrix:
     """For a group known free of the given rank, a ``rank x ngens`` matrix
-    inducing an isomorphism onto Z^rank: the rows of the group's U past the
-    rank.  :func:`invert` reads it alone, without the section."""
-    dec = group.smith
-    r = dec.rank()
-    if group.ngens - r != rank:
+    inducing an isomorphism onto Z^rank: the rows of the group's U past its
+    unit invariant factors (``SmithDecomposition.past_units``), with no
+    factor above 1.  :func:`invert` reads it alone, without the section."""
+    rows, torsion = group.smith.past_units()
+    if torsion or rows.rows != rank:
         raise ValueError("group does not have the expected free rank")
-    return dec.u.take_rows(range(r, group.ngens))
+    return rows
 
 
 def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
@@ -337,94 +337,99 @@ class IsoSearchResult(_Frozen, fields=("status", "witness", "detail")):
         self._set_fields(status, witness, detail)
 
 
-def _bounded_points(offset, basis: IntMatrix, bound: int):
-    """All vectors offset + basis·k with every entry in [-bound, bound].
-
-    The basis columns come from a Hermite form, so pivot rows are triangular
-    and each coefficient is pinned to a finite window in turn, starting from
-    the offset size-reduced modulo the basis (pivot entries near zero).  The
-    columns and their pivot rows are read once per walk.
-    """
-    columns = basis.transpose().to_rows()
-    pivots = [next(i for i, x in enumerate(col) if x) for col in columns]
+def _bounded_points(basis: IntMatrix, bound: int, head: int = 0, gate=None):
+    """The points of the column lattice of a Hermite basis (``lattice_basis``)
+    with every entry in [-bound, bound], in lexicographic order.  Column j
+    has its positive pivot in row r_j, with r_0 < r_1 < ..., so the rows
+    before r_j are fixed by the coefficients before j, and coefficient j
+    walks upward through the window that keeps row r_j within the bound.  A
+    branch ends once a fixed row leaves the bound or, when the first
+    ``head`` rows are fixed, unless ``gate`` accepts them."""
+    columns = _sparse_columns(basis)
+    pivots = [idx[0] for idx, _ in columns]
+    fixed = [slice(a, b) for a, b in zip([0, *pivots], [*pivots, basis.rows])]  # rows rec(j) fixes
+    cut = sum(r < head for r in pivots)  # the columns whose pivots lie in the head
 
     def rec(j, current):
-        if j == len(columns):
-            if all(-bound <= x <= bound for x in current):
-                yield tuple(current)
+        if max(map(abs, current[fixed[j]]), default=0) > bound:
             return
-        r, col = pivots[j], columns[j]
-        lo = -((bound + current[r]) // col[r])  # ceil((-bound - current[r]) / pivot)
-        hi = (bound - current[r]) // col[r]
-        for k in range(lo, hi + 1):
-            yield from rec(j + 1, [x + k * c for x, c in zip(current, col)])
+        if j == cut and gate is not None and not gate(tuple(current[:head])):
+            return
+        if j == len(columns):
+            yield tuple(current)
+            return
+        idx, vals = columns[j]
+        r, piv = idx[0], vals[0]
+        for k in range(-((bound + current[r]) // piv), (bound - current[r]) // piv + 1):
+            point = current.copy()
+            for i, v in zip(idx, vals):
+                point[i] += k * v
+            yield from rec(j + 1, point)
 
-    yield from rec(0, list(_reduce_columns(IntMatrix.column_vector(offset), basis).entries))
+    yield from rec(0, [0] * basis.rows)
 
 
-def _bounded_maps(shape: tuple[int, int], constraints, bound: int):
-    """All matrices X of the given shape with entries in [-bound, bound] that
-    satisfy every constraint, lexicographically in the row-major entries.
-
-    A constraint ``(terms, const, modulus)`` asks that every column of
-    ``Σ L·X·R - const`` over the ``(L, R)`` pairs in ``terms`` lie in the
-    column lattice of ``modulus`` (``const`` None means zero).  With X
-    flattened row-major, vec(L·X·R) = (L ⊗ Rᵀ)·vec(X), and the lattice part
-    modulus·Y adds the block modulus ⊗ I on auxiliary unknowns Y, so the
-    solutions form a lattice coset whose in-bound points are walked exactly.
-    One Smith form of ``[maps | modulus]`` gives both a point of the coset
-    and the lattice.
-    """
-    rows, cols = shape
-    maps = IntMatrix.zeros(0, rows * cols)
+def _morphism_lattice(m: MackeyFunctor, n: MackeyFunctor) -> IntMatrix:
+    """The Hermite basis of the morphisms M → N as vectors (vec φ_b, vec φ_t)
+    of row-major entries: well defined on the lattices of M's bottom and top
+    relations, equivariant (φ_b·γ_M = γ_N·φ_b), and commuting with res
+    (res_N·φ_t = φ_b·res_M) and tr (φ_t·tr_M = tr_N·φ_b), each modulo one
+    tier of N.  With vec(L·X·R) = (L ⊗ Rᵀ)·vec(X), a condition reads
+    rows·Σ L·X·R (``SmithDecomposition.past_units``) in the lattice of the
+    torsion factors on a diagonal, whose block mod ⊗ I adds unknowns only
+    for N's torsion.  One Smith form gives the kernel, read on its first
+    coordinates."""
+    eye = IntMatrix.identity
+    mb, nb = m.bottom.ngens, n.bottom.ngens
+    mt, nt = m.top.ngens, n.top.ngens
+    bottom = _eye(nb * mb, nb * mb + nt * mt)  # picks vec φ_b out of (vec φ_b, vec φ_t)
+    top = IntMatrix.zeros(nt * mt, nb * mb).hstack(eye(nt * mt))
+    conditions = (  # the tier of N, then Σ L·φ·R as (L, R, the tier φ maps)
+        (n.bottom, (eye(nb), lattice_basis(m.bottom.relations), bottom)),
+        (n.top, (eye(nt), lattice_basis(m.top.relations), top)),
+        (n.bottom, (eye(nb), m.gamma.matrix, bottom), (-n.gamma.matrix, eye(mb), bottom)),
+        (n.bottom, (-eye(nb), m.res.matrix, bottom), (n.res.matrix, eye(mt), top)),
+        (n.top, (-n.tr.matrix, eye(mb), bottom), (eye(nt), m.tr.matrix, top)),
+    )
+    maps = IntMatrix.zeros(0, nb * mb + nt * mt)
     modulus = IntMatrix.zeros(0, 0)
-    rhs = []
-    for terms, const, mod in constraints:
-        (left, right), *more = terms
-        block = left.kron(right.transpose())
-        for l, r in more:
-            block = block + l.kron(r.transpose())
-        maps = maps.vstack(block)
-        # Y has one column per column of L·X·R
-        modulus = block_diagonal(modulus, mod.kron(IntMatrix.identity(right.cols)))
-        rhs.extend(const.entries if const is not None else (0,) * block.rows)
-    span = smith_normal_form(maps.hstack(modulus))
-    particular = span.solve(IntMatrix.column_vector(rhs))
-    if particular is None:
-        return
-    free_part = lattice_basis(span.kernel().take_rows(range(rows * cols)))
-    for flat in _bounded_points(particular.entries[: rows * cols], free_part, bound):
-        yield IntMatrix(rows, cols, flat)
+    for tier, *terms in conditions:
+        rows, torsion = tier.smith.past_units()
+        diagonal = [[d if i == j else 0 for i in range(rows.rows)] for j, d in enumerate(torsion)]
+        mod = IntMatrix.from_columns(diagonal, rows.rows)
+        blocks = [(rows @ left).kron(right.transpose()) @ pick for left, right, pick in terms]
+        maps = maps.vstack(sum(blocks[1:], blocks[0]))
+        modulus = block_diagonal(modulus, mod.kron(eye(terms[0][1].cols)))  # one per column of L·φ·R
+    kernel = smith_normal_form(maps.hstack(modulus)).kernel()
+    return lattice_basis(kernel.take_rows(range(maps.cols)))
 
 
 def _matrix_candidates(m: MackeyFunctor, n: MackeyFunctor, bound: int):
-    """Bottom maps within the bound that are well defined and equivariant:
-    X·rel_m ≡ 0 and X·γ_m - γ_n·X ≡ 0 modulo the relations of N's bottom."""
-    eye_m = IntMatrix.identity(m.bottom.ngens)
-    eye_n = IntMatrix.identity(n.bottom.ngens)
-    rel_n = n.bottom.relations
-    return _bounded_maps(
-        (n.bottom.ngens, m.bottom.ngens),
-        (
-            (((eye_n, m.bottom.relations),), None, rel_n),
-            (((eye_n, m.gamma.matrix), (-n.gamma.matrix, eye_m)), None, rel_n),
-        ),
-        bound,
-    )
+    """The morphisms M → N (``_morphism_lattice``) with entries in
+    [-bound, bound] whose bottom map is an isomorphism, in lexicographic
+    order of (vec φ_bottom, vec φ_top): one walk, whose gate ends a branch
+    once its bottom map is fixed and not an isomorphism."""
+    head = n.bottom.ngens * m.bottom.ngens
+    phi_b = None
+
+    def gate(flat):  # the bottom map of every point the branch yields
+        nonlocal phi_b
+        phi_b = AbHom(m.bottom, n.bottom, IntMatrix(n.bottom.ngens, m.bottom.ngens, flat))
+        return is_isomorphism(phi_b)
+
+    for flat in _bounded_points(_morphism_lattice(m, n), bound, head, gate):
+        phi_t = AbHom(m.top, n.top, IntMatrix(n.top.ngens, m.top.ngens, flat[head:]))
+        yield MackeyMorphism(m, n, phi_t, phi_b)
 
 
 def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoSearchResult:
     """Bounded, deterministic search for an isomorphism M → N.
 
-    Tier invariant factors rule out quickly.  Otherwise both tiers come from
-    the same lattice-coset walk over maps with entries in [-bound, bound],
-    in lexicographic order.  Bottom maps are pinned by well-definedness on
-    the bottom relations and equivariance (φ_b·γ_M = γ_N·φ_b); for each
-    bottom isomorphism, top maps are pinned by the restriction square
-    (res_N·φ_t = φ_b·res_M), the transfer square (φ_t·tr_M = tr_N·φ_b) and
-    well-definedness on the top relations, each modulo the target's
-    relations.  Exhaustion without a witness yields UNKNOWN (the bound may
-    simply be too small).  A negative bound raises ValueError.
+    Tier invariant factors rule out quickly.  Otherwise the witness is the
+    first of the ``_matrix_candidates`` (lexicographic in the entries, each
+    within [-bound, bound]) that is an isomorphism on both tiers.
+    Exhaustion yields UNKNOWN (the bound may simply be too small).  A
+    negative bound raises ValueError.
     """
     if bound < 0:
         raise ValueError(f"the search bound must be nonnegative, got {bound}")
@@ -437,22 +442,9 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
                 detail=f"{name} tiers have different invariant factors "
                 f"{invariant_factors(gm)} vs {invariant_factors(gn)}",
             )
-    eye_m = IntMatrix.identity(m.top.ngens)
-    eye_n = IntMatrix.identity(n.top.ngens)
-    rel_n = n.top.relations
-    for phi_b_mat in _matrix_candidates(m, n, bound):
-        phi_b = AbHom(m.bottom, n.bottom, phi_b_mat)
-        if not is_isomorphism(phi_b):
-            continue
-        squares = (
-            (((n.res.matrix, eye_m),), phi_b_mat @ m.res.matrix, n.bottom.relations),
-            (((eye_n, m.tr.matrix),), n.tr.matrix @ phi_b_mat, rel_n),
-            (((eye_n, m.top.relations),), None, rel_n),
-        )
-        for phi_t_mat in _bounded_maps((n.top.ngens, m.top.ngens), squares, bound):
-            candidate = MackeyMorphism(m, n, AbHom(m.top, n.top, phi_t_mat), phi_b)
-            if is_mackey_isomorphism(candidate):
-                return IsoSearchResult(FOUND, witness=candidate)
+    for candidate in _matrix_candidates(m, n, bound):
+        if is_mackey_isomorphism(candidate):
+            return IsoSearchResult(FOUND, witness=candidate)
     return IsoSearchResult(UNKNOWN, detail=f"no isomorphism with entries within {bound}")
 
 

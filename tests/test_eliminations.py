@@ -28,6 +28,7 @@ from mackeybox.abgroup import AbHom, FpAbGroup
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
     GSet,
+    MackeyFunctor,
     MackeyMorphism,
     box_product,
     check_axioms,
@@ -69,16 +70,47 @@ def test_a_fixed_point_functor_takes_two_eliminations(eliminated):
 
 
 def test_isomorphism_search_eliminates_each_system_once(eliminated):
-    """One Smith form per lattice-coset walk gives its point and its
-    lattice, plus one per candidate tier map tested for bijectivity but the
-    identity, which is onto with kernel lattice ``-relations`` by
-    construction (60 while the four identity bottom candidates took the
-    closed form of ``[I | relations]``; 80 before the walks solved and took
-    the kernel separately)."""
+    """One Smith form of the morphism system gives the lattice of pairs
+    (φ_bottom, φ_top) that the whole search walks, plus one per tier map
+    tested for bijectivity but the identity, which is onto with kernel
+    lattice ``-relations`` by construction.  Only bottom maps that extend to
+    a morphism are tested.  (56 while the bottom maps were walked alone and
+    each bottom isomorphism started a top system of its own, 60 while the
+    four identity bottom candidates took the closed form of
+    ``[I | relations]``, 80 before the walks solved and took the kernel
+    separately.)"""
     for p in (3, 5, 7):
         for c, d in ((2, 3), (1, 2), (2, 2 + p)):
             separation.try_find_isomorphism(twisted_burnside(p, c), twisted_burnside(p, d), 2)
-    assert len(eliminated) == 56
+    assert len(eliminated) == 40
+
+
+def test_morphism_system_reads_the_conditions_modulo_the_torsion_of_n(monkeypatch):
+    """A p = 3 pair with redundant relations (one per row, as in a document).
+    Read against every relation of M and of N, its joint system is 40 x 148,
+    a size at which the Smith elimination once ran for 34 s.  Read on a
+    basis of M's relations and modulo N's torsion factors, it has one
+    auxiliary unknown per factor above 1 and column of a condition (10),
+    and the witness is the one the search of bottom maps, then top maps,
+    found."""
+    systems = []
+    original = separation.smith_normal_form
+    monkeypatch.setattr(separation, "smith_normal_form", lambda a: systems.append(a) or original(a))
+
+    def functor(top_rels, bottom_rels, res, tr):
+        top = FpAbGroup(2, IntMatrix.from_columns(top_rels, rows=2))
+        bottom = FpAbGroup(2, IntMatrix.from_columns(bottom_rels, rows=2))
+        hom = lambda s, t, rows: AbHom(s, t, IntMatrix.from_rows(rows))
+        return MackeyFunctor(3, top, bottom, AbHom.identity(bottom), hom(top, bottom, res), hom(bottom, top, tr))
+
+    a = functor([[3, -3]] * 3 + [[2, -4]] * 3 + [[0, 0]] * 2, [[3, -3]] * 3 + [[2, -4]] * 3, [[3, 0], [0, 3]], [[1, 0], [0, 1]])
+    b = functor([[0, -3]] * 3 + [[-2, -4]] * 3 + [[0, 0]] * 2, [[3, -6]] * 3 + [[2, -6]] * 3, [[3, -3], [-3, 6]], [[2, 1], [1, 1]])
+    result = separation.try_find_isomorphism(a, b, 1)
+    assert result.status == separation.FOUND
+    assert result.witness.phi_top.matrix.to_rows() == [[-1, -1], [-1, 0]]
+    assert result.witness.phi_bottom.matrix.to_rows() == [[-1, -1], [-1, 1]]
+    (system,) = systems
+    assert system.cols - 8 < 20  # 8 unknowns: the entries of φ_top and φ_bottom
 
 
 @pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (7, 3), (3, 6)])

@@ -59,7 +59,8 @@ from mackeybox.separation import (
     FOUND,
     NOT_ISOMORPHIC,
     UNKNOWN,
-    _matrix_candidates,
+    _bounded_points,
+    _morphism_lattice,
     invert,
     try_find_isomorphism,
 )
@@ -724,14 +725,18 @@ def test_invert_certificates_of_a_canonical_and_a_padded_functor():
 
 
 def test_equivariant_bottom_maps_are_the_circulants():
+    """The morphisms of permutation_functor(3, GSet(0, 1)) to itself: a
+    circulant bottom map f, and on the top Z (the orbit sum) the sum of f's
+    entries; within bound 2, in lexicographic order."""
     m = permutation_functor(3, GSet(0, 1))
-    found = [x.to_rows() for x in _matrix_candidates(m, m, 2)]
-    circulants = [
-        [[f[(i - j) % 3] for j in range(3)] for i in range(3)]
+    found = list(_bounded_points(_morphism_lattice(m, m), 2))
+    expected = [
+        (*(f[(i - j) % 3] for i in range(3) for j in range(3)), sum(f))
         for f in itertools.product(range(-2, 3), repeat=3)
+        if abs(sum(f)) <= 2
     ]
-    assert len(found) == 125
-    assert found == sorted(circulants, key=lambda x: sum(x, []))
+    assert len(found) == 85
+    assert found == sorted(expected)
     result = try_find_isomorphism(m, m, 2)
     assert result.status == FOUND
     assert is_mackey_isomorphism(result.witness)

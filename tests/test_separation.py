@@ -1,5 +1,6 @@
 """Isotropy separation, the invertibility classification, and inversion."""
 
+import itertools
 import random
 
 import pytest
@@ -313,25 +314,46 @@ def test_burnside_is_self_inverse():
 
 def test_bounded_points_rectangle():
     basis = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
-    pts = set(_bounded_points((0, 0), basis, 6))
-    assert pts == {(2 * i, 3 * j) for i in range(-3, 4) for j in range(-2, 3)}
-
-
-def test_bounded_points_size_reduces_offset():
-    basis = IntMatrix.from_columns([(3,)], rows=1)
-    pts = set(_bounded_points((100,), basis, 2))
-    assert pts == {(-2,), (1,)}
+    pts = list(_bounded_points(basis, 6))
+    assert pts == [(2 * i, 3 * j) for i in range(-3, 4) for j in range(-2, 3)]
 
 
 def test_bounded_points_no_basis():
-    assert set(_bounded_points((1, -1), IntMatrix.zeros(2, 0), 1)) == {(1, -1)}
-    assert set(_bounded_points((5, 0), IntMatrix.zeros(2, 0), 1)) == set()
+    assert list(_bounded_points(IntMatrix.zeros(2, 0), 1)) == [(0, 0)]
+    assert list(_bounded_points(IntMatrix.zeros(0, 0), 0)) == [()]
 
 
 def test_bounded_points_skew_basis():
     basis = IntMatrix.from_columns([(1, 1)], rows=2)
-    pts = set(_bounded_points((0, 1), basis, 3))
-    assert pts == {(k, k + 1) for k in range(-3, 3)}
+    assert list(_bounded_points(basis, 3)) == [(k, k) for k in range(-3, 4)]
+
+
+def test_bounded_points_are_lexicographic_and_complete():
+    """Every lattice point within the bound, in lexicographic order, on an
+    echelon basis whose columns reach into the pivot rows of later ones."""
+    basis = IntMatrix.from_columns([(1, 2, 1), (0, 3, 2), (0, 0, 5)], rows=3)
+    bound = 4
+    pts = list(_bounded_points(basis, bound))
+    points = (basis.apply(k) for k in itertools.product(range(-10, 11), repeat=3))
+    expected = sorted(v for v in points if all(abs(x) <= bound for x in v))
+    assert pts == expected
+
+
+def test_bounded_points_gate_cuts_a_branch():
+    """The gate sees each head once its rows are fixed, within the bound, and
+    a head it refuses yields no point."""
+    basis = IntMatrix.from_columns([(1, 1, 0), (0, 1, 1), (0, 0, 2)], rows=3)
+    seen = []
+
+    def gate(head):
+        seen.append(head)
+        return head[0] != 0
+
+    pts = list(_bounded_points(basis, 2, head=2, gate=gate))
+    assert seen == list(itertools.product(range(-2, 3), repeat=2))
+    ungated = list(_bounded_points(basis, 2))
+    assert pts == [v for v in ungated if v[0] != 0]
+    assert len(pts) < len(ungated)
 
 
 def test_search_finds_twisted_isomorphism():
