@@ -13,9 +13,11 @@ at most once and kept on it (``intlin._memoised``, a lock-free
 ``hash`` ignore it): a group's Smith decomposition and the columns it
 recognises as relations, a homomorphism's ``[matrix | target.relations]``,
 its Smith decomposition and kernel lattice, and an endomorphism's orbits.
-Some answers are read from how an object was built: an identity map and a
-map into no generators are onto, with kernel lattices in the closed form of
-``[I | R]``, and a cokernel knows the two blocks it stacked by identity.
+Some answers are read from how an object was built: a map whose matrix
+leads with the identity (the identity, a map into no generators) is onto,
+with its kernel lattice in closed form, and a cokernel knows the two blocks
+it stacked by identity.  A map is an isomorphism when it is well defined,
+onto, and its groups have the same invariant factors.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .intlin import (
     _check_height,
     _cycle_orbit,
     _eye,
+    _leads_with_identity,
     _memoised,
     _reduce_columns,
     _sparse_columns,
@@ -233,29 +236,28 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         """
         return smith_normal_form(self.spanning)
 
-    def _onto_by_construction(self) -> bool:
-        """Whether the target has no generators or the matrix is ``_eye`` (by value)."""
-        n = self.target.ngens
-        return not n or (n == self.source.ngens and self.matrix == _eye(n, n))
-
     @_memoised
     def kernel_lattice(self) -> IntMatrix:
         """Generators of ``{x : matrix·x ∈ target relations}``: the top
         ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``,
-        memoised.  A map onto by construction writes them without ``smith``,
-        as the closed form of ``[I | R]`` yields them: ``-R`` for the
-        identity, and V's top rows ``[I | 0]`` into no generators."""
-        n, rels = self.source.ngens, self.target.relations
-        if not self._onto_by_construction():
+        memoised.  A matrix ``[I | X]`` that leads with the identity
+        (``intlin._leads_with_identity``) writes them without ``smith``, as
+        ``[-X | -R]`` over ``[I | 0]``: ``-R`` for the identity, and
+        ``[I | 0]`` into no generators."""
+        n, m, rels = self.source.ngens, self.target.ngens, self.target.relations
+        if not _leads_with_identity(self.matrix):
             return self.smith.kernel().take_rows(range(n))
-        return -rels if self.target.ngens else _eye(n, n + rels.cols)
+        if n == m:  # the identity: no X to select, no [I | 0] below
+            return -rels
+        return (-self.matrix.take_columns(range(m, n)).hstack(rels)).vstack(_eye(n - m, n - m + rels.cols))
 
     def is_surjective(self) -> bool:
         """Whether the image and the target relations span Z^target.ngens,
-        i.e. whether the Smith diagonal is ``target.ngens`` ones.  The
-        identity and a map into a group with no generators are onto by
-        construction and read no Smith form."""
-        if self._onto_by_construction():
+        i.e. whether the Smith diagonal is ``target.ngens`` ones.  A matrix
+        that leads with the identity (``intlin._leads_with_identity``: the
+        identity, a map into no generators, the unit's ``[I | tr·res | tr]``)
+        is onto by construction and stacks and eliminates nothing."""
+        if _leads_with_identity(self.matrix):
             return True
         diag = self.smith.diagonal()
         return len(diag) == self.target.ngens and all(d == 1 for d in diag)
@@ -396,21 +398,31 @@ def cokernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     return c, AbHom(f.target, c, _eye(f.target.ngens, f.target.ngens))
 
 
-def is_isomorphism(f: AbHom) -> bool:
-    """Whether f is well-defined, surjective and injective.
+def _bijective(f: AbHom) -> bool:
+    """Whether a well-defined f is onto between groups with the same
+    invariant factors.  A finitely generated abelian group is Hopfian: an
+    onto map between two isomorphic such groups is an isomorphism
+    (Vasconcelos, Trans. AMS 138, 1969).  So injectivity reads only the
+    diagonals of the two groups' memoised ``smith``, and no kernel lattice."""
+    return f.is_surjective() and invariant_factors(f.source) == invariant_factors(f.target)
 
-    These are three lattice inclusions: ``matrix · source relations`` in the
-    target relation lattice, Z^target.ngens in the image plus the target
-    relations, and the kernel lattice in the source relation lattice.  The
-    last two read f's one memoised Smith decomposition (``AbHom.smith``),
-    or none for a map onto by construction.
+
+def is_isomorphism(f: AbHom) -> bool:
+    """Whether f is well-defined, surjective, and between groups with the
+    same invariant factors (``_bijective``), which for an onto map is
+    injectivity.
+
+    Well-definedness puts ``matrix · source relations`` in the target
+    relation lattice, and surjectivity Z^target.ngens in the image plus the
+    target relations; the latter reads f's memoised Smith decomposition
+    (``AbHom.smith``), or none for a map onto by construction.
 
     >>> shear = AbHom(FpAbGroup.free(2), FpAbGroup.free(2),
     ...               IntMatrix.from_rows([[1, 5], [0, 1]]))
     >>> is_isomorphism(shear)
     True
     """
-    return f.is_well_defined() and f.is_surjective() and f.is_injective()
+    return f.is_well_defined() and _bijective(f)
 
 
 __all__ = [

@@ -410,6 +410,20 @@ def _eye(rows: int, cols: int) -> IntMatrix:
     return _trusted(rows, cols, _offsets(rows, True), tuple(range(rows)), (1,) * rows)
 
 
+def _leads_with_identity(a: IntMatrix) -> bool:
+    """Whether the first ``a.rows`` columns of a are the identity: row i
+    starts with a 1 in column i, and its next nonzero, if any, lies past
+    those columns."""
+    m, o, idx, vals = a.rows, a.offsets, a.indices, a.values
+    return m <= a.cols and all(
+        o[i] < o[i + 1]
+        and idx[o[i]] == i
+        and vals[o[i]] == 1
+        and (o[i] + 1 == o[i + 1] or idx[o[i] + 1] >= m)
+        for i in range(m)
+    )
+
+
 @lru_cache(maxsize=None)
 def _offsets(rows: int, one_per_row: bool) -> tuple[int, ...]:
     """The offsets of a matrix with no nonzero, or with one in each row:
@@ -580,20 +594,12 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
     def kernel(self) -> IntMatrix:
         """A basis of the integer kernel ``{x : A x = 0}``, memoised: the
         columns of V past the rank, from the replayed columns without V.
-        The closed form of ``[I | R]`` (the only source of ``_add_multiples``
-        operations) needs no replay: those columns are ``[-R; I]``, and its
-        operation for pivot i lists row i of -R."""
+        For ``[I | R]`` they are ``[-R; I]``."""
         return self._kernel
 
     @_memoised
     def _kernel(self) -> IntMatrix:
-        n, r = self.s.cols, self.rank()
-        if self.col_ops and self.col_ops[0][0] is _add_multiples:
-            pairs = [p for op in self.col_ops for p in op[2]]
-            offsets = (0, *accumulate(len(op[2]) for op in self.col_ops))
-            minus_r = _trusted(r, n - r, offsets, tuple(j - r for j, _ in pairs), tuple(q for _, q in pairs))
-            return minus_r.vstack(_eye(n - r, n - r))
-        return _from_dict_columns(self._v_columns[r:], n)
+        return _from_dict_columns(self._v_columns[self.rank() :], self.s.cols)
 
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the column lattice of A.
@@ -663,11 +669,6 @@ def _add_row(m, dst, src, q):
                 del row[k]
 
 
-def _add_multiples(m, src, multiples):
-    for dst, q in multiples:
-        _add_row(m, dst, src, q)
-
-
 def _negate_row(m, i):
     m[i] = {k: -x for k, x in m[i].items()}
 
@@ -718,13 +719,25 @@ def _least_entry(s, t):
     return at
 
 
-def _eliminate(a: IntMatrix) -> SmithDecomposition:
-    """The Smith elimination itself: row operations on a list of rows,
-    recorded for U, and column operations, recorded for V as row operations
-    on its transpose.  Adding a multiple of column t touches only the rows
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form, computed afresh on each call; U and V are built
+    when first read (see ``SmithDecomposition``).
+
+    The elimination runs row operations on a list of rows, recorded for U,
+    and column operations, recorded for V as row operations on its
+    transpose.  Adding a multiple of column t touches only the rows
     (``live``) with a nonzero in column t: row t alone after the row pass,
     until a column swap moves nonzeros under the pivot, which collects the
-    list again.  S is written from its diagonal."""
+    list again.  S is written from its diagonal.  On ``[I | R]`` every pivot
+    is the 1 already on the diagonal and clears its row by column operations
+    alone, so U = I, S = [I | 0] and V = [[I, -R], [0, I]].  A presented
+    group keeps the decomposition of its relations memoised
+    (``FpAbGroup.smith``), and a homomorphism that of
+    ``[matrix | target relations]`` (``AbHom.smith``).
+
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
+    (2, 4)
+    """
     m, n = a.rows, a.cols
     s = a.to_rows()
     row_ops, col_ops = [], []
@@ -791,47 +804,6 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
     r = len(diag)
     offsets = [*range(r + 1), *repeat(r, m - r)]
     return SmithDecomposition(_trusted(m, n, *_shared(offsets, range(r), diag)), tuple(row_ops), tuple(col_ops))
-
-
-def _leads_with_identity(a: IntMatrix) -> bool:
-    """Whether the first ``a.rows`` columns of a are the identity: row i
-    starts with a 1 in column i, and its next nonzero, if any, lies past
-    those columns."""
-    m, o, idx, vals = a.rows, a.offsets, a.indices, a.values
-    return m <= a.cols and all(
-        o[i] < o[i + 1]
-        and idx[o[i]] == i
-        and vals[o[i]] == 1
-        and (o[i] + 1 == o[i + 1] or idx[o[i] + 1] >= m)
-        for i in range(m)
-    )
-
-
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form, computed afresh on each call; U and V are built
-    when first read (see ``SmithDecomposition``).
-
-    S comes from one fixed sequence of row and column operations
-    (``_eliminate``).  A matrix ``[I | R]`` whose first ``rows`` columns are
-    the identity gets the result of that sequence without running it: every
-    pivot is the 1 already on the diagonal and clears its row by column
-    operations alone (recorded as one operation per pivot, which subtracts
-    multiples of its column from those of R), so U = I, S = [I | 0] and
-    V = [[I, -R], [0, I]].  A presented group keeps the decomposition of its
-    relations memoised (``FpAbGroup.smith``), and a homomorphism that of
-    ``[matrix | target relations]`` (``AbHom.smith``).
-
-    >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal()
-    (2, 4)
-    """
-    if not _leads_with_identity(a):
-        return _eliminate(a)
-    o, idx, vals = a.offsets, a.indices, a.values
-    col_ops = tuple(  # the nonzeros of row i of R follow its leading 1
-        (_add_multiples, i, tuple(zip(idx[o[i] + 1 : o[i + 1]], map(neg, vals[o[i] + 1 : o[i + 1]]))))
-        for i in range(a.rows)
-    )
-    return SmithDecomposition(_eye(a.rows, a.cols), (), col_ops)
 
 
 # -- Hermite normal form -----------------------------------------------------

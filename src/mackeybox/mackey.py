@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .intlin import IntMatrix, _eye, _Frozen, _memoised, block_diagonal
-from .abgroup import AbHom, FpAbGroup, _check_action, coinvariants, direct_sum, kernel, tensor_product
+from .abgroup import AbHom, FpAbGroup, _bijective, _check_action, coinvariants, direct_sum, kernel, tensor_product
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -333,10 +333,15 @@ def verify_morphism(f: MackeyMorphism) -> tuple[str, ...]:
 
 def is_mackey_isomorphism(f: MackeyMorphism) -> bool:
     """A genuine morphism that is a bijection on both tiers (``verify_morphism``
-    has checked that both tier maps are well-defined)."""
+    has checked that both tier maps are well-defined).  Each tier map is
+    bijective when it is onto and its groups have the same invariant factors
+    (``abgroup._bijective``), so no kernel lattice is read.  For
+    ``unit_isomorphism`` both tier maps lead with the identity and are onto
+    by construction, so only the tiers' relations are eliminated, for their
+    invariant factors."""
     if verify_morphism(f):
         return False
-    return all(g.is_surjective() and g.is_injective() for g in (f.phi_top, f.phi_bottom))
+    return _bijective(f.phi_top) and _bijective(f.phi_bottom)
 
 
 def unit_isomorphism(m: MackeyFunctor) -> MackeyMorphism:

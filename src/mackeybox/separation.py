@@ -126,14 +126,17 @@ def _tier_maps(f: MackeyMorphism):
 
 def _exact_in_middle(inc: AbHom, proj: AbHom) -> bool:
     """Whether ker proj equals im inc plus the relations of the middle group,
-    as two lattice inclusions: ker proj ⊆ im inc + relations (read from inc's
-    memoised Smith decomposition) and proj·[inc | relations] ⊆ the relations
-    of proj's target, asked one block at a time.  On the top, proj is the
-    identity, so the blocks are M's transfer and top relations themselves,
-    the two blocks Phi's cokernel stacked, and membership answers both by
-    identity; on the bottom the target has no generators."""
+    as two lattice inclusions: ker proj ⊆ im inc + relations, which holds
+    when inc is onto (the bottom's identity is, by construction) and is
+    otherwise read from inc's memoised Smith decomposition, and
+    proj·[inc | relations] ⊆ the relations of proj's target, asked one block
+    at a time.  On the top, proj is the identity, so the blocks are M's
+    transfer and top relations themselves, the two blocks Phi's cokernel
+    stacked, and membership answers both by identity; on the bottom the
+    target has no generators."""
     member, blocks = proj.target.contains_all, (inc.matrix, inc.target.relations)
-    return inc.smith.contains_all(proj.kernel_lattice) and all(member(proj.matrix @ b) for b in blocks)
+    covered = inc.is_surjective() or inc.smith.contains_all(proj.kernel_lattice)
+    return covered and all(member(proj.matrix @ b) for b in blocks)
 
 
 def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
@@ -155,13 +158,14 @@ def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
       is Gamma's relations, so Gamma's top needs no elimination;
     * surjectivity: nothing but how the projection was built; its top map
       is the identity and its bottom map goes into a group with no
-      generators, so both are onto without a Smith form;
-    * exactness in the middle: the inclusion's ``AbHom.smith``, the
-      projection's kernel lattice (written from its construction: the
-      negated relations of Phi's top, and the identity on the bottom, into
-      a group with no generators), and membership in the projection's
-      target, which answers the two blocks Phi's cokernel stacked by
-      identity.
+      generators, so both lead with the identity and are onto without a
+      Smith form;
+    * exactness in the middle: on the top, the inclusion's ``AbHom.smith``
+      (that of ``m.tr``) and the projection's kernel lattice (written from
+      its construction: the negated relations of Phi's top); on the bottom,
+      nothing, since the inclusion is the identity and onto by
+      construction; on both, membership in the projection's target, which
+      answers the two blocks Phi's cokernel stacked by identity.
     """
     gamma_part, inclusion = gamma_functor(m)
     phi_part, projection = phi_functor(m)

@@ -6,12 +6,12 @@ decomposition, and the classification reads each tier's projection and
 section from the rows of that tier's U and the columns of its U⁻¹, both
 replayed from the tier's one decomposition.  Every elimination goes
 through ``intlin.smith_normal_form``; the counts below are pinned by
-wrapping it, so a change that eliminates a system twice fails here.  A
-matrix ``[I | R]`` handed to ``smith_normal_form`` gets its decomposition in
-closed form, without the elimination loop (``intlin._eliminate``), and an
-identity map or a map into a group with no generators hands over nothing:
-it is onto by construction and writes its kernel lattice as that closed
-form would.  The orbit of a permutation action is pinned the same way, at no matrix product,
+wrapping it, so a change that eliminates a system twice fails here.  A map
+whose matrix leads with the identity (``[I | X]``: the identity, a map into
+a group with no generators, the unit's top map) hands over nothing: it is
+onto by construction and writes its kernel lattice in closed form, and a
+map that is onto is an isomorphism when its groups have the same invariant
+factors, so no kernel lattice is read for that.  The orbit of a permutation action is pinned the same way, at no matrix product,
 and its cost by the lines of ``intlin`` it runs; so are the functors and
 morphisms that classifying and inverting build.
 """
@@ -76,7 +76,7 @@ def test_isomorphism_search_eliminates_each_system_once(eliminated):
     lattice ``-relations`` by construction.  Only bottom maps that extend to
     a morphism are tested.  (56 while the bottom maps were walked alone and
     each bottom isomorphism started a top system of its own, 60 while the
-    four identity bottom candidates took the closed form of
+    four identity bottom candidates took the closed form, since removed, of
     ``[I | relations]``, 80 before the walks solved and took the kernel
     separately.)"""
     for p in (3, 5, 7):
@@ -164,15 +164,25 @@ def identity_led(draw):
 @settings(max_examples=300, deadline=None)
 @given(identity_led())
 def test_the_closed_form_of_an_identity_led_matrix_is_what_the_elimination_reaches(a):
+    """On ``[I | R]`` the elimination reaches U = I, S = [I | 0],
+    V = [[I, -R], [0, I]] and the kernel [-R; I], the closed form the map
+    ``AbHom.kernel_lattice`` writes for such a matrix without it."""
     assert intlin._leads_with_identity(a)
-    closed, eliminated = intlin.smith_normal_form(a), intlin._eliminate(a)
-    assert (closed.u, closed.s, closed.v) == (eliminated.u, eliminated.s, eliminated.v)
-    assert closed.kernel() == eliminated.kernel()
+    n, extra = a.rows, a.cols - a.rows
+    minus_r = -a.take_columns(range(n, a.cols))
+    below = IntMatrix.zeros(extra, n).hstack(IntMatrix.identity(extra))
+    dec = intlin.smith_normal_form(a)
+    assert (dec.u, dec.s) == (IntMatrix.identity(n), IntMatrix.identity(n).hstack(IntMatrix.zeros(n, extra)))
+    assert dec.v == IntMatrix.identity(n).hstack(minus_r).vstack(below)
+    assert dec.kernel() == minus_r.vstack(IntMatrix.identity(extra))
+    f = AbHom(FpAbGroup.free(a.cols), FpAbGroup.free(n), a)
+    assert f.is_surjective() and "smith" not in f.__dict__
+    assert f.kernel_lattice == dec.kernel() and "smith" not in f.__dict__
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 5), st.lists(st.integers(-1, 1), min_size=20, max_size=20))
-def test_only_identity_led_matrices_take_the_closed_form(rows, cols, pool):
+def test_leads_with_identity_reads_the_first_rows_columns(rows, cols, pool):
     a = IntMatrix(rows, cols, tuple(pool[: rows * cols]))
     assert intlin._leads_with_identity(a) == leads_with_identity(a)
 
@@ -197,40 +207,24 @@ def test_u_inverse_undoes_u(dec):
     assert dec.u_inverse @ dec.u == dec.u @ dec.u_inverse == eye
 
 
-@pytest.fixture
-def loops(monkeypatch):
-    """The matrices that reach the elimination loop."""
-    inputs = []
-    original = intlin._eliminate
-
-    def recording(a):
-        inputs.append(a)
-        return original(a)
-
-    monkeypatch.setattr(intlin, "_eliminate", recording)
-    return inputs
-
-
-def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated, loops):
+def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated):
     """After the axiom check, the sequence of the p = 5 (0,1)x(1,1) product
     eliminates only ``[tr | top relations]``: the inclusion's top map reads
     the transfer's decomposition, whose kernel also proves that map well
-    defined, so the top's relations are not eliminated.  The only other
-    matrix handed over is the inclusion's bottom ``[I | relations]``, in
-    closed form, for exactness in the middle.  The projection's tier maps,
-    the identity onto Phi's top and the map into its zero bottom, are onto
-    by construction and write their kernel lattices without a Smith form
-    (4 matrices before, when ``[I | relations | tr]`` and the bottom map's
-    took the closed form), and Phi's cokernel group answers the two blocks
-    it stacked by identity.  Before the inclusion carried its proof, the
-    top's relations went through the loop too."""
+    defined, so the top's relations are not eliminated.  The inclusion's
+    bottom map is the identity, onto by construction, so ker proj lies in
+    its image plus the relations with no Smith form (2 matrices before,
+    when its ``[I | relations]`` was handed over for that).  The
+    projection's tier maps, the identity onto Phi's top and the map into
+    its zero bottom, are onto by construction and write their kernel
+    lattices without a Smith form, and Phi's cokernel group answers the two
+    blocks it stacked by identity.  Before the inclusion carried its proof,
+    the top's relations were eliminated too."""
     x = box_product(permutation_functor(5, GSet(0, 1)), permutation_functor(5, GSet(1, 1)))
     assert check_axioms(x) == ()
-    del eliminated[:], loops[:]
+    del eliminated[:]
     assert separation.isotropy_sequence(x).exact
-    assert loops == [x.tr.matrix.hstack(x.top.relations)]
-    assert [a for a in eliminated if not leads_with_identity(a)] == loops
-    assert len(eliminated) == 2
+    assert eliminated == [x.tr.matrix.hstack(x.top.relations)]
     assert "smith" in x.tr.__dict__
 
 
@@ -254,22 +248,43 @@ def test_isotropy_sequence_stacks_the_transfer_once_and_transposes_nothing(monke
     assert transposed == []
 
 
-def test_classify_and_invert_of_a_twisted_functor(eliminated, loops):
-    """Classifying and inverting twisted_burnside(10007, 2) hands 2 matrices
-    to ``smith_normal_form``, both through the loop: M's transfer, and the
-    certificate's top map when it is verified.  The certificate's bottom map
-    is the identity, onto with its kernel lattice by construction (3 before,
-    when its ``[I]`` took the closed form).  The certificate is built from
-    M's own witness by box functoriality, so the product is not classified
-    (5 before that, when its top and transfer were eliminated too).  The
-    transfer is read only through the relations of its cokernel, and each
-    tier's section is read from its U⁻¹, so no projection is eliminated."""
+def test_classify_and_invert_of_a_twisted_functor(eliminated):
+    """Classifying and inverting twisted_burnside(10007, 2) hands 3 matrices
+    to ``smith_normal_form``: M's transfer, and, when the certificate is
+    verified, its top map (for surjectivity) and the product's top
+    relations (for their invariant factors, which settle injectivity).
+    Before, the product's top relations were not eliminated (2 matrices):
+    injectivity replayed the top map's V for its kernel lattice, which lay
+    in the product's relations by inspection.  The certificate's bottom map
+    is the identity, onto by construction, between groups without
+    relations.  The certificate is built from M's own witness by box
+    functoriality, so the product is not classified (5 before that, when
+    its top and transfer were eliminated too).  The transfer is read only
+    through the relations of its cokernel, and each tier's section is read
+    from its U⁻¹, so no projection is eliminated."""
     m = twisted_burnside(10007, 2)
     assert separation.classify_invertible(m).invertible
-    assert separation.invert(m) is not None
-    assert len(eliminated) == 2
-    assert sum(map(leads_with_identity, eliminated)) == 0
-    assert loops == [a for a in eliminated if not leads_with_identity(a)]
+    certificate = separation.invert(m)[1]
+    assert len(eliminated) == 3
+    assert certificate.source.top.relations in eliminated
+    assert certificate.phi_top.spanning in eliminated
+    assert not any(map(leads_with_identity, eliminated))
+
+
+def test_the_unit_isomorphism_eliminates_only_the_source_top_relations(eliminated):
+    """Both tier maps of the unit B ⊠ M → M lead with the identity
+    (``[I | tr·res | tr]`` and ``I``), so they are onto with no Smith form,
+    and equal invariant factors make them bijective.  M's tiers have no
+    relations, so the one matrix eliminated is the relations of the
+    product's top, for their diagonal alone: no transform is replayed.
+    (Before, the top map's ``[I | tr·res | tr | 0]`` was handed over for
+    surjectivity and its V replayed for injectivity.)"""
+    f = mackey.unit_isomorphism(permutation_functor(5, GSet(1, 1)))
+    del eliminated[:]
+    assert mackey.is_mackey_isomorphism(f)
+    assert eliminated == [f.source.top.relations]
+    memos = f.source.top.smith.__dict__
+    assert not {"u", "u_inverse", "v", "_v_columns"} & memos.keys()
 
 
 @pytest.fixture

@@ -13,7 +13,9 @@ of dense matrices with the Bareiss determinant.  The Kronecker-built Frobenius r
 hand-indexed loop, and the isomorphism search with a brute force over both
 tiers.  The certificate of ``invert``, written from the input's own
 witness by box functoriality, is compared with the isomorphism that the
-search finds from the box product onto burnside(p).
+search finds from the box product onto burnside(p).  ``is_isomorphism``,
+which asks an onto map only for equal invariant factors, is compared with
+injectivity read from a fresh kernel lattice (``helpers.preimage_gens``).
 """
 
 import itertools
@@ -54,6 +56,7 @@ from mackeybox.mackey import (
     orbit_functor,
     permutation_functor,
     twisted_burnside,
+    unit_isomorphism,
 )
 from mackeybox.separation import (
     FOUND,
@@ -62,10 +65,20 @@ from mackeybox.separation import (
     _bounded_points,
     _morphism_lattice,
     invert,
+    phi_functor,
     try_find_isomorphism,
 )
 
-from helpers import PRIMES, column_hermite, det, pad_functor, random_functor
+from helpers import (
+    PRIMES,
+    column_hermite,
+    det,
+    pad_functor,
+    pad_group,
+    preimage_gens,
+    random_functor,
+    random_presentation,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -438,8 +451,8 @@ def eager_smith(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def box_shaped(draw, values=(1, -1)):
     """Sparse matrices shaped like ``[tr | top relations]`` of a box product:
     up to 12 x 30, each entry one of ``values`` with odds of 5, 10 or 20 %,
-    and half of them led by an identity block (whose decomposition is the
-    closed form, recorded as ``_add_multiples``).  Their replays meet
+    and half of them led by an identity block (whose pivots are the 1s on
+    its diagonal and clear their rows by column operations alone).  Their replays meet
     entries that cancel to zero, negated rows and rows with one nonzero;
     with entries in ±{1, 2, 3} the pivots need not be units, so column
     passes leave remainders and swap columns."""
@@ -740,3 +753,69 @@ def test_equivariant_bottom_maps_are_the_circulants():
     result = try_find_isomorphism(m, m, 2)
     assert result.status == FOUND
     assert is_mackey_isomorphism(result.witness)
+
+
+# -- bijectivity by invariant factors ---------------------------------------------------------
+
+
+def small_matrix(rng, rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, tuple(rng.randint(-2, 2) for _ in range(rows * cols)))
+
+
+@st.composite
+def well_defined_maps(draw):
+    """A map between ``helpers.random_presentation`` groups, made well
+    defined in one of three ways: the source's relations cut to a random
+    sublattice of the preimage of the target's (injective or not), the
+    target's enlarged by the images of the source's (onto or not), or a
+    shear onto the sheared presentation of the source, plus target
+    relations (an isomorphism)."""
+    rng = draw(st.randoms(use_true_random=False))
+    a, b = random_presentation(rng), random_presentation(rng)
+    m = small_matrix(rng, b.ngens, a.ngens)
+    how = draw(st.sampled_from(("sublattice", "quotient", "shear")))
+    if how == "sublattice":
+        pre = preimage_gens(m, b.relations)
+        return AbHom(FpAbGroup(a.ngens, pre @ small_matrix(rng, pre.cols, rng.randint(0, 3))), b, m)
+    if how == "quotient":
+        return AbHom(a, FpAbGroup(b.ngens, b.relations.hstack(m @ a.relations)), m)
+    u = shear(rng, a.ngens)[0] @ shear(rng, a.ngens)[0]
+    sheared = FpAbGroup(a.ngens, u @ a.relations)
+    return AbHom(a, sheared, u + sheared.relations @ small_matrix(rng, sheared.relations.cols, a.ngens))
+
+
+@st.composite
+def endomorphisms(draw):
+    """A random matrix on a ``helpers.random_presentation`` group, well
+    defined or not: onto and well defined, it is an isomorphism (a finitely
+    generated abelian group is Hopfian)."""
+    rng = draw(st.randoms(use_true_random=False))
+    g = random_presentation(rng)
+    return AbHom(g, g, small_matrix(rng, g.ngens, g.ngens))
+
+
+Z, Z2 = FpAbGroup.free(1), FpAbGroup.cyclic(2)
+PADDED, ONTO_ITS_GROUP, _ = pad_group(FpAbGroup(2, IntMatrix.from_rows([[2, 0], [0, 4]])), (1, -3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(well_defined_maps(), endomorphisms()))
+@example(AbHom(Z, Z, IntMatrix.from_rows([[2]])))  # equal invariant factors, not onto
+@example(AbHom(Z, Z2, IntMatrix.from_rows([[1]])))  # onto, not injective
+@example(AbHom(direct_sum(Z, Z2), Z, IntMatrix.from_rows([[1, 0]])))  # onto by construction, not injective
+@example(ONTO_ITS_GROUP)  # onto by construction, an isomorphism
+def test_an_onto_map_between_groups_with_equal_invariant_factors_is_an_isomorphism(f):
+    injective = f.source.contains_all(preimage_gens(f.matrix, f.target.relations))
+    assert is_isomorphism(f) == (f.is_well_defined() and f.is_surjective() and injective)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_a_projection_onto_both_tiers_is_not_a_mackey_isomorphism_and_a_padded_unit_is(p):
+    """The projection onto Phi(burnside(p)) is onto on both tiers but kills
+    the transfer's image; the unit of a padded functor, whose top map leads
+    with the identity, is an isomorphism."""
+    projection = phi_functor(burnside(p))[1]
+    assert projection.phi_top.is_surjective() and projection.phi_bottom.is_surjective()
+    assert not is_mackey_isomorphism(projection)
+    padded = pad_functor(pad_functor(twisted_burnside(p, 1), random.Random(p)), random.Random(p + 1))
+    assert is_mackey_isomorphism(unit_isomorphism(padded))
