@@ -15,9 +15,10 @@ recognises as relations, a homomorphism's ``[matrix | target.relations]``,
 its Smith decomposition and kernel lattice, and an endomorphism's orbits.
 Some answers are read from how an object was built: a map whose matrix
 leads with the identity (the identity, a map into no generators) is onto,
-with its kernel lattice in closed form, and a cokernel knows the two blocks
-it stacked by identity.  A map is an isomorphism when it is well defined,
-onto, and its groups have the same invariant factors.
+the identity's kernel lattice is its group's relations, negated, and a
+cokernel knows the two blocks it stacked by identity.  A map is an
+isomorphism when it is well defined, onto, and its groups have the same
+invariant factors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .intlin import (
     _leads_with_identity,
     _memoised,
     _reduce_columns,
-    _sparse_columns,
+    _sparse_rows,
     block_diagonal,
     lattice_basis,
     smith_normal_form,
@@ -91,8 +92,9 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         The relations themselves (the very object) are members by identity,
         and so are the two blocks a cokernel's relations were stacked from;
         a column that is zero or plus or minus a relation by inspection
-        (``intlin._sparse_columns``); with no relations only zero columns are.
-        Otherwise the group's memoised Smith decomposition (``smith``) answers.
+        (the rows of the query's transpose); with no relations only zero
+        columns are.  Otherwise the group's memoised Smith decomposition
+        (``smith``) answers.
 
         >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
         True
@@ -103,14 +105,14 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         _check_height(m, self.ngens)
         if self.relations.cols == 0 or m.is_zero():
             return m.is_zero()
-        known = self._members_by_inspection
-        return all(not col[0] or col in known for col in _sparse_columns(m)) or self.smith.contains_all(m)
+        known, columns = self._members_by_inspection, _sparse_rows(m.transpose())
+        return all(not col[0] or col in known for col in columns) or self.smith.contains_all(m)
 
     @_memoised
     def _members_by_inspection(self) -> frozenset:
         """Each relation and its negative, as the ``(indices, values)`` of
-        its nonzeros (``intlin._sparse_columns``), memoised."""
-        columns = _sparse_columns(self.relations)
+        its nonzeros (a row of the relations' transpose), memoised."""
+        columns = _sparse_rows(self.relations.transpose())
         return frozenset(columns + [(idx, tuple(map(neg, vals))) for idx, vals in columns])
 
 
@@ -240,23 +242,22 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
     def kernel_lattice(self) -> IntMatrix:
         """Generators of ``{x : matrix·x ∈ target relations}``: the top
         ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``,
-        memoised.  A matrix ``[I | X]`` that leads with the identity
-        (``intlin._leads_with_identity``) writes them without ``smith``, as
-        ``[-X | -R]`` over ``[I | 0]``: ``-R`` for the identity, and
-        ``[I | 0]`` into no generators."""
-        n, m, rels = self.source.ngens, self.target.ngens, self.target.relations
-        if not _leads_with_identity(self.matrix):
-            return self.smith.kernel().take_rows(range(n))
-        if n == m:  # the identity: no X to select, no [I | 0] below
-            return -rels
-        return (-self.matrix.take_columns(range(m, n)).hstack(rels)).vstack(_eye(n - m, n - m + rels.cols))
+        memoised.  The identity (a square matrix that leads with the identity,
+        ``intlin._leads_with_identity``) writes them without ``smith``, as
+        ``-R``: the kernel ``[-R; I]`` of ``[I | R]``, top rows."""
+        n = self.source.ngens
+        if n == self.target.ngens and _leads_with_identity(self.matrix):
+            return -self.target.relations
+        return self.smith.kernel().take_rows(range(n))
 
     def is_surjective(self) -> bool:
         """Whether the image and the target relations span Z^target.ngens,
         i.e. whether the Smith diagonal is ``target.ngens`` ones.  A matrix
         that leads with the identity (``intlin._leads_with_identity``: the
         identity, a map into no generators, the unit's ``[I | tr·res | tr]``)
-        is onto by construction and stacks and eliminates nothing."""
+        is onto by construction, so this question stacks and eliminates
+        nothing; its kernel lattice, if asked, still reads ``smith`` unless
+        the map is the identity."""
         if _leads_with_identity(self.matrix):
             return True
         diag = self.smith.diagonal()

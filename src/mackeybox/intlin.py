@@ -21,7 +21,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
-from operator import add, attrgetter, lt, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 
 class _Frozen:
@@ -138,8 +138,6 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         vals = self.values
         if len(vals) == self.rows * self.cols:  # no zero: the values are the entries
             return vals
-        if not vals:
-            return (0,) * (self.rows * self.cols)
         c, o, idx = self.cols, self.offsets, self.indices
         flat = [0] * (self.rows * c)
         i = 0  # the row of the k-th nonzero
@@ -186,25 +184,15 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         return _trusted(len(offsets) - 1, self.cols, tuple(offsets), tuple(picked), tuple(values))
 
     def take_columns(self, indices) -> "IntMatrix":
-        """Ascending distinct indices keep each row's order; others go
-        through the transpose."""
+        """All columns in order give the matrix itself; any other selection
+        is ``take_rows`` of the transpose."""
         indices = list(indices)
         for j in indices:
             if not 0 <= j < self.cols:
                 raise IndexError(f"column {j} outside [0, {self.cols})")
-        if not all(map(lt, indices, indices[1:])):
-            return self.transpose().take_rows(indices).transpose()
-        if len(indices) == self.cols:  # all of them, in order
+        if indices == [*range(self.cols)]:  # all of them, in order
             return self
-        new = dict(zip(indices, range(len(indices))))
-        offsets, picked, values = [0], [], []
-        for idx, vals in _sparse_rows(self):
-            for j, v in zip(idx, vals):
-                if j in new:
-                    picked.append(new[j])
-                    values.append(v)
-            offsets.append(len(values))
-        return _trusted(self.rows, len(indices), tuple(offsets), tuple(picked), tuple(values))
+        return self.transpose().take_rows(indices).transpose()
 
     def is_zero(self) -> bool:
         return not self.values
@@ -270,43 +258,33 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
 
     def _entrywise(self, op, other: "IntMatrix") -> "IntMatrix":
         """Each pair of rows merged in one pass down their two ascending runs
-        of indices, so a row costs its nonzeros; zeros are dropped.  Against
-        a zero side the result is the other operand (negated, if subtracted)."""
+        of indices, so a row costs its nonzeros; zeros are dropped."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        if not other.values:
-            return self
-        if not self.values:
-            return other if op is add else -other
         offsets, indices, values = [0], [], []
         for (ai, av), (bi, bv) in zip(_sparse_rows(self), _sparse_rows(other)):
-            if ai == bi:
-                row = list(map(op, av, bv))
-                indices += compress(ai, row)
-                values += compress(row, row)
-            else:
-                i = k = 0
-                na, nb = len(ai), len(bi)
-                while i < na and k < nb:
-                    x, y = ai[i], bi[k]
-                    if x < y:
+            i = k = 0
+            na, nb = len(ai), len(bi)
+            while i < na and k < nb:
+                x, y = ai[i], bi[k]
+                if x < y:
+                    indices.append(x)
+                    values.append(av[i])
+                    i += 1
+                elif y < x:
+                    indices.append(y)
+                    values.append(op(0, bv[k]))
+                    k += 1
+                else:
+                    v = op(av[i], bv[k])
+                    if v:
                         indices.append(x)
-                        values.append(av[i])
-                        i += 1
-                    elif y < x:
-                        indices.append(y)
-                        values.append(op(0, bv[k]))
-                        k += 1
-                    else:
-                        v = op(av[i], bv[k])
-                        if v:
-                            indices.append(x)
-                            values.append(v)
-                        i += 1
-                        k += 1
-                indices += ai[i:] + bi[k:]  # one of the two runs is used up
-                values += av[i:]
-                values += map(op, repeat(0), bv[k:])
+                        values.append(v)
+                    i += 1
+                    k += 1
+            indices += ai[i:] + bi[k:]  # one of the two runs is used up
+            values += av[i:]
+            values += map(op, repeat(0), bv[k:])
             offsets.append(len(values))
         return _trusted(self.rows, self.cols, tuple(offsets), tuple(indices), tuple(values))
 
@@ -443,20 +421,6 @@ def _sparse_rows(m: IntMatrix) -> list[tuple[tuple, tuple]]:
     """``(indices, values)`` of each row of m."""
     o, idx, vals = m.offsets, m.indices, m.values
     return [(idx[a:b], vals[a:b]) for a, b in zip(o, o[1:])]
-
-
-def _sparse_columns(m: IntMatrix) -> list[tuple[tuple, tuple]]:
-    """``(indices, values)`` of each column of m, as ``_sparse_rows`` of its
-    transpose, in one pass over the nonzeros without building the transpose."""
-    o, idx, vals = m.offsets, m.indices, m.values
-    rows, values = [[] for _ in range(m.cols)], [[] for _ in range(m.cols)]
-    i = 0  # the row of the k-th nonzero
-    for k, j in enumerate(idx):
-        while o[i + 1] <= k:
-            i += 1
-        rows[j].append(i)
-        values[j].append(vals[k])
-    return [*zip(map(tuple, rows), map(tuple, values))]
 
 
 def _from_row_lists(rows, ncols: int, check=False) -> IntMatrix:
@@ -606,12 +570,9 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
 
         Rows with invariant factor 1, which come first, need no check
         (``_divisible``), so U is read only when some invariant factor is
-        not 1; with no relations (or no columns to test) only zero columns
-        are members.
+        not 1.
         """
         _check_height(m, self.s.rows)
-        if self.s.cols == 0 or m.cols == 0:
-            return m.is_zero()
         ones = self.s.values.count(1)
         return ones == self.s.rows or self._divisible(self.past_units()[0] @ m, ones)
 
@@ -878,7 +839,7 @@ def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
     IntMatrix([[1, 1], [0, 2]])
     """
     cols = a.transpose().to_rows()
-    for idx, vals in _sparse_columns(basis):
+    for idx, vals in _sparse_rows(basis.transpose()):
         r, piv = idx[0], vals[0]
         for col in cols:
             q = col[r] // piv

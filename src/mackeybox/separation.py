@@ -20,7 +20,7 @@ from .intlin import (
     IntMatrix,
     _eye,
     _Frozen,
-    _sparse_columns,
+    _sparse_rows,
     block_diagonal,
     extended_gcd,
     lattice_basis,
@@ -349,7 +349,7 @@ def _bounded_points(basis: IntMatrix, bound: int, head: int = 0, gate=None):
     walks upward through the window that keeps row r_j within the bound.  A
     branch ends once a fixed row leaves the bound or, when the first
     ``head`` rows are fixed, unless ``gate`` accepts them."""
-    columns = _sparse_columns(basis)
+    columns = _sparse_rows(basis.transpose())
     pivots = [idx[0] for idx, _ in columns]
     fixed = [slice(a, b) for a, b in zip([0, *pivots], [*pivots, basis.rows])]  # rows rec(j) fixes
     cut = sum(r < head for r in pivots)  # the columns whose pivots lie in the head

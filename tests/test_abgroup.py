@@ -360,8 +360,9 @@ def diagonal_onto(f: AbHom) -> bool:
 def test_answers_read_from_construction_agree_with_the_general_path(rng):
     """The identity (built afresh, so it is compared by value), a map into
     ``FpAbGroup.trivial()`` and one into a 0-generator group with relation
-    columns are onto without a Smith form, and their kernel lattices
-    byte-equal ``helpers.preimage_gens``.  Both blocks a cokernel stacks are
+    columns are onto without a Smith form, the identity's kernel lattice
+    needs none either, and all their kernel lattices byte-equal
+    ``helpers.preimage_gens``.  Both blocks a cokernel stacks are
     members (``same_lattice`` confirms it without the library), and
     ``equals`` with a zero side agrees with ``contains_all(m - n)``."""
     g, h = random_presentation(rng), random_presentation(rng)
@@ -372,9 +373,9 @@ def test_answers_read_from_construction_agree_with_the_general_path(rng):
     empty = FpAbGroup(0, IntMatrix.zeros(0, rng.randint(1, 3)))
     closed = [AbHom(g, g, eye), AbHom(other, g, eye), AbHom.zero(g, FpAbGroup.trivial()), AbHom.zero(g, empty)]
     for f in closed:
-        assert f.is_surjective() and diagonal_onto(f)
+        assert f.is_surjective() and "smith" not in f.__dict__ and diagonal_onto(f)
         assert f.kernel_lattice == preimage_gens(f.matrix, f.target.relations)
-        assert "smith" not in f.__dict__
+    assert not any("smith" in f.__dict__ for f in closed[:2])  # the identity's lattice is -R
     f = AbHom(h, g, IntMatrix(n, h.ngens, tuple(rng.randint(-3, 3) for _ in range(n * h.ngens))))
     c = cokernel(f)[0]
     for block in (g.relations, f.matrix):

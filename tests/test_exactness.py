@@ -13,8 +13,10 @@ that the library combines from such parts must rebuild, field by field,
 through its public constructor.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mackeybox.abgroup import (
@@ -111,6 +113,8 @@ def test_is_isomorphism_matches_kernel_and_cokernel(f):
 
 @settings(max_examples=200, deadline=None)
 @given(maps())
+@example(unit_isomorphism(twisted_burnside(5, 2)).phi_top)  # [I | tr·res | tr], which leads with the identity
+@example(unit_isomorphism(pad_functor(twisted_burnside(7, 3), random.Random(4))).phi_top)  # and into relations
 def test_kernel_lattice_is_the_preimage_of_the_relations(f):
     assert f.kernel_lattice == preimage_gens(f.matrix, f.target.relations)
     dec = f.smith

@@ -154,6 +154,7 @@ def test_every_operation_gives_a_checked_matrix(ops):
 @example(IntMatrix.from_rows([[1, 2], [3, 4]]), [2])  # column 2 once read an entry of row 1
 @example(IntMatrix.from_rows([[1, 2], [3, 4]]), [0, -1])  # -1 once wrapped around
 @example(IntMatrix.zeros(2, 0), [0])
+@example(IntMatrix.from_rows([[1, 0, 2], [0, 3, 4]]), [0, 2])  # an ascending proper subset of the columns
 def test_rows_and_columns_check_their_indices(a, picks):
     """``column``, ``take_rows`` and ``take_columns`` raise ``IndexError``
     outside [0, n), negative indices included, and in range build what the

@@ -11,9 +11,11 @@ updates them at each step, the row-operation Hermite form
 with the column-operation version in the test helpers, and the Smith diagonal
 of dense matrices with the Bareiss determinant.  The Kronecker-built Frobenius relations are compared with the
 hand-indexed loop, and the isomorphism search with a brute force over both
-tiers.  The certificate of ``invert``, written from the input's own
-witness by box functoriality, is compared with the isomorphism that the
-search finds from the box product onto burnside(p).  ``is_isomorphism``,
+tiers that decides bijectivity by equalities of lattices in the test
+helpers, not by the library's criterion.  The certificate of ``invert``,
+written from the input's own witness by box functoriality, is compared
+with the isomorphism that the search finds from the box product onto
+burnside(p).  ``is_isomorphism``,
 which asks an onto map only for equal invariant factors, is compared with
 injectivity read from a fresh kernel lattice (``helpers.preimage_gens``).
 """
@@ -57,6 +59,7 @@ from mackeybox.mackey import (
     permutation_functor,
     twisted_burnside,
     unit_isomorphism,
+    verify_morphism,
 )
 from mackeybox.separation import (
     FOUND,
@@ -78,6 +81,7 @@ from helpers import (
     preimage_gens,
     random_functor,
     random_presentation,
+    same_lattice,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -333,6 +337,9 @@ def membership_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(membership_cases())
+@example((IntMatrix.zeros(3, 0), IntMatrix.zeros(3, 2)))  # no relations: zero columns are members
+@example((IntMatrix.zeros(3, 0), IntMatrix.from_columns([(0, 0, 0), (0, 2, 0)], rows=3)))  # others are not
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.zeros(2, 0)))  # no query columns
 def test_lattice_contains_all_equals_solve_per_column(case):
     rel, m = case
     expected = all(solve_linear(rel, m.column(j)) is not None for j in range(m.cols))
@@ -628,9 +635,23 @@ def test_frobenius_block_equals_the_loop(rng, p):
 # -- the isomorphism search ----------------------------------------------------------------------
 
 
+def bijective_by_lattices(f: AbHom) -> bool:
+    """Whether a well-defined f is bijective, decided from ``helpers`` alone
+    and not by the library's criterion (``abgroup._bijective``): onto when
+    ``[matrix | target relations]`` spans Z^target.ngens, injective when the
+    preimage of the target relations lies in the source relations, each an
+    equality of lattices (``same_lattice``)."""
+    source, target = f.source.relations, f.target.relations
+    if not same_lattice(f.matrix.hstack(target), IntMatrix.identity(f.target.ngens)):
+        return False
+    return same_lattice(source, source.hstack(preimage_gens(f.matrix, target)))
+
+
 def brute_force_iso(m: MackeyFunctor, n: MackeyFunctor, bound: int):
     """The first isomorphism M → N with entries in [-bound, bound]: bottoms
-    and then tops in lexicographic order, every condition checked directly."""
+    and then tops in lexicographic order, every condition checked directly.
+    A candidate is a morphism (``verify_morphism``) whose tier maps are both
+    bijective by ``bijective_by_lattices``."""
     values = range(-bound, bound + 1)
     rb, cb, rt, ct = n.bottom.ngens, m.bottom.ngens, n.top.ngens, m.top.ngens
     for flat_b in itertools.product(values, repeat=rb * cb):
@@ -639,11 +660,11 @@ def brute_force_iso(m: MackeyFunctor, n: MackeyFunctor, bound: int):
             continue
         if not (phi_b @ m.gamma).equals(n.gamma @ phi_b):
             continue
-        if not is_isomorphism(phi_b):
+        if not bijective_by_lattices(phi_b):
             continue
         for flat_t in itertools.product(values, repeat=rt * ct):
             candidate = MackeyMorphism(m, n, AbHom(m.top, n.top, IntMatrix(rt, ct, flat_t)), phi_b)
-            if is_mackey_isomorphism(candidate):
+            if not verify_morphism(candidate) and bijective_by_lattices(candidate.phi_top):
                 return candidate
     return None
 

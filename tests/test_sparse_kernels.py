@@ -111,10 +111,14 @@ def row(**nonzeros):
 @example(([row(c3=1, c9=2)], [row(c3=-1, c9=-2)]))  # everything cancels under +
 @example(([row()], [row(c5=1, c9=2)]))
 @example(([row(c5=1, c9=2)], [row()]))
+@example(([row(c3=1, c9=2)], [row(c3=4, c9=-5)]))  # the same pattern, nothing cancels
+@example(([row(), row(c0=1, c199=2)], [row(), row()]))  # a zero operand on the right
+@example(([row(), row()], [row(c0=1), row(c199=-2)]))  # and on the left
 def test_sums_of_rows_with_different_patterns(pair):
-    """``+`` and ``-`` merge two rows with different patterns in one pass
-    down both: rows up to 1 x 200 with two nonzeros each that are disjoint,
-    overlap or cancel to zero, against the dense entrywise result."""
+    """``+`` and ``-`` merge two rows in one pass down both, whatever their
+    patterns: rows up to 3 x 200 with two nonzeros each that are disjoint,
+    overlap, share a pattern or cancel to zero, and zero operands, against
+    the dense entrywise result."""
     rows, other = pair
     m, o = built(rows, 200), built(other, 200)
     same(m + o, [[x + y for x, y in zip(p, q)] for p, q in zip(rows, other)], 200)
@@ -186,6 +190,7 @@ def test_stacks_transposes_and_selections(a, data):
 
 
 @given(st.integers(0, 6), st.integers(0, 6))
+@example(3, 4)  # the entries of an all-zero matrix, read from no nonzero
 def test_identities_and_zeros(n, c):
     same(IntMatrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)], n)
     same(IntMatrix.zeros(n, c), [[0] * c for _ in range(n)], c)
