@@ -30,6 +30,7 @@ from .intlin import (
     SmithDecomposition,
     _Frozen,
     _check_height,
+    _check_ints,
     _cycle_orbit,
     _eye,
     _leads_with_identity,
@@ -54,6 +55,8 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
     def __init__(self, ngens: int, relations: IntMatrix):
         if ngens < 0:
             raise ValueError("generator count must be nonnegative")
+        if type(ngens) is not int:
+            _check_ints((ngens,), "generator counts")
         if relations.rows != ngens:
             raise ValueError(f"relation columns have length {relations.rows}, expected {ngens}")
         object.__setattr__(self, "ngens", ngens)
@@ -288,7 +291,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         >>> power.matrix, norm.matrix
         (IntMatrix([[1]]), IntMatrix([[2]]))
         """
-        found = self._orbits.get(k)
+        found = self._orbits.get(k) if type(k) is int else _check_ints((k,), "exponents")  # 5.0 would hit 5's memo
         if found is None:
             found = self._orbits[k] = self._orbit(k)
         return found
@@ -356,6 +359,8 @@ def _check_action(g: FpAbGroup, gamma: AbHom, p: int) -> None:
         raise ValueError("the action must be an endomorphism of the group")
     if not gamma.is_well_defined():
         raise ValueError("the action is not well-defined")
+    if type(p) is not int:
+        _check_ints((p,), "action orders")
     if p < 1:
         raise ValueError(f"the action's order must divide p >= 1, got p = {p}")
     d, rest = (p, 1) if g.relations.cols else (1, p)  # with relations, no loop: d = p

@@ -852,10 +852,10 @@ def _reduce_columns(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
 def _cycle_orbit(m: IntMatrix, k: int) -> tuple[IntMatrix, IntMatrix] | None:
     """``(m^k, 1 + m + ... + m^(k-1))`` of a signed permutation m (one ±1 in each row
     and column) from its cycles, or None.  Row i of m^t ends t steps of the walk
-    i → ``indices[i]``, times their signs; on a cycle of length L and sign product σ,
-    offset r recurs ⌈(k − r)/L⌉ times below k: that count if σ = 1, else its parity.
-    Each row visits only the offsets it holds, so the cost is O(n + nnz of the norm),
-    times log L where a row holds only some of its cycle (k < L, or σ = −1)."""
+    i → ``indices[i]``, times their signs; on a cycle of length L (a fixed point has
+    L = 1) and sign product σ, offset r recurs ⌈(k − r)/L⌉ times below k: that count
+    if σ = 1, else its parity.  A row visits only the offsets it holds: O(n + nnz of
+    the norm), times log L where it holds only some of its cycle (k < L, or σ = −1)."""
     n, idx, vals = m.rows, m.indices, m.values
     if k and m == (eye := _eye(n, n)):  # all fixed points, all signs 1: itself, and k times itself
         return eye, _trusted(n, n, eye.offsets, idx, (k,) * n)
@@ -864,11 +864,6 @@ def _cycle_orbit(m: IntMatrix, k: int) -> tuple[IntMatrix, IntMatrix] | None:
     power_j, power_v, norm_j, norm_v = [0] * n, [0] * n, [None] * n, [None] * n
     for start in range(n):
         if norm_j[start] is not None:
-            continue
-        if idx[start] == start:  # a fixed point with sign v: v^k, and k or its parity in the norm
-            v, c = vals[start], k if vals[start] > 0 else k & 1
-            power_j[start], power_v[start] = start, v ** (k & 1)
-            norm_j[start], norm_v[start] = ([start], [c]) if c else ([], [])
             continue
         cycle = [start]
         while idx[cycle[-1]] != start:

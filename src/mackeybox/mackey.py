@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .intlin import IntMatrix, _eye, _Frozen, _memoised, block_diagonal
+from .intlin import IntMatrix, _check_ints, _eye, _Frozen, _memoised, block_diagonal
 from .abgroup import AbHom, FpAbGroup, _bijective, _check_action, coinvariants, direct_sum, kernel, tensor_product
 
 
@@ -39,6 +39,7 @@ def is_prime(n: int) -> bool:
     >>> is_prime(1000000007), is_prime(561)
     (True, False)
     """
+    _check_ints((n,), "primes")
     if n < 2:
         return False
     if n >= PRIME_LIMIT:
@@ -208,6 +209,7 @@ class GSet(_Frozen, fields=("fixed", "free")):
     def __init__(self, fixed: int, free: int):
         if fixed < 0 or free < 0:
             raise ValueError("orbit counts must be nonnegative")
+        _check_ints((fixed, free), "orbit counts")
         self._set_fields(fixed, free)
 
 

@@ -18,6 +18,7 @@ from math import gcd
 
 from .intlin import (
     IntMatrix,
+    _check_ints,
     _eye,
     _Frozen,
     _sparse_rows,
@@ -35,6 +36,7 @@ from .mackey import (
     burnside,
     check_axioms,
     is_mackey_isomorphism,
+    is_prime,
     twisted_burnside,
     verify_morphism,
 )
@@ -193,6 +195,8 @@ def twisted_iso_criterion(p: int, c: int, d: int) -> bool:
     >>> twisted_iso_criterion(5, 2, 3), twisted_iso_criterion(5, 2, 4)
     (True, False)
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return (c - d) % p == 0 or (c + d) % p == 0
 
 
@@ -435,6 +439,7 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
     Exhaustion yields UNKNOWN (the bound may simply be too small).  A
     negative bound raises ValueError.
     """
+    _check_ints((bound,), "search bounds")
     if bound < 0:
         raise ValueError(f"the search bound must be nonnegative, got {bound}")
     if m.p != n.p:

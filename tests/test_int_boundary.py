@@ -3,14 +3,18 @@
 Every public way to make a matrix or hand in a vector accepts only Python
 ints (not bools) and raises ``TypeError`` otherwise, instead of truncating or
 passing the value on.  Matrices that ``intlin`` computes itself skip the
-per-entry check (``_trusted``); each one must still pass it.
+per-entry check (``_trusted``); each one must still pass it.  The library's
+own integer arguments (primes, generator and orbit counts, exponents, action
+orders, search bounds) are checked the same way where they come in.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mackeybox.abgroup import AbHom, FpAbGroup
+from mackeybox.abgroup import AbHom, FpAbGroup, coinvariants
+from mackeybox.mackey import GSet, MackeyFunctor, burnside, is_prime
+from mackeybox.separation import try_find_isomorphism, twisted_iso_criterion
 from mackeybox.intlin import (
     IntMatrix,
     _reduce_columns,
@@ -87,6 +91,52 @@ def test_negative_sizes_are_rejected():
 def test_scaled_empty_matrix_still_checks_the_factor():
     with pytest.raises(TypeError):
         IntMatrix.zeros(0, 3).scaled(1.5)
+
+
+# -- the library's own integer arguments ----------------------------------------------------
+
+
+def _memoised_orbit_then(k):
+    """``orbit(k)`` after ``orbit(5)`` is memoised: 5.0 hashes like 5."""
+    h = AbHom.identity(FpAbGroup.free(2))
+    h.orbit(5)
+    return h.orbit(k)
+
+
+_B5 = burnside(5)
+_Z = FpAbGroup.free(1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: MackeyFunctor(5.0, _B5.top, _B5.bottom, _B5.gamma, _B5.res, _B5.tr), TypeError),
+        (lambda: MackeyFunctor(True, _B5.top, _B5.bottom, _B5.gamma, _B5.res, _B5.tr), TypeError),
+        (lambda: is_prime(5.0), TypeError),
+        (lambda: AbHom.identity(FpAbGroup.free(2)).orbit(1.5), TypeError),
+        (lambda: _memoised_orbit_then(5.0), TypeError),
+        (lambda: coinvariants(_Z, AbHom.identity(_Z), 2.0), TypeError),
+        (lambda: FpAbGroup(True, IntMatrix.zeros(1, 0)), TypeError),
+        (lambda: FpAbGroup(1.0, IntMatrix.zeros(1, 0)), TypeError),
+        (lambda: GSet(1.5, 0), TypeError),
+        (lambda: GSet(0, True), TypeError),
+        (lambda: twisted_iso_criterion(0, 1, 1), ValueError),
+        (lambda: twisted_iso_criterion(4, 1, 3), ValueError),
+        (lambda: try_find_isomorphism(_B5, _B5, True), TypeError),
+        (lambda: try_find_isomorphism(_B5, _B5, 1.0), TypeError),
+    ],
+    ids=[
+        "functor-float-p", "functor-bool-p", "is-prime-float", "orbit-float-k", "orbit-float-k-after-memo",
+        "coinvariants-float-p", "group-bool-ngens", "group-float-ngens", "gset-float-fixed", "gset-bool-free",
+        "criterion-p-0", "criterion-p-4", "iso-bool-bound", "iso-float-bound",
+    ],
+)
+def test_library_arguments_must_be_ints(call, error):
+    """A float or a bool where the library takes an integer raises, instead
+    of reaching a matrix built unchecked; a p that is not prime raises as in
+    ``twisted_isomorphism``."""
+    with pytest.raises(error):
+        call()
 
 
 # -- matrices built inside intlin pass the public check ----------------------------------------

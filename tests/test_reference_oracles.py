@@ -11,8 +11,9 @@ updates them at each step, the row-operation Hermite form
 with the column-operation version in the test helpers, and the Smith diagonal
 of dense matrices with the Bareiss determinant.  The Kronecker-built Frobenius relations are compared with the
 hand-indexed loop, and the isomorphism search with a brute force over both
-tiers that decides bijectivity by equalities of lattices in the test
-helpers, not by the library's criterion.  The certificate of ``invert``,
+tiers that decides every morphism condition and bijectivity by equalities
+of lattices in the test helpers, not by the library's membership test or
+its criterion.  The certificate of ``invert``,
 written from the input's own witness by box functoriality, is compared
 with the isomorphism that the search finds from the box product onto
 burnside(p).  ``is_isomorphism``,
@@ -59,7 +60,6 @@ from mackeybox.mackey import (
     permutation_functor,
     twisted_burnside,
     unit_isomorphism,
-    verify_morphism,
 )
 from mackeybox.separation import (
     FOUND,
@@ -238,12 +238,33 @@ def signed_permutation_modules(draw):
     return AbHom(g, g, m), draw(st.integers(0, 40))
 
 
+def free_signed_permutation(rows, k):
+    """The signed permutation with the given rows on a free module, and k."""
+    g = FpAbGroup.free(len(rows))
+    return AbHom(g, g, IntMatrix.from_rows(rows, cols=len(rows))), k
+
+
+FIXED_POINTS_ALONE = [[1, 0], [0, -1]]
+FIXED_POINTS_BESIDE_A_CYCLE = [[1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, -1], [0, 0, 1, 0, 0]]
+
+
 @settings(max_examples=120, deadline=None)
 @given(signed_permutation_modules())
+@example(free_signed_permutation(FIXED_POINTS_ALONE, 0))  # fixed points of sign 1 and -1
+@example(free_signed_permutation(FIXED_POINTS_ALONE, 1))
+@example(free_signed_permutation(FIXED_POINTS_ALONE, 2))
+@example(free_signed_permutation(FIXED_POINTS_ALONE, 3))
+@example(free_signed_permutation([[-1]], 2))
+@example(free_signed_permutation(FIXED_POINTS_BESIDE_A_CYCLE, 0))  # the same beside a 3-cycle
+@example(free_signed_permutation(FIXED_POINTS_BESIDE_A_CYCLE, 1))
+@example(free_signed_permutation(FIXED_POINTS_BESIDE_A_CYCLE, 2))
+@example(free_signed_permutation(FIXED_POINTS_BESIDE_A_CYCLE, 3))
 def test_the_cycle_walk_equals_the_loops(case):
     """The orbit of a signed permutation, written from its cycles, against
     the k-fold multiply-and-add: equal as matrices on a free module, and
-    after reduction modulo the Hermite basis of the relations otherwise."""
+    after reduction modulo the Hermite basis of the relations otherwise.
+    The examples put fixed points of both signs, which the walk takes as
+    cycles of length 1, alone and beside a longer cycle, at k = 0 to 3."""
     gamma, k = case
     m, rel = gamma.matrix, gamma.source.relations
     power, norm = gamma.orbit(k)
@@ -647,25 +668,38 @@ def bijective_by_lattices(f: AbHom) -> bool:
     return same_lattice(source, source.hstack(preimage_gens(f.matrix, target)))
 
 
+def in_lattice(relations: IntMatrix, defect: IntMatrix) -> bool:
+    """Whether every column of defect lies in the column lattice of
+    relations: ``[relations | defect]`` spans the same lattice as relations
+    (``same_lattice``), so the library's membership test is not read."""
+    return same_lattice(relations, relations.hstack(defect))
+
+
 def brute_force_iso(m: MackeyFunctor, n: MackeyFunctor, bound: int):
     """The first isomorphism M → N with entries in [-bound, bound]: bottoms
     and then tops in lexicographic order, every condition checked directly.
-    A candidate is a morphism (``verify_morphism``) whose tier maps are both
-    bijective by ``bijective_by_lattices``."""
+    A candidate's tier maps are well defined, the bottom is equivariant and
+    both squares commute, each decided by ``in_lattice`` on its defect
+    matrix, and both tier maps are bijective by ``bijective_by_lattices``."""
     values = range(-bound, bound + 1)
     rb, cb, rt, ct = n.bottom.ngens, m.bottom.ngens, n.top.ngens, m.top.ngens
+    bottom, top = n.bottom.relations, n.top.relations
     for flat_b in itertools.product(values, repeat=rb * cb):
-        phi_b = AbHom(m.bottom, n.bottom, IntMatrix(rb, cb, flat_b))
-        if not phi_b.is_well_defined():
+        b = IntMatrix(rb, cb, flat_b)
+        if not (in_lattice(bottom, b @ m.bottom.relations)
+                and in_lattice(bottom, b @ m.gamma.matrix - n.gamma.matrix @ b)):
             continue
-        if not (phi_b @ m.gamma).equals(n.gamma @ phi_b):
-            continue
+        phi_b = AbHom(m.bottom, n.bottom, b)
         if not bijective_by_lattices(phi_b):
             continue
         for flat_t in itertools.product(values, repeat=rt * ct):
-            candidate = MackeyMorphism(m, n, AbHom(m.top, n.top, IntMatrix(rt, ct, flat_t)), phi_b)
-            if not verify_morphism(candidate) and bijective_by_lattices(candidate.phi_top):
-                return candidate
+            t = IntMatrix(rt, ct, flat_t)
+            phi_t = AbHom(m.top, n.top, t)
+            if (in_lattice(top, t @ m.top.relations)
+                    and in_lattice(bottom, n.res.matrix @ t - b @ m.res.matrix)
+                    and in_lattice(top, n.tr.matrix @ b - t @ m.tr.matrix)
+                    and bijective_by_lattices(phi_t)):
+                return MackeyMorphism(m, n, phi_t, phi_b)
     return None
 
 
