@@ -245,11 +245,11 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
     def kernel_lattice(self) -> IntMatrix:
         """Generators of ``{x : matrix·x ∈ target relations}``: the top
         ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``,
-        memoised.  The identity (a square matrix that leads with the identity,
-        ``intlin._leads_with_identity``) writes them without ``smith``, as
+        memoised.  The identity (one comparison, which answers the shared
+        ``intlin._eye`` by identity first) writes them without ``smith``, as
         ``-R``: the kernel ``[-R; I]`` of ``[I | R]``, top rows."""
         n = self.source.ngens
-        if n == self.target.ngens and _leads_with_identity(self.matrix):
+        if self.matrix == _eye(n, n):
             return -self.target.relations
         return self.smith.kernel().take_rows(range(n))
 

@@ -9,10 +9,10 @@ matrix is the set of integer combinations of its columns.
 Entries are checked once, where they come in: the public constructors
 (``IntMatrix(...)``, ``from_rows``, ``from_columns``, ``column_vector``) and
 the vectors handed to ``apply`` and ``solve_linear`` accept only Python ints,
-not bools; ``_apply`` takes a vector the package computed, unchecked.  A
-matrix this module computes from checked matrices (products, sums, stacks,
-transposes, row and column selections, identities and the outputs of the
-eliminations) is built by ``_trusted``, which skips the per-entry check.  The eliminations run on dense rows, their replays on sparse ones.
+not bools.  A matrix this module computes from checked matrices (products,
+sums, stacks, transposes, row and column selections, identities and the
+outputs of the eliminations) is built by ``_trusted``, which skips the
+per-entry check.  The eliminations run on dense rows, their replays on sparse ones.
 """
 
 from __future__ import annotations
@@ -243,10 +243,6 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
         vec = _int_vector(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.rows}x{self.cols} matrix")
-        return self._apply(vec)
-
-    def _apply(self, vec) -> tuple[int, ...]:
-        """``apply`` of a vector of ints of the right length, unchecked."""
         o, idx, vals, at = self.offsets, self.indices, self.values, vec.__getitem__
         return tuple(sum(map(mul, vals[a:b], map(at, idx[a:b]))) for a, b in zip(o, o[1:]))
 

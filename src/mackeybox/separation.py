@@ -43,7 +43,6 @@ from .mackey import (
 
 # Reasons a functor can fail to be invertible.
 BOTTOM_NOT_Z = "bottom-not-Z"
-BOTTOM_ACTION_NONTRIVIAL = "bottom-action-nontrivial"
 TOP_NOT_RANK_2 = "top-not-rank-2"
 TRANSFER_NOT_SPLIT = "transfer-not-split"
 TWIST_NOT_COPRIME = "twist-not-coprime"
@@ -197,6 +196,7 @@ def twisted_iso_criterion(p: int, c: int, d: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    _check_ints((c, d), "twists")
     return (c - d) % p == 0 or (c + d) % p == 0
 
 
@@ -215,61 +215,49 @@ def twisted_isomorphism(p: int, c: int, d: int) -> MackeyMorphism | None:
     return MackeyMorphism(src, tgt, phi_top, AbHom.identity(src.bottom))
 
 
-def _projection(group: FpAbGroup, rank: int) -> IntMatrix:
-    """For a group known free of the given rank, a ``rank x ngens`` matrix
-    inducing an isomorphism onto Z^rank: the rows of the group's U past its
-    unit invariant factors (``SmithDecomposition.past_units``), with no
-    factor above 1.  :func:`invert` reads it alone, without the section."""
-    rows, torsion = group.smith.past_units()
-    if torsion or rows.rows != rank:
-        raise ValueError("group does not have the expected free rank")
-    return rows
-
-
-def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix]:
-    """For a group known free of the given rank: the ``_projection`` and the
-    section, the columns of U⁻¹ past the rank, so projection @ section =
-    identity."""
+def _quotient_iso(group: FpAbGroup, rank: int) -> tuple[IntMatrix, IntMatrix] | None:
+    """For a group free of the given rank: the rows of its U past the unit
+    invariant factors (``SmithDecomposition.past_units``), which induce an
+    isomorphism onto Z^rank, and the section, the columns of U⁻¹ past the
+    rank, so projection @ section = identity.  None for a group of any other
+    shape, told from the diagonal alone, so U is not built for it."""
+    if invariant_factors(group) != (rank, ()):
+        return None
     past = range(group.ngens - rank, group.ngens)
-    return _projection(group, rank), group.smith.u_inverse.take_columns(past)
+    return group.smith.past_units()[0], group.smith.u_inverse.take_columns(past)
 
 
 def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, tuple[int, ...] | None]:
     """The verdict and, for an invertible m, ``(d, t1, t2, a, b)``: the twist,
     tr(g) in the top's free quotient, and a·t1 + b·t2 = 1, from which
-    :func:`invert` writes the witness M → twisted(p, d)."""
+    :func:`invert` writes the witness M → twisted(p, d).  Past the axioms,
+    each verdict is read on the tiers' free quotients (``_quotient_iso``):
+    an order-p action on Z is ±1, and −1 (only at p = 2) forces res = 0;
+    coker tr is Z² / (t1, t2), which is Z exactly when gcd(t1, t2) = 1; and
+    w = (b, −a) completes (t1, t2) to a basis, with d = res(w)."""
     violations = check_axioms(m)
     if violations:
         raise ValueError("not a Mackey functor: " + "; ".join(violations))
     p = m.p
 
-    if invariant_factors(m.bottom) != (1, ()):
+    bottom = _quotient_iso(m.bottom, 1)
+    if bottom is None:
         return ClassificationResult(False, reason=BOTTOM_NOT_Z), None
-    ident = AbHom.identity(m.bottom)
-    if not m.gamma.equals(ident):
-        if m.gamma.equals(ident.scaled(-1)):
-            # bottom is Z with the sign action (only possible at p = 2); the
-            # axioms force res = 0 there, so res can never hit a generator
-            return ClassificationResult(False, reason=RESTRICTION_NOT_ONTO), None
-        return ClassificationResult(False, reason=BOTTOM_ACTION_NONTRIVIAL), None
-    if invariant_factors(m.top) != (2, ()):
+    pi_b, sec_b = bottom
+    if (pi_b @ m.gamma.matrix @ sec_b).entries != (1,):
+        return ClassificationResult(False, reason=RESTRICTION_NOT_ONTO), None
+    top = _quotient_iso(m.top, 2)
+    if top is None:
         return ClassificationResult(False, reason=TOP_NOT_RANK_2), None
-
-    if invariant_factors(cokernel(m.tr)[0]) != (1, ()):
+    pi_t, sec_t = top
+    t1, t2 = (pi_t @ m.tr.matrix @ sec_b).entries
+    g, a, b = extended_gcd(t1, t2)
+    if g != 1:
         return ClassificationResult(False, reason=TRANSFER_NOT_SPLIT), None
-
-    pi_b, sec_b = _quotient_iso(m.bottom, 1)
-    pi_t, sec_t = _quotient_iso(m.top, 2)
-    g = sec_b.column(0)  # a generator of the bottom
-    # coker tr = Z, so tr(g) is primitive in the top Z^2: gcd(t1, t2) = 1
-    t1, t2 = pi_t._apply(m.tr.matrix._apply(g))
-    _, a, b = extended_gcd(t1, t2)
-    w = (b, -a)  # completes tr(g) to a basis: det [w | t] = a·t1 + b·t2 = 1
-    lift_w = sec_t._apply(w)
-    (d_raw,) = pi_b._apply(m.res.matrix._apply(lift_w))
-    (p_check,) = pi_b._apply(m.res.matrix._apply(sec_t._apply((t1, t2))))
-    if p_check != p:  # unreachable for valid functors: res(tr(g)) = p·g
+    r1, r2 = (pi_b @ m.res.matrix @ sec_t).entries
+    if r1 * t1 + r2 * t2 != p:  # unreachable for valid functors: res(tr(g)) = p·g
         raise AssertionError("restriction of the transfer generator is not p")
+    d_raw = r1 * b - r2 * a
 
     d_class = min(d_raw % p, (-d_raw) % p)
     if gcd(d_raw, p) != 1:
@@ -304,12 +292,13 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
 
     Returns None when M is not invertible.  For M's witness M → twisted(p, c),
     the inverse is twisted(p, x) with c·x ≡ y = ±1 (mod p).  The witness
-    sends the top basis (lift of w, tr g) to (u, t), through projections read
-    again from the tiers' memoised Smith forms without their sections
-    (``_projection``).  The certificate is box(witness, 1) followed by
-    twisted(c) ⊠ twisted(x) → burnside(p) in closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to y·u + (c·x − y)/p·t,
-    c·t, x·t, p·t and t.  The product is not classified: the verified
-    isomorphism carries burnside(p)'s axioms over to it.
+    sends the top basis (lift of w, tr g) to (u, t), through the projections
+    ``_quotient_iso`` read, taken again from the tiers' memoised Smith forms
+    (``SmithDecomposition.past_units``) without their sections.  The
+    certificate is box(witness, 1) followed by twisted(c) ⊠ twisted(x) →
+    burnside(p) in closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to
+    y·u + (c·x − y)/p·t, c·t, x·t, p·t and t.  The product is not
+    classified: the verified isomorphism carries burnside(p)'s axioms over.
     """
     if not classify_invertible(m).invertible:
         return None
@@ -318,8 +307,8 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     x = extended_gcd(result.d_class, p)[1] % p
     inverse, target = twisted_burnside(p, x), burnside(p)
     product = box_product(m, inverse)
-    w_bottom = _projection(m.bottom, 1)
-    w_top = IntMatrix.from_rows([[t2, -t1], [a, b]]) @ _projection(m.top, 2)  # [w | t]⁻¹ @ pi_t
+    w_bottom = m.bottom.smith.past_units()[0]
+    w_top = IntMatrix.from_rows([[t2, -t1], [a, b]]) @ m.top.smith.past_units()[0]  # [w | t]⁻¹ @ pi_t
     y = 1 if (c * x - 1) % p == 0 else -1
     onto = IntMatrix.from_columns([(y, (c * x - y) // p), (0, c), (0, x), (0, p), (0, 1)], rows=2)
     top = onto @ block_diagonal(w_top.kron(IntMatrix.identity(2)), w_bottom)
@@ -459,7 +448,6 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
 
 __all__ = [
     "BOTTOM_NOT_Z",
-    "BOTTOM_ACTION_NONTRIVIAL",
     "TOP_NOT_RANK_2",
     "TRANSFER_NOT_SPLIT",
     "TWIST_NOT_COPRIME",

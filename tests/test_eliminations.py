@@ -249,23 +249,24 @@ def test_isotropy_sequence_stacks_the_transfer_once_and_transposes_nothing(monke
 
 
 def test_classify_and_invert_of_a_twisted_functor(eliminated):
-    """Classifying and inverting twisted_burnside(10007, 2) hands 3 matrices
-    to ``smith_normal_form``: M's transfer, and, when the certificate is
-    verified, its top map (for surjectivity) and the product's top
-    relations (for their invariant factors, which settle injectivity).
-    Before, the product's top relations were not eliminated (2 matrices):
+    """Classifying and inverting twisted_burnside(10007, 2) hands 2 matrices
+    to ``smith_normal_form``: when the certificate is verified, its top map
+    (for surjectivity) and the product's top relations (for their invariant
+    factors, which settle injectivity).  The transfer's cokernel is no
+    longer eliminated (3 matrices before): whether the transfer splits is
+    read on the tiers' free quotients, as gcd(t1, t2) = 1.
+    Earlier, the product's top relations were not eliminated either:
     injectivity replayed the top map's V for its kernel lattice, which lay
     in the product's relations by inspection.  The certificate's bottom map
     is the identity, onto by construction, between groups without
     relations.  The certificate is built from M's own witness by box
     functoriality, so the product is not classified (5 before that, when
-    its top and transfer were eliminated too).  The transfer is read only
-    through the relations of its cokernel, and each tier's section is read
+    its top and transfer were eliminated too).  Each tier's section is read
     from its U⁻¹, so no projection is eliminated."""
     m = twisted_burnside(10007, 2)
     assert separation.classify_invertible(m).invertible
     certificate = separation.invert(m)[1]
-    assert len(eliminated) == 3
+    assert len(eliminated) == 2
     assert certificate.source.top.relations in eliminated
     assert certificate.phi_top.spanning in eliminated
     assert not any(map(leads_with_identity, eliminated))

@@ -122,13 +122,16 @@ _Z = FpAbGroup.free(1)
         (lambda: GSet(0, True), TypeError),
         (lambda: twisted_iso_criterion(0, 1, 1), ValueError),
         (lambda: twisted_iso_criterion(4, 1, 3), ValueError),
+        (lambda: twisted_iso_criterion(5, True, 1), TypeError),
+        (lambda: twisted_iso_criterion(5, 1, 6.0), TypeError),
         (lambda: try_find_isomorphism(_B5, _B5, True), TypeError),
         (lambda: try_find_isomorphism(_B5, _B5, 1.0), TypeError),
     ],
     ids=[
         "functor-float-p", "functor-bool-p", "is-prime-float", "orbit-float-k", "orbit-float-k-after-memo",
         "coinvariants-float-p", "group-bool-ngens", "group-float-ngens", "gset-float-fixed", "gset-bool-free",
-        "criterion-p-0", "criterion-p-4", "iso-bool-bound", "iso-float-bound",
+        "criterion-p-0", "criterion-p-4", "criterion-bool-twist", "criterion-float-twist",
+        "iso-bool-bound", "iso-float-bound",
     ],
 )
 def test_library_arguments_must_be_ints(call, error):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mackeybox.abgroup import AbHom, FpAbGroup, invariant_factors
-from mackeybox.intlin import IntMatrix
+from mackeybox.intlin import IntMatrix, extended_gcd
 from mackeybox.mackey import (
     GSet,
     MackeyFunctor,
@@ -220,8 +220,7 @@ def test_quotient_iso_is_an_isomorphism_onto_the_free_group():
         assert pi @ sec == IntMatrix.identity(n - k)
         assert (pi @ group.relations).is_zero()
         assert group.contains_all(IntMatrix.identity(n) - sec @ pi)
-    with pytest.raises(ValueError):
-        _quotient_iso(FpAbGroup.cyclic(2), 1)
+    assert _quotient_iso(FpAbGroup.cyclic(2), 1) is None
 
 
 def test_classify_str():
@@ -255,6 +254,28 @@ def test_classify_padded_presentations():
                 assert got.sign_ambiguous == want.sign_ambiguous
     padded_constant = pad_functor(constant_z(3), rng)
     assert classify_invertible(padded_constant).reason == TOP_NOT_RANK_2
+    padded_sign = sign_functor()
+    for _ in range(3):  # the flip read on Z through ever longer presentations
+        padded_sign = pad_functor(padded_sign, rng)
+        assert classify_invertible(padded_sign).reason == RESTRICTION_NOT_ONTO
+    z, z2 = FpAbGroup.free(1), FpAbGroup.free(2)
+    for p in PRIMES:
+        x, y = rng.choice([(1, 0), (2, 3), (-5, 7), (4, -1)])
+        _, r1, r2 = extended_gcd(x, y)
+        # tr(g) = p·(x, y) and res·(x, y) = 1: coker tr is Z + Z/p
+        unsplit = MackeyFunctor(
+            p,
+            z2,
+            z,
+            AbHom.identity(z),
+            AbHom(z2, z, IntMatrix.from_rows([[r1, r2]])),
+            AbHom(z, z2, IntMatrix.from_rows([[p * x], [p * y]])),
+        )
+        for m in (direct_sum_functors(constant_z(p), top_only(p)), unsplit):
+            assert classify_invertible(pad_functor(m, rng)).reason == TRANSFER_NOT_SPLIT
+    mod = FpAbGroup.cyclic(9)
+    torsion_bottom = fixed_point_functor(3, mod, AbHom.identity(mod))
+    assert classify_invertible(pad_functor(torsion_bottom, rng)).reason == BOTTOM_NOT_Z
 
 
 def test_classification_agrees_with_search_on_twisted():
