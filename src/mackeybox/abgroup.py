@@ -284,7 +284,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         with relations, for f well defined and not 1 and k >= 2, both are
         reduced (by the pass, after each step) to canonical representatives
         modulo the relations' Hermite basis, so entries stay small at any k;
-        otherwise they are exact.  An f^k equal to 1 is the shared identity.
+        otherwise they are exact.
 
         >>> z5 = FpAbGroup.cyclic(5)
         >>> power, norm = AbHom(z5, z5, IntMatrix.from_rows([[6]])).orbit(1000000007)
@@ -316,7 +316,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
                     power = gamma @ power
                 if basis is not None:
                     total, power = _reduce_columns(total, basis), _reduce_columns(power, basis)
-        return AbHom(g, g, eye if power is eye or power == eye else power), AbHom(g, g, total)
+        return AbHom(g, g, power), AbHom(g, g, total)
 
 
 def tensor_product(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:

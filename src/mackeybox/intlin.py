@@ -565,12 +565,10 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         """Whether every column of m lies in the column lattice of A.
 
         Rows with invariant factor 1, which come first, need no check
-        (``_divisible``), so U is read only when some invariant factor is
-        not 1.
+        (``_divisible``), so only the rows of U past them are read.
         """
         _check_height(m, self.s.rows)
-        ones = self.s.values.count(1)
-        return ones == self.s.rows or self._divisible(self.past_units()[0] @ m, ones)
+        return self._divisible(self.past_units()[0] @ m, self.s.values.count(1))
 
     def past_units(self) -> tuple[IntMatrix, tuple[int, ...]]:
         """The rows of U past the unit invariant factors, and the factors past

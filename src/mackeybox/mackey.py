@@ -80,8 +80,8 @@ class MackeyFunctor(_Frozen, fields=("p", "top", "bottom", "gamma", "res", "tr")
 
     Construction validates shapes and primality only; semantic axioms are
     checked by :func:`check_axioms`, so axiom-violating diagrams can be built
-    and diagnosed.  The axiom verdict and the classification are memoised
-    on the functor (``_memo``, not a field, so ``==`` and ``hash`` ignore it).
+    and diagnosed.  The classification is memoised on the functor (``_memo``,
+    not a field, so ``==`` and ``hash`` ignore it).
     """
 
     def __init__(
@@ -107,18 +107,11 @@ def check_axioms(m: MackeyFunctor) -> tuple[str, ...]:
 
     The faults of res and tr come first, then the action's fault (worded as
     in every other action check) or else the norm rule, which presumes an
-    order-p action.  The verdict is memoised on m, so checking again is free.
+    order-p action.  Each call checks m afresh.
 
     >>> check_axioms(burnside(3))
     ()
     """
-    found = m._memo.get("axioms")
-    if found is None:
-        found = m._memo["axioms"] = _violations(m)
-    return found
-
-
-def _violations(m: MackeyFunctor) -> tuple[str, ...]:
     problems = []
     if not m.res.is_well_defined():
         problems.append("restriction is not well-defined")

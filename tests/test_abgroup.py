@@ -89,6 +89,15 @@ def test_hom_composition_and_equality():
     assert not proj.equals(AbHom.zero(z, z3))
     assert (proj + proj + proj).equals(AbHom.zero(z, z3))
     assert proj.scaled(4).equals(proj)
+    # maps with other ends: composition and sums refuse them, equality is False
+    with pytest.raises(TypeError):
+        proj @ IntMatrix.from_rows([[1]])
+    with pytest.raises(ValueError, match="homomorphisms do not compose"):
+        tripled @ proj
+    for combine in (AbHom.__add__, AbHom.__sub__):
+        with pytest.raises(ValueError, match="homomorphisms with different ends"):
+            combine(proj, tripled)
+    assert not proj.equals(tripled)
 
 
 def test_power():
@@ -96,6 +105,19 @@ def test_power():
     swap = AbHom(g, g, IntMatrix.from_rows([[0, 1], [1, 0]]))
     assert swap.power(2).equals(AbHom.identity(g))
     assert swap.power(0).equals(AbHom.identity(g))
+    with pytest.raises(ValueError, match="orbits need an endomorphism"):
+        AbHom.zero(g, FpAbGroup.free(1)).orbit(2)
+    with pytest.raises(ValueError, match="orbits need k >= 0, got k = -1"):
+        swap.orbit(-1)
+
+
+def test_presentations_and_maps_refuse_the_wrong_shape():
+    with pytest.raises(ValueError, match="generator count must be nonnegative"):
+        FpAbGroup(-1, IntMatrix.zeros(0, 0))
+    with pytest.raises(ValueError, match="relation columns have length 2, expected 3"):
+        FpAbGroup(3, IntMatrix.zeros(2, 1))
+    with pytest.raises(ValueError, match="matrix is 1x2, expected 2x1"):
+        AbHom(FpAbGroup.free(1), FpAbGroup.free(2), IntMatrix.from_rows([[1, 0]]))
 
 
 def test_shear_is_isomorphism():

@@ -170,6 +170,8 @@ def test_check_text_format(capsys, monkeypatch):
     code, out, _ = cli(["check", "--format", "text"], capsys, monkeypatch, stdin_text=BROKEN)
     assert code == 1
     assert "axiom violated: res of a transfer differs from the action norm" in out
+    doc = render_machine(burnside(3))
+    assert cli(["check", "--format", "text"], capsys, monkeypatch, stdin_text=doc) == (0, "all axioms hold\n", "")
 
 
 def test_check_ill_defined_is_input_error(capsys, monkeypatch):
@@ -415,6 +417,17 @@ def test_iso_text_format(tmp_path, capsys):
     code, out, _ = cli(["iso", str(a), str(a), "--format", "text"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "isomorphic"
+    # the other two answers print the detail that the machine format gives on its own line
+    b, c, d = (tmp_path / name for name in ("b.mk", "c.mk", "d.mk"))
+    b.write_text(render_machine(constant_z(2)))
+    c.write_text(render_machine(twisted_burnside(5, 1)))
+    d.write_text(render_machine(twisted_burnside(5, 2)))
+    for left, right, status, text in ((a, b, "not-isomorphic", "not isomorphic"), (c, d, "unknown", "unknown")):
+        args = ["iso", str(left), str(right), "--bound", "1"]
+        code, out, _ = cli(args, capsys)
+        assert code == 1 and out.splitlines()[0] == f"status: {status}"
+        detail = out.splitlines()[1].removeprefix("detail: ")
+        assert cli([*args, "--format", "text"], capsys) == (1, f"{text}: {detail}\n", "")
 
 
 def test_iso_negative_bound_is_input_error(tmp_path, capsys):

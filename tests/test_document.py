@@ -98,6 +98,8 @@ def test_syntax_errors():
         parse_functor(GOOD.replace("res: [[1, 2]]", "res: [[1, 2.5]]"))
     with pytest.raises(DocumentSyntaxError):
         parse_functor(GOOD.replace("res: [[1, 2]]", "res: [1, 2]"))
+    with pytest.raises(DocumentSyntaxError, match="field 'res' must be a bracketed list"):
+        parse_functor(GOOD.replace("res: [[1, 2]]", "res: 5"))
     with pytest.raises(DocumentSyntaxError):  # json.loads raises RecursionError
         parse_functor(GOOD.replace("res: [[1, 2]]", "res: " + "[" * 200000))
     missing = GOOD.replace("action: [[1]]\n", "")

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mackeybox.abgroup import AbHom, FpAbGroup, coinvariants
-from mackeybox.mackey import GSet, MackeyFunctor, burnside, is_prime
+from mackeybox.mackey import GSet, MackeyFunctor, burnside, fixed_point_functor, is_prime, orbit_functor
 from mackeybox.separation import try_find_isomorphism, twisted_iso_criterion
 from mackeybox.intlin import (
     IntMatrix,
@@ -126,18 +126,21 @@ _Z = FpAbGroup.free(1)
         (lambda: twisted_iso_criterion(5, 1, 6.0), TypeError),
         (lambda: try_find_isomorphism(_B5, _B5, True), TypeError),
         (lambda: try_find_isomorphism(_B5, _B5, 1.0), TypeError),
+        (lambda: fixed_point_functor(4, _Z, AbHom.identity(_Z)), ValueError),
+        (lambda: orbit_functor(4, _Z, AbHom.identity(_Z)), ValueError),
+        (lambda: GSet(-1, 0), ValueError),
     ],
     ids=[
         "functor-float-p", "functor-bool-p", "is-prime-float", "orbit-float-k", "orbit-float-k-after-memo",
         "coinvariants-float-p", "group-bool-ngens", "group-float-ngens", "gset-float-fixed", "gset-bool-free",
         "criterion-p-0", "criterion-p-4", "criterion-bool-twist", "criterion-float-twist",
-        "iso-bool-bound", "iso-float-bound",
+        "iso-bool-bound", "iso-float-bound", "fixed-point-p-4", "orbit-functor-p-4", "gset-negative-fixed",
     ],
 )
 def test_library_arguments_must_be_ints(call, error):
     """A float or a bool where the library takes an integer raises, instead
     of reaching a matrix built unchecked; a p that is not prime raises as in
-    ``twisted_isomorphism``."""
+    ``twisted_isomorphism``, and so does a negative orbit count."""
     with pytest.raises(error):
         call()
 

@@ -121,6 +121,19 @@ def test_shape_errors():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1]]) @ IntMatrix.from_rows([[1, 2], [3, 4]])
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(IndexError, match=r"\(2, 0\) outside 2x2"):
+        a.at(2, 0)
+    with pytest.raises(TypeError):
+        a @ 3
+    with pytest.raises(ValueError, match="vector of length 3 for 2x2 matrix"):
+        a.apply((1, 2, 3))
+    with pytest.raises(ValueError, match="row count mismatch in hstack"):
+        a.hstack(IntMatrix.zeros(3, 1))
+    with pytest.raises(ValueError, match="column count mismatch in vstack"):
+        a.vstack(IntMatrix.zeros(1, 3))
+    with pytest.raises(ValueError, match="rows have length 2, expected 3"):
+        IntMatrix.from_rows([[1, 2], [3, 4]], cols=3)
 
 
 @pytest.mark.parametrize(

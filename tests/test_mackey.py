@@ -5,10 +5,15 @@ invariant equality) for the flagship identities: Z-box-Z, twisted-box-twisted,
 the free-orbit permutation square at p = 2, and the unit law.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mackeybox
 from mackeybox.abgroup import AbHom, FpAbGroup, coinvariants, invariant_factors
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
@@ -287,6 +292,11 @@ def test_each_axiom_failure_detected():
     assert "transfer is not well-defined" in check_axioms(wild)
     del bad_gamma
 
+    # res sends the generator of Z/2 to 1, whose double is not 0 in Z
+    c2 = FpAbGroup.cyclic(2)
+    ill_res = MackeyFunctor(2, c2, z1, AbHom.identity(z1), AbHom(c2, z1, IntMatrix.from_rows([[1]])), AbHom.zero(z1, c2))
+    assert check_axioms(ill_res)[0] == "restriction is not well-defined"
+
 
 def test_every_construction_rejects_a_bad_action_with_the_same_message():
     """``coinvariants``, ``fixed_point_functor`` and ``orbit_functor`` share
@@ -313,6 +323,29 @@ def test_every_construction_rejects_a_bad_action_with_the_same_message():
         assert len(messages) == 1, (fault, messages)
 
 
+def test_a_wrong_order_action_is_refused_before_the_box_forms_its_norm():
+    """The action 2 on Z has no order dividing p = 1000000007.  The box and
+    the unit map refuse it through the coinvariants' action check before
+    ``action_norm`` forms a norm of about 10^9 bits.  A child process runs
+    both under a deadline, so a lost check fails here instead of hanging."""
+    probe = """
+from mackeybox.abgroup import AbHom, FpAbGroup
+from mackeybox.intlin import IntMatrix
+from mackeybox.mackey import MackeyFunctor, box_product, burnside, unit_isomorphism
+p, z = 1000000007, FpAbGroup.free(1)
+bad = MackeyFunctor(p, z, z, AbHom(z, z, IntMatrix.from_rows([[2]])), AbHom.zero(z, z), AbHom.zero(z, z))
+for build in (lambda: box_product(bad, burnside(p)), lambda: unit_isomorphism(bad)):
+    try:
+        build()
+    except ValueError as exc:
+        print(exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(mackeybox.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "the action does not have order dividing 1000000007\n" * 2
+
+
 def test_structural_validation_raises():
     z = FpAbGroup.free(1)
     one = AbHom.identity(z)
@@ -321,6 +354,10 @@ def test_structural_validation_raises():
     other = FpAbGroup.free(2)
     with pytest.raises(ValueError):
         MackeyFunctor(2, z, other, one, one, one)
+    with pytest.raises(ValueError, match="res must map the top tier to the bottom tier"):
+        MackeyFunctor(2, z, z, one, AbHom.zero(other, z), one)
+    with pytest.raises(ValueError, match="tr must map the bottom tier to the top tier"):
+        MackeyFunctor(2, z, z, one, one, AbHom.zero(z, other))
 
 
 # -- morphisms -----------------------------------------------------------------
@@ -332,6 +369,14 @@ def test_identity_and_composition():
     assert verify_morphism(ident) == ()
     assert is_mackey_isomorphism(ident)
     assert verify_morphism(ident.then(ident)) == ()
+    n = constant_z(3)
+    with pytest.raises(ValueError, match="phi_top must map source top to target top"):
+        MackeyMorphism(m, n, AbHom.identity(m.top), AbHom.identity(m.bottom))
+    with pytest.raises(ValueError, match="phi_bottom must map source bottom to target bottom"):
+        MackeyMorphism(m, n, AbHom.zero(m.top, n.top), AbHom.zero(m.top, n.bottom))
+    to_n = MackeyMorphism(m, n, AbHom.zero(m.top, n.top), AbHom.zero(m.bottom, n.bottom))
+    with pytest.raises(ValueError, match="morphisms do not compose"):
+        to_n.then(to_n)
 
 
 def test_verify_morphism_diagnostics():
@@ -345,6 +390,7 @@ def test_verify_morphism_diagnostics():
         AbHom.identity(m.bottom),
     )
     assert "restriction square does not commute" in verify_morphism(f)
+    assert not is_mackey_isomorphism(f)
     # and a non-equivariant bottom map, against a sign-action target
     g = FpAbGroup.free(1)
     sign = AbHom(g, g, IntMatrix.from_rows([[-1]]))
@@ -356,6 +402,16 @@ def test_verify_morphism_diagnostics():
         AbHom(m.bottom, sgn.bottom, IntMatrix.from_rows([[1]])),
     )
     assert "bottom map is not equivariant" in verify_morphism(h)
+    # equal tiers over other primes, and tier maps that are not well defined
+    across = MackeyMorphism(burnside(2), burnside(3), AbHom.identity(FpAbGroup.free(2)), AbHom.identity(g))
+    assert verify_morphism(across) == ("source and target live over different primes",)
+    c2 = FpAbGroup.cyclic(2)
+    torsion = MackeyFunctor(2, c2, c2, AbHom.identity(c2), AbHom.identity(c2), AbHom.zero(c2, c2))
+    plain = MackeyFunctor(2, g, g, AbHom.identity(g), AbHom.identity(g), AbHom.zero(g, g))
+    one = IntMatrix.from_rows([[1]])
+    ill = MackeyMorphism(torsion, plain, AbHom(c2, g, one), AbHom(c2, g, one))
+    problems = verify_morphism(ill)
+    assert problems[:2] == ("top map is not well-defined", "bottom map is not well-defined")
 
 
 def test_isomorphism_rejects_non_invertible():

@@ -1,11 +1,11 @@
 """Facts memoised on the frozen objects they describe.
 
 A group keeps its Smith decomposition and Hermite basis, an action its
-order-p orbit, a functor its axiom verdict and its classification, and the
-top map of Gamma's inclusion the decomposition of the transfer it shares a
-matrix and a target with.  Each memo must equal a fresh recomputation on an
-equal copy built from scratch, must leave ``==`` and ``hash`` alone, and
-must spare the second reader the work.
+order-p orbit, a functor its classification (its axioms are checked afresh
+on every call), and the top map of Gamma's inclusion the decomposition of
+the transfer it shares a matrix and a target with.  Each memo must equal a
+fresh recomputation on an equal copy built from scratch, must leave ``==``
+and ``hash`` alone, and must spare the second reader the work.
 """
 
 import gc
@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from mackeybox import abgroup, mackey, separation
+from mackeybox import abgroup, cli, mackey, separation
 from mackeybox.cli import run
 from mackeybox.document import render_machine
 from mackeybox.intlin import IntMatrix, smith_normal_form
@@ -40,7 +40,6 @@ def fresh_copy(m: MackeyFunctor) -> MackeyFunctor:
 
 
 def fill_memos(m: MackeyFunctor) -> None:
-    check_axioms(m)
     if not check_axioms(m):
         classify_invertible(m)
     m.top.smith, m.bottom.smith
@@ -56,7 +55,7 @@ def test_memos_equal_a_fresh_recomputation():
         fill_memos(m)  # the second pass reads the memos
         copy = fresh_copy(m)
         assert copy == m and copy is not m
-        assert check_axioms(m) == mackey._violations(copy)
+        assert check_axioms(m) == check_axioms(copy)
         if not check_axioms(m):
             assert m._memo["classification"] == separation._classify(copy)
         for g, fresh in ((m.top, copy.top), (m.bottom, copy.bottom)):
@@ -78,16 +77,18 @@ def test_a_filled_memo_leaves_equality_and_hash_unchanged():
         assert m.top == copy.top and m.gamma == copy.gamma
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper counting calls per first argument."""
+def count_calls(monkeypatch, name, *modules):
+    """Replace name, in each module that imports it by name, by one wrapper
+    counting calls per first argument."""
     counts = {}
-    original = getattr(module, name)
+    original = getattr(modules[0], name)
 
     def counting(x, *args):
         counts[id(x)] = counts.get(id(x), 0) + 1
         return original(x, *args)
 
-    monkeypatch.setattr(module, name, counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -97,8 +98,8 @@ def test_classify_then_invert_checks_each_functor_once(monkeypatch, p, d):
     inverse is neither, since the verified certificate onto burnside(p)
     carries the axioms over to it (each was checked and classified once
     before)."""
-    axioms = count_calls(monkeypatch, mackey, "_violations")
-    classified = count_calls(monkeypatch, separation, "_classify")
+    axioms = count_calls(monkeypatch, "check_axioms", mackey, separation, cli)
+    classified = count_calls(monkeypatch, "_classify", separation)
     m = twisted_burnside(p, d)
     assert classify_invertible(m).invertible
     assert invert(m) is not None
@@ -133,15 +134,17 @@ def test_the_classification_memo_keeps_five_integers_per_functor():
 
 
 def test_cli_invert_of_a_non_invertible_functor_classifies_once(monkeypatch, tmp_path, capsys):
-    """``invert`` checks the axioms, tries to invert, then reads the reason:
-    one axiom check and one classification."""
-    axioms = count_calls(monkeypatch, mackey, "_violations")
-    classified = count_calls(monkeypatch, separation, "_classify")
+    """``invert`` checks the axioms as it loads the document, tries to invert,
+    then reads the reason: two axiom checks (the load's and the
+    classification's, since the verdict is not memoised) and one
+    classification."""
+    axioms = count_calls(monkeypatch, "check_axioms", mackey, separation, cli)
+    classified = count_calls(monkeypatch, "_classify", separation)
     path = tmp_path / "c.mk"
     path.write_text(render_machine(constant_z(3)))
     assert run(["invert", str(path)]) == 1
     assert "not invertible: top-not-rank-2" in capsys.readouterr().err
-    assert list(axioms.values()) == [1]
+    assert list(axioms.values()) == [2]
     assert list(classified.values()) == [1]
 
 
