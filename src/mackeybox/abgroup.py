@@ -15,8 +15,7 @@ recognises as relations, a homomorphism's ``[matrix | target.relations]``,
 its Smith decomposition and kernel lattice, and an endomorphism's orbits.
 Some answers are read from how an object was built: a map whose matrix
 leads with the identity (the identity, a map into no generators) is onto,
-the identity's kernel lattice is its group's relations, negated, and a
-cokernel knows the two blocks it stacked by identity.  A map is an
+and a cokernel knows the two blocks it stacked by identity.  A map is an
 isomorphism when it is well defined, onto, and its groups have the same
 invariant factors.
 """
@@ -90,20 +89,19 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
     def contains_all(self, m: IntMatrix) -> bool:
         """Whether every column of m lies in the relation lattice, i.e. is
         zero in the group: the one membership test behind
-        ``is_well_defined``, ``equals`` and ``is_injective``.
+        ``is_well_defined`` and ``equals``.
 
-        The relations themselves (the very object) are members by identity,
-        and so are the two blocks a cokernel's relations were stacked from;
-        a column that is zero or plus or minus a relation by inspection
-        (the rows of the query's transpose); with no relations only zero
-        columns are.  Otherwise the group's memoised Smith decomposition
-        (``smith``) answers.
+        The two blocks a cokernel's relations were stacked from (the very
+        objects) are members by identity; a column that is zero or plus or
+        minus a relation by inspection (the rows of the query's transpose);
+        with no relations only zero columns are.  Otherwise the group's
+        memoised Smith decomposition (``smith``) answers.
 
         >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
         True
         """
         first, second = self._stacked
-        if m is self.relations or m is first or m is second:
+        if m is first or m is second:
             return True
         _check_height(m, self.ngens)
         if self.relations.cols == 0 or m.is_zero():
@@ -228,7 +226,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
     @_memoised
     def spanning(self) -> IntMatrix:
         """``[matrix | target.relations]``, stacked once: ``smith`` and
-        ``_image`` read it."""
+        ``_image``'s proof read it."""
         return self.matrix.hstack(self.target.relations)
 
     @_memoised
@@ -244,14 +242,9 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
     @_memoised
     def kernel_lattice(self) -> IntMatrix:
         """Generators of ``{x : matrix·x ∈ target relations}``: the top
-        ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``,
-        memoised.  The identity (one comparison, which answers the shared
-        ``intlin._eye`` by identity first) writes them without ``smith``, as
-        ``-R``: the kernel ``[-R; I]`` of ``[I | R]``, top rows."""
-        n = self.source.ngens
-        if self.matrix == _eye(n, n):
-            return -self.target.relations
-        return self.smith.kernel().take_rows(range(n))
+        ``source.ngens`` rows of the kernel of ``[matrix | target.relations]``
+        (``smith``), memoised."""
+        return self.smith.kernel().take_rows(range(self.source.ngens))
 
     def is_surjective(self) -> bool:
         """Whether the image and the target relations span Z^target.ngens,
@@ -259,16 +252,11 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         that leads with the identity (``intlin._leads_with_identity``: the
         identity, a map into no generators, the unit's ``[I | tr·res | tr]``)
         is onto by construction, so this question stacks and eliminates
-        nothing; its kernel lattice, if asked, still reads ``smith`` unless
-        the map is the identity."""
+        nothing; its kernel lattice, if asked, still reads ``smith``."""
         if _leads_with_identity(self.matrix):
             return True
         diag = self.smith.diagonal()
         return len(diag) == self.target.ngens and all(d == 1 for d in diag)
-
-    def is_injective(self) -> bool:
-        """Whether the kernel lattice lies in the source relation lattice."""
-        return self.source.contains_all(self.kernel_lattice)
 
     @_memoised
     def _orbits(self) -> dict:
@@ -374,15 +362,14 @@ def _check_action(g: FpAbGroup, gamma: AbHom, p: int) -> None:
 
 def _image(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     """im f, presented on f's source generators modulo ``f.kernel_lattice``,
-    and its inclusion into the target: it has f's matrix, so it reads f's
-    memoised ``spanning`` = ``[matrix | target.relations]``, ``smith`` and
-    ``kernel_lattice`` instead of stacking and eliminating it again.  Its kernel
-    [K; Z] (K: im's relations) proves the inclusion well defined when
-    ``spanning @ [K; Z] == 0``, i.e. matrix·K = relations·(−Z), holds."""
+    and its inclusion into the target.  The inclusion has f's matrix and
+    target, so it keeps f's memoised ``smith`` instead of eliminating
+    ``[matrix | target.relations]`` again, and a proof that it is well
+    defined: f's kernel [K; Z] (K: im's relations) has
+    ``spanning @ [K; Z] == 0``, i.e. matrix·K = relations·(−Z)."""
     inclusion = AbHom(FpAbGroup(f.source.ngens, f.kernel_lattice), f.target, f.matrix)
     proved = (f.spanning @ f.smith.kernel()).is_zero()
-    inclusion.__dict__.update(spanning=f.spanning, smith=f.smith, kernel_lattice=f.kernel_lattice,
-                              _well_defined=proved)
+    inclusion.__dict__.update(smith=f.smith, _well_defined=proved)
     return inclusion.source, inclusion
 
 

