@@ -15,9 +15,9 @@ recognises as relations, a homomorphism's ``[matrix | target.relations]``,
 its Smith decomposition and kernel lattice, and an endomorphism's orbits.
 Some answers are read from how an object was built: a map whose matrix
 leads with the identity (the identity, a map into no generators) is onto,
-and a cokernel knows the two blocks it stacked by identity.  A map is an
-isomorphism when it is well defined, onto, and its groups have the same
-invariant factors.
+and a cokernel knows the two blocks it stacked by identity.  A well-defined
+map is an isomorphism when it is onto and its groups have the same
+invariant factors (``_bijective``, the library's one bijectivity test).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .intlin import (
     _check_height,
     _check_ints,
     _cycle_orbit,
-    _eye,
     _leads_with_identity,
     _memoised,
     _reduce_columns,
@@ -52,10 +51,10 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
     _stacked = (None, None)  # on a cokernel, the two blocks ``cokernel`` stacked into its relations
 
     def __init__(self, ngens: int, relations: IntMatrix):
-        if ngens < 0:
-            raise ValueError("generator count must be nonnegative")
         if type(ngens) is not int:
             _check_ints((ngens,), "generator counts")
+        if ngens < 0:
+            raise ValueError("generator count must be nonnegative")
         if relations.rows != ngens:
             raise ValueError(f"relation columns have length {relations.rows}, expected {ngens}")
         object.__setattr__(self, "ngens", ngens)
@@ -159,7 +158,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
 
     @classmethod
     def identity(cls, g: FpAbGroup) -> "AbHom":
-        return cls(g, g, _eye(g.ngens, g.ngens))
+        return cls(g, g, IntMatrix.identity(g.ngens))
 
     @classmethod
     def zero(cls, source: FpAbGroup, target: FpAbGroup) -> "AbHom":
@@ -289,7 +288,7 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
             raise ValueError("orbits need an endomorphism")
         if k < 0:
             raise ValueError(f"orbits need k >= 0, got k = {k}")
-        g, gamma, eye = self.source, self.matrix, _eye(self.source.ngens, self.source.ngens)
+        g, gamma, eye = self.source, self.matrix, IntMatrix.identity(self.source.ngens)
         reduced = g.relations.cols and k > 1 and gamma is not eye and gamma != eye and self.is_well_defined()
         basis = lattice_basis(g.relations) if reduced else None
         if walked := _cycle_orbit(gamma, k):
@@ -314,8 +313,8 @@ def tensor_product(g: FpAbGroup, h: FpAbGroup) -> FpAbGroup:
     >>> invariant_factors(tensor_product(FpAbGroup.cyclic(4), FpAbGroup.cyclic(6)))
     (0, (2,))
     """
-    eye_g, eye_h = _eye(g.ngens, g.ngens), _eye(h.ngens, h.ngens)
-    relations = g.relations.kron(eye_h).hstack(eye_g.kron(h.relations))
+    eye = IntMatrix.identity
+    relations = g.relations.kron(eye(h.ngens)).hstack(eye(g.ngens).kron(h.relations))
     return FpAbGroup(g.ngens * h.ngens, relations)
 
 
@@ -388,34 +387,17 @@ def cokernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     (``_stacked``), so ``contains_all`` answers either by identity."""
     c = FpAbGroup(f.target.ngens, f.target.relations.hstack(f.matrix))
     c.__dict__["_stacked"] = (f.target.relations, f.matrix)
-    return c, AbHom(f.target, c, _eye(f.target.ngens, f.target.ngens))
+    return c, AbHom(f.target, c, IntMatrix.identity(f.target.ngens))
 
 
 def _bijective(f: AbHom) -> bool:
-    """Whether a well-defined f is onto between groups with the same
-    invariant factors.  A finitely generated abelian group is Hopfian: an
+    """Whether a well-defined f (the caller's check) is an isomorphism: onto
+    between groups with the same invariant factors, the library's one
+    bijectivity test.  A finitely generated abelian group is Hopfian: an
     onto map between two isomorphic such groups is an isomorphism
-    (Vasconcelos, Trans. AMS 138, 1969).  So injectivity reads only the
+    (Vasconcelos, Trans. AMS 138, 1969), so injectivity reads only the
     diagonals of the two groups' memoised ``smith``, and no kernel lattice."""
     return f.is_surjective() and invariant_factors(f.source) == invariant_factors(f.target)
-
-
-def is_isomorphism(f: AbHom) -> bool:
-    """Whether f is well-defined, surjective, and between groups with the
-    same invariant factors (``_bijective``), which for an onto map is
-    injectivity.
-
-    Well-definedness puts ``matrix · source relations`` in the target
-    relation lattice, and surjectivity Z^target.ngens in the image plus the
-    target relations; the latter reads f's memoised Smith decomposition
-    (``AbHom.smith``), or none for a map onto by construction.
-
-    >>> shear = AbHom(FpAbGroup.free(2), FpAbGroup.free(2),
-    ...               IntMatrix.from_rows([[1, 5], [0, 1]]))
-    >>> is_isomorphism(shear)
-    True
-    """
-    return f.is_well_defined() and _bijective(f)
 
 
 __all__ = [
@@ -428,5 +410,4 @@ __all__ = [
     "coinvariants",
     "kernel",
     "cokernel",
-    "is_isomorphism",
 ]

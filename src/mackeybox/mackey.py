@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .intlin import IntMatrix, _check_ints, _eye, _Frozen, _memoised, block_diagonal
+from .intlin import IntMatrix, _check_ints, _Frozen, _memoised, block_diagonal
 from .abgroup import AbHom, FpAbGroup, _bijective, _check_action, coinvariants, direct_sum, kernel, tensor_product
 
 
@@ -200,9 +200,9 @@ class GSet(_Frozen, fields=("fixed", "free")):
     """A finite C_p-set: ``fixed`` one-point orbits and ``free`` free orbits."""
 
     def __init__(self, fixed: int, free: int):
+        _check_ints((fixed, free), "orbit counts")
         if fixed < 0 or free < 0:
             raise ValueError("orbit counts must be nonnegative")
-        _check_ints((fixed, free), "orbit counts")
         self._set_fields(fixed, free)
 
 
@@ -277,7 +277,7 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
         -res_m.kron(eye(n.bottom.ngens)).hstack(eye(m.bottom.ngens).kron(res_n))
     )
     top = FpAbGroup(nt + nb, top0.relations.hstack(frobenius))
-    tr = AbHom(bottom, top, IntMatrix.zeros(nt, nb).vstack(_eye(nb, nb)))
+    tr = AbHom(bottom, top, IntMatrix.zeros(nt, nb).vstack(eye(nb)))
     res_matrix = res_m.kron(res_n).hstack(action_norm(gamma, p).matrix)
     res = AbHom(top, bottom, res_matrix)
     return MackeyFunctor(p, top, bottom, gamma, res, tr)

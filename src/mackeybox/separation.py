@@ -19,7 +19,6 @@ from math import gcd
 from .intlin import (
     IntMatrix,
     _check_ints,
-    _eye,
     _Frozen,
     _sparse_rows,
     block_diagonal,
@@ -27,7 +26,7 @@ from .intlin import (
     lattice_basis,
     smith_normal_form,
 )
-from .abgroup import AbHom, FpAbGroup, _image, cokernel, invariant_factors, is_isomorphism
+from .abgroup import AbHom, FpAbGroup, _bijective, _image, cokernel, invariant_factors
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
@@ -85,7 +84,7 @@ def gamma_functor(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism]:
     """
     top, inclusion_top = _image(m.tr)
     res = AbHom(top, m.bottom, action_norm(m.gamma, m.p).matrix)
-    tr = AbHom(m.bottom, top, _eye(m.bottom.ngens, m.bottom.ngens))
+    tr = AbHom(m.bottom, top, IntMatrix.identity(m.bottom.ngens))
     part = MackeyFunctor(m.p, top, m.bottom, m.gamma, res, tr)
     return part, MackeyMorphism(part, m, inclusion_top, AbHom.identity(m.bottom))
 
@@ -336,7 +335,7 @@ def _morphism_lattice(m: MackeyFunctor, n: MackeyFunctor) -> IntMatrix:
     eye = IntMatrix.identity
     mb, nb = m.bottom.ngens, n.bottom.ngens
     mt, nt = m.top.ngens, n.top.ngens
-    bottom = _eye(nb * mb, nb * mb + nt * mt)  # picks vec φ_b out of (vec φ_b, vec φ_t)
+    bottom = eye(nb * mb).hstack(IntMatrix.zeros(nb * mb, nt * mt))  # picks vec φ_b out of (vec φ_b, vec φ_t)
     top = IntMatrix.zeros(nt * mt, nb * mb).hstack(eye(nt * mt))
     conditions = (  # the tier of N, then Σ L·φ·R as (L, R, the tier φ maps)
         (n.bottom, (eye(nb), lattice_basis(m.bottom.relations), bottom)),
@@ -360,16 +359,16 @@ def _morphism_lattice(m: MackeyFunctor, n: MackeyFunctor) -> IntMatrix:
 
 def _matrix_candidates(m: MackeyFunctor, n: MackeyFunctor, bound: int):
     """The morphisms M → N (``_morphism_lattice``) with entries in
-    [-bound, bound] whose bottom map is an isomorphism, in lexicographic
-    order of (vec φ_bottom, vec φ_top): one walk, whose gate ends a branch
-    once its bottom map is fixed and not an isomorphism."""
+    [-bound, bound] whose bottom map is bijective, in lexicographic order of
+    (vec φ_bottom, vec φ_top): one walk, whose gate ends a branch once its
+    bottom map, well defined as a lattice point's head, is not bijective."""
     head = n.bottom.ngens * m.bottom.ngens
     phi_b = None
 
     def gate(flat):  # the bottom map of every point the branch yields
         nonlocal phi_b
         phi_b = AbHom(m.bottom, n.bottom, IntMatrix(n.bottom.ngens, m.bottom.ngens, flat))
-        return is_isomorphism(phi_b)
+        return _bijective(phi_b)
 
     for flat in _bounded_points(_morphism_lattice(m, n), bound, head, gate):
         phi_t = AbHom(m.top, n.top, IntMatrix(n.top.ngens, m.top.ngens, flat[head:]))
@@ -381,7 +380,7 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
 
     Tier invariant factors rule out quickly.  Otherwise the witness is the
     first of the ``_matrix_candidates`` (lexicographic in the entries, each
-    within [-bound, bound]) that is an isomorphism on both tiers.
+    within [-bound, bound]) that ``is_mackey_isomorphism`` accepts.
     Exhaustion yields UNKNOWN (the bound may simply be too small).  A
     negative bound raises ValueError.
     """

@@ -108,40 +108,47 @@ _Z = FpAbGroup.free(1)
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: MackeyFunctor(5.0, _B5.top, _B5.bottom, _B5.gamma, _B5.res, _B5.tr), TypeError),
-        (lambda: MackeyFunctor(True, _B5.top, _B5.bottom, _B5.gamma, _B5.res, _B5.tr), TypeError),
-        (lambda: is_prime(5.0), TypeError),
-        (lambda: AbHom.identity(FpAbGroup.free(2)).orbit(1.5), TypeError),
-        (lambda: _memoised_orbit_then(5.0), TypeError),
-        (lambda: coinvariants(_Z, AbHom.identity(_Z), 2.0), TypeError),
-        (lambda: FpAbGroup(True, IntMatrix.zeros(1, 0)), TypeError),
-        (lambda: FpAbGroup(1.0, IntMatrix.zeros(1, 0)), TypeError),
-        (lambda: GSet(1.5, 0), TypeError),
-        (lambda: GSet(0, True), TypeError),
-        (lambda: twisted_iso_criterion(0, 1, 1), ValueError),
-        (lambda: twisted_iso_criterion(4, 1, 3), ValueError),
-        (lambda: twisted_iso_criterion(5, True, 1), TypeError),
-        (lambda: twisted_iso_criterion(5, 1, 6.0), TypeError),
-        (lambda: try_find_isomorphism(_B5, _B5, True), TypeError),
-        (lambda: try_find_isomorphism(_B5, _B5, 1.0), TypeError),
-        (lambda: fixed_point_functor(4, _Z, AbHom.identity(_Z)), ValueError),
-        (lambda: orbit_functor(4, _Z, AbHom.identity(_Z)), ValueError),
-        (lambda: GSet(-1, 0), ValueError),
+        (lambda: MackeyFunctor(5.0, _B5.top, _B5.bottom, _B5.gamma, _B5.res, _B5.tr), TypeError, "primes must be Python ints, got float"),
+        (lambda: MackeyFunctor(True, _B5.top, _B5.bottom, _B5.gamma, _B5.res, _B5.tr), TypeError, "primes must be Python ints, got bool"),
+        (lambda: is_prime(5.0), TypeError, "primes must be Python ints, got float"),
+        (lambda: AbHom.identity(FpAbGroup.free(2)).orbit(1.5), TypeError, "exponents must be Python ints, got float"),
+        (lambda: _memoised_orbit_then(5.0), TypeError, "exponents must be Python ints, got float"),
+        (lambda: coinvariants(_Z, AbHom.identity(_Z), 2.0), TypeError, "action orders must be Python ints, got float"),
+        (lambda: FpAbGroup(True, IntMatrix.zeros(1, 0)), TypeError, "generator counts must be Python ints, got bool"),
+        (lambda: FpAbGroup(1.0, IntMatrix.zeros(1, 0)), TypeError, "generator counts must be Python ints, got float"),
+        (lambda: GSet(1.5, 0), TypeError, "orbit counts must be Python ints, got float"),
+        (lambda: GSet(0, True), TypeError, "orbit counts must be Python ints, got bool"),
+        (lambda: twisted_iso_criterion(0, 1, 1), ValueError, "p must be prime, got 0"),
+        (lambda: twisted_iso_criterion(4, 1, 3), ValueError, "p must be prime, got 4"),
+        (lambda: twisted_iso_criterion(5, True, 1), TypeError, "twists must be Python ints, got bool"),
+        (lambda: twisted_iso_criterion(5, 1, 6.0), TypeError, "twists must be Python ints, got float"),
+        (lambda: try_find_isomorphism(_B5, _B5, True), TypeError, "search bounds must be Python ints, got bool"),
+        (lambda: try_find_isomorphism(_B5, _B5, 1.0), TypeError, "search bounds must be Python ints, got float"),
+        (lambda: fixed_point_functor(4, _Z, AbHom.identity(_Z)), ValueError, "p must be prime, got 4"),
+        (lambda: orbit_functor(4, _Z, AbHom.identity(_Z)), ValueError, "p must be prime, got 4"),
+        (lambda: GSet(-1, 0), ValueError, "orbit counts must be nonnegative"),
+        (lambda: GSet(-1.0, 0), TypeError, "orbit counts must be Python ints, got float"),
+        (lambda: GSet("a", 0), TypeError, "orbit counts must be Python ints, got str"),
+        (lambda: FpAbGroup(-1.5, IntMatrix.zeros(0, 0)), TypeError, "generator counts must be Python ints, got float"),
+        (lambda: FpAbGroup("2", IntMatrix.zeros(2, 0)), TypeError, "generator counts must be Python ints, got str"),
     ],
     ids=[
         "functor-float-p", "functor-bool-p", "is-prime-float", "orbit-float-k", "orbit-float-k-after-memo",
         "coinvariants-float-p", "group-bool-ngens", "group-float-ngens", "gset-float-fixed", "gset-bool-free",
         "criterion-p-0", "criterion-p-4", "criterion-bool-twist", "criterion-float-twist",
         "iso-bool-bound", "iso-float-bound", "fixed-point-p-4", "orbit-functor-p-4", "gset-negative-fixed",
+        "gset-negative-float-fixed", "gset-str-fixed", "group-negative-float-ngens", "group-str-ngens",
     ],
 )
-def test_library_arguments_must_be_ints(call, error):
-    """A float or a bool where the library takes an integer raises, instead
-    of reaching a matrix built unchecked; a p that is not prime raises as in
-    ``twisted_isomorphism``, and so does a negative orbit count."""
-    with pytest.raises(error):
+def test_library_arguments_must_be_ints(call, error, message):
+    """A float, a bool or a str where the library takes an integer raises
+    ``TypeError`` with the library's message, also when it is negative (the
+    type is checked before the sign), instead of reaching a matrix built
+    unchecked; a p that is not prime raises as in ``twisted_isomorphism``,
+    and so does a negative orbit count."""
+    with pytest.raises(error, match=message):
         call()
 
 

@@ -184,9 +184,9 @@ def test_hom_memos_equal_a_fresh_recomputation_and_leave_hash_alone():
 
 
 def test_a_map_answers_its_questions_from_one_elimination(monkeypatch):
-    """Surjectivity, the kernel lattice, image membership and
-    ``is_isomorphism`` all read the map's one decomposition (a free source
-    needs none of its own)."""
+    """Surjectivity, the kernel lattice, image membership and bijectivity
+    (``abgroup._bijective``) all read the map's one decomposition (a free
+    source needs none of its own)."""
     calls = []
     original = abgroup.smith_normal_form
     monkeypatch.setattr(abgroup, "smith_normal_form", lambda *a, **k: calls.append(a[0]) or original(*a, **k))
@@ -196,7 +196,7 @@ def test_a_map_answers_its_questions_from_one_elimination(monkeypatch):
         assert not f.is_surjective()
         assert f.kernel_lattice == preimage_gens(f.matrix, z4.relations)
         assert f.smith.contains_all(IntMatrix.from_rows([[2]]))
-        assert not abgroup.is_isomorphism(f)
+        assert not (f.is_well_defined() and abgroup._bijective(f))
     assert calls == [f.matrix.hstack(z4.relations)]
 
 

@@ -16,9 +16,12 @@ of lattices in the test helpers, not by the library's membership test or
 its criterion.  The certificate of ``invert``,
 written from the input's own witness by box functoriality, is compared
 with the isomorphism that the search finds from the box product onto
-burnside(p).  ``is_isomorphism``,
-which asks an onto map only for equal invariant factors, is compared with
-injectivity read from a fresh kernel lattice (``helpers.preimage_gens``).
+burnside(p).  The library's one bijectivity test (``abgroup._bijective``),
+which asks a well-defined onto map only for equal invariant factors, is
+compared with injectivity read from a fresh kernel lattice
+(``helpers.preimage_gens``); since the search gates its bottom maps on that
+test alone, every bottom map its gate sees is shown well defined and
+equivariant by equalities of lattices.
 """
 
 import itertools
@@ -40,11 +43,11 @@ from mackeybox.intlin import (
 from mackeybox.abgroup import (
     AbHom,
     FpAbGroup,
+    _bijective,
     _check_action,
     coinvariants,
     direct_sum,
     invariant_factors,
-    is_isomorphism,
     tensor_product,
 )
 from mackeybox.mackey import (
@@ -673,6 +676,13 @@ def in_lattice(relations: IntMatrix, defect: IntMatrix) -> bool:
     return same_lattice(relations, relations.hstack(defect))
 
 
+def bottom_is_a_morphism(m: MackeyFunctor, n: MackeyFunctor, b: IntMatrix) -> bool:
+    """Whether the bottom matrix b is well defined and equivariant, each
+    decided by ``in_lattice`` on its defect matrix."""
+    bottom = n.bottom.relations
+    return in_lattice(bottom, b @ m.bottom.relations) and in_lattice(bottom, b @ m.gamma.matrix - n.gamma.matrix @ b)
+
+
 def brute_force_iso(m: MackeyFunctor, n: MackeyFunctor, bound: int):
     """The first isomorphism M → N with entries in [-bound, bound]: bottoms
     and then tops in lexicographic order, every condition checked directly.
@@ -684,8 +694,7 @@ def brute_force_iso(m: MackeyFunctor, n: MackeyFunctor, bound: int):
     bottom, top = n.bottom.relations, n.top.relations
     for flat_b in itertools.product(values, repeat=rb * cb):
         b = IntMatrix(rb, cb, flat_b)
-        if not (in_lattice(bottom, b @ m.bottom.relations)
-                and in_lattice(bottom, b @ m.gamma.matrix - n.gamma.matrix @ b)):
+        if not bottom_is_a_morphism(m, n, b):
             continue
         phi_b = AbHom(m.bottom, n.bottom, b)
         if not bijective_by_lattices(phi_b):
@@ -728,14 +737,24 @@ def base_change(m: MackeyFunctor, rng) -> MackeyFunctor:
     )
 
 
+def search_pair(rng, p: int, related: bool) -> tuple[MackeyFunctor, MackeyFunctor]:
+    """A random functor and, when related, an isomorphic one in a sheared
+    basis, else another random functor; both tiers within 2 generators."""
+    m = random_functor(rng, p, max_gens=2)
+    return m, base_change(m, rng) if related else random_functor(rng, p, max_gens=2)
+
+
+def search_bound(m: MackeyFunctor, n: MackeyFunctor) -> int:
+    """2 for at most 4 unknown entries, else 1: at most 625 (bottom, top)
+    pairs for the brute force."""
+    return 2 if m.bottom.ngens * n.bottom.ngens + m.top.ngens * n.top.ngens <= 4 else 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from((2, 3)), st.booleans())
 def test_iso_search_equals_brute_force(rng, p, related):
-    m = random_functor(rng, p, max_gens=2)
-    n = base_change(m, rng) if related else random_functor(rng, p, max_gens=2)
-    unknowns = m.bottom.ngens * n.bottom.ngens + m.top.ngens * n.top.ngens
-    # at most 625 (bottom, top) pairs for the brute force
-    bound = 2 if unknowns <= 4 else 1
+    m, n = search_pair(rng, p, related)
+    bound = search_bound(m, n)
     result = try_find_isomorphism(m, n, bound)
     if result.status == NOT_ISOMORPHIC:
         assert invariant_factors(m.top) != invariant_factors(n.top) or (
@@ -745,6 +764,42 @@ def test_iso_search_equals_brute_force(rng, p, related):
     expected = brute_force_iso(m, n, bound)
     assert result.status == (UNKNOWN if expected is None else FOUND)
     assert result.witness == expected
+
+
+_Z3 = FpAbGroup.cyclic(3)
+M1, M2 = (  # Z/3 on both tiers at p = 3 with γ = 1: res = 1 and tr = 0, or res = 0 and tr = 1
+    MackeyFunctor(3, _Z3, _Z3, AbHom.identity(_Z3), AbHom(_Z3, _Z3, IntMatrix.from_rows([[r]])),
+                  AbHom(_Z3, _Z3, IntMatrix.from_rows([[1 - r]])))
+    for r in (1, 0)
+)
+_Z3_2 = FpAbGroup(2, IntMatrix.from_rows([[3, 0], [0, 3]]))
+UNIPOTENT = MackeyFunctor(  # (Z/3)² at p = 3 under [[1, 1], [0, 1]], top 0: only equivariance cuts its bottom maps
+    3, FpAbGroup.trivial(), _Z3_2, AbHom(_Z3_2, _Z3_2, IntMatrix.from_rows([[1, 1], [0, 1]])),
+    AbHom.zero(FpAbGroup.trivial(), _Z3_2), AbHom.zero(_Z3_2, FpAbGroup.trivial()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(search_pair, st.randoms(use_true_random=False), st.sampled_from((2, 3)), st.booleans()))
+@example((M1, M1))
+@example((M1, M2))
+@example((UNIPOTENT, UNIPOTENT))
+def test_every_bottom_map_the_search_gates_is_a_morphism(pair):
+    """The search's gate asks a bottom map only whether it is bijective
+    (``abgroup._bijective``), which presumes it well defined: every head of
+    a point of the morphism lattice the gate sees is well defined and
+    equivariant by ``bottom_is_a_morphism``, not by the library's membership
+    test.  The gate sees each head once whatever it answers, so it answers
+    no and the walk yields nothing."""
+    m, n = pair
+    head, seen = n.bottom.ngens * m.bottom.ngens, []
+
+    def gate(flat):
+        seen.append(IntMatrix(n.bottom.ngens, m.bottom.ngens, flat))
+        return False
+
+    assert list(_bounded_points(_morphism_lattice(m, n), search_bound(m, n), head, gate)) == []
+    assert all(bottom_is_a_morphism(m, n, b) for b in seen)
 
 
 @settings(max_examples=100, deadline=None)
@@ -859,7 +914,7 @@ PADDED, ONTO_ITS_GROUP, _ = pad_group(FpAbGroup(2, IntMatrix.from_rows([[2, 0], 
 @example(ONTO_ITS_GROUP)  # onto by construction, an isomorphism
 def test_an_onto_map_between_groups_with_equal_invariant_factors_is_an_isomorphism(f):
     injective = f.source.contains_all(preimage_gens(f.matrix, f.target.relations))
-    assert is_isomorphism(f) == (f.is_well_defined() and f.is_surjective() and injective)
+    assert (f.is_well_defined() and _bijective(f)) == (f.is_well_defined() and f.is_surjective() and injective)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
