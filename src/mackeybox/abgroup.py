@@ -30,6 +30,7 @@ from .intlin import (
     _Frozen,
     _check_height,
     _check_ints,
+    _check_types,
     _cycle_orbit,
     _leads_with_identity,
     _memoised,
@@ -55,8 +56,12 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
             _check_ints((ngens,), "generator counts")
         if ngens < 0:
             raise ValueError("generator count must be nonnegative")
-        if relations.rows != ngens:
-            raise ValueError(f"relation columns have length {relations.rows}, expected {ngens}")
+        try:
+            if relations.rows != ngens:
+                raise ValueError(f"relation columns have length {relations.rows}, expected {ngens}")
+        except AttributeError:
+            _check_types((relations,), IntMatrix, "relations")
+            raise
         object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "relations", relations)
 
@@ -148,10 +153,15 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
     _well_defined = False  # True on an inclusion that ``_image`` proved well defined
 
     def __init__(self, source: FpAbGroup, target: FpAbGroup, matrix: IntMatrix):
-        if matrix.rows != target.ngens or matrix.cols != source.ngens:
-            raise ValueError(
-                f"matrix is {matrix.rows}x{matrix.cols}, expected {target.ngens}x{source.ngens}"
-            )
+        try:
+            if matrix.rows != target.ngens or matrix.cols != source.ngens:
+                raise ValueError(
+                    f"matrix is {matrix.rows}x{matrix.cols}, expected {target.ngens}x{source.ngens}"
+                )
+        except AttributeError:
+            _check_types((source, target), FpAbGroup, "groups")
+            _check_types((matrix,), IntMatrix, "matrices")
+            raise
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)

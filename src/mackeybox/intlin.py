@@ -457,6 +457,13 @@ def _check_ints(values, what: str) -> None:
             raise TypeError(f"{what} must be Python ints, got {t.__name__}")
 
 
+def _check_types(values, cls, what: str) -> None:
+    """``_check_ints`` for values that must be cls, asked once a record constructor's field read fails."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise TypeError(f"{what} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_height(m: IntMatrix, rows: int) -> None:
     if m.rows != rows:
         raise ValueError(f"columns of length {m.rows} for a lattice in Z^{rows}")

@@ -17,8 +17,10 @@ coinvariants of the bottom tensor, glued by Frobenius reciprocity.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, chain
+from operator import add
 
-from .intlin import IntMatrix, _check_ints, _Frozen, _memoised, block_diagonal
+from .intlin import IntMatrix, _check_ints, _Frozen, _memoised, _sparse_rows, _trusted, block_diagonal
 from .abgroup import AbHom, FpAbGroup, _bijective, _check_action, coinvariants, direct_sum, kernel, tensor_product
 
 
@@ -283,6 +285,38 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
     return MackeyFunctor(p, top, bottom, gamma, res, tr)
 
 
+def _box_with_twisted(m: MackeyFunctor, d: int, left: bool) -> MackeyFunctor:
+    """``box_product`` of T = twisted_burnside(p, d), d ≠ 0, and m, T on the ``left``
+    or the right, equal to it by value and written from m's sparse rows.  T's bottom
+    is Z with the trivial action, so the product's bottom and action are m's, and
+    its norm is their memoised orbit.  Its top generators are the pairs (j, i) of
+    T's u, t and m's top, at ``at(j, i, nt)`` as in ``tensor_product``, then m's
+    bottom; its relations: T's top ⊗ m's, [R_b | γ − 1], then Frobenius reciprocity."""
+    _check_action(m.bottom, m.gamma, m.p)
+    p, eye, nt, nb = m.p, IntMatrix.identity, m.top.ngens, m.bottom.ngens
+    kt, kb = m.top.relations.cols, m.bottom.relations.cols
+    at = (lambda j, i, n: j * n + i) if left else (lambda j, i, n: 2 * i + j)
+    frob = 2 * kt + kb + nb  # the first Frobenius column: the pairs (j, x) lead on the left
+    pairs, ones, join = (frob, frob + 2 * nb, add) if left else (frob + nt, frob, lambda pair, one: one + pair)
+    rows = [None] * (2 * nt)
+    for i, ((ri, rv), (ti, tv)) in enumerate(zip(_sparse_rows(m.top.relations), _sparse_rows(m.tr.matrix))):
+        for j in (0, 1):  # row (j, i): j ⊗ R_t, tr(x) paired with j in column (j, x), 1 in column i if j = t
+            pair, one = [(pairs + at(j, x, nb), v) for x, v in zip(ti, tv)], [(ones + i, 1)] * j
+            rows[at(j, i, nt)] = [(at(j, r, kt), v) for r, v in zip(ri, rv)] + join(pair, one)
+    below = zip(*map(_sparse_rows, (m.bottom.relations, m.gamma.matrix - eye(nb), m.res.matrix)))
+    for k, ((bi, bv), (ci, cv), (si, sv)) in enumerate(below):  # row k: R_b, γ − 1, −res_T(j), −res(a)
+        pair = [(pairs + at(0, k, nb), -d), (pairs + at(1, k, nb), -p)]
+        one = [(ones + a, -v) for a, v in zip(si, sv)]
+        rows.append([*zip([2 * kt + r for r in bi], bv), *zip([frob - nb + c for c in ci], cv), *join(pair, one)])
+    offsets = (*accumulate(map(len, rows), initial=0),)
+    indices, values = zip(*chain(*rows)) if offsets[-1] else ((), ())
+    top = FpAbGroup(2 * nt + nb, _trusted(2 * nt + nb, frob + 2 * nb + nt, offsets, indices, values))
+    twist = _trusted(1, 2, (0, 2), (0, 1), (d, p))  # T's res
+    res = (twist.kron(m.res.matrix) if left else m.res.matrix.kron(twist)).hstack(action_norm(m.gamma, p).matrix)
+    tr = AbHom(m.bottom, top, IntMatrix.zeros(2 * nt, nb).vstack(eye(nb)))
+    return MackeyFunctor(p, top, m.bottom, m.gamma, AbHom(top, m.bottom, res), tr)
+
+
 # -- morphisms ----------------------------------------------------------------
 
 
@@ -330,10 +364,10 @@ def is_mackey_isomorphism(f: MackeyMorphism) -> bool:
     """A genuine morphism that is a bijection on both tiers (``verify_morphism``
     has checked that both tier maps are well-defined).  Each tier map is
     bijective when it is onto and its groups have the same invariant factors
-    (``abgroup._bijective``), so no kernel lattice is read.  For
-    ``unit_isomorphism`` both tier maps lead with the identity and are onto
-    by construction, so only the tiers' relations are eliminated, for their
-    invariant factors."""
+    (``abgroup._bijective``), so no kernel lattice is read.  The bottom map of
+    ``unit_isomorphism`` is the shared identity, onto by ``is``, and its top
+    map leads with the identity, so only the tiers' relations are eliminated,
+    for their invariant factors."""
     if verify_morphism(f):
         return False
     return _bijective(f.phi_top) and _bijective(f.phi_bottom)
@@ -345,12 +379,10 @@ def unit_isomorphism(m: MackeyFunctor) -> MackeyMorphism:
     Tensor generators u ⊗ a go to a, t ⊗ a to tr(res(a)), and transfer
     classes t(1 ⊗ x) to tr(x); on bottoms 1 ⊗ x goes to x.  For every valid
     M this is a Mackey isomorphism (the Burnside functor is the box unit).
-    """
-    src = box_product(burnside(m.p), m)
+    The source, written from M's rows (``_box_with_twisted``), has M's bottom."""
+    src = _box_with_twisted(m, 1, True)
     top = IntMatrix.identity(m.top.ngens).hstack((m.tr @ m.res).matrix).hstack(m.tr.matrix)
-    phi_top = AbHom(src.top, m.top, top)
-    phi_bottom = AbHom(src.bottom, m.bottom, IntMatrix.identity(m.bottom.ngens))
-    return MackeyMorphism(src, m, phi_top, phi_bottom)
+    return MackeyMorphism(src, m, AbHom(src.top, m.top, top), AbHom.identity(m.bottom))
 
 
 __all__ = [

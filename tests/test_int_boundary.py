@@ -133,6 +133,10 @@ _Z = FpAbGroup.free(1)
         (lambda: GSet("a", 0), TypeError, "orbit counts must be Python ints, got str"),
         (lambda: FpAbGroup(-1.5, IntMatrix.zeros(0, 0)), TypeError, "generator counts must be Python ints, got float"),
         (lambda: FpAbGroup("2", IntMatrix.zeros(2, 0)), TypeError, "generator counts must be Python ints, got str"),
+        (lambda: FpAbGroup(1, [[2]]), TypeError, "relations must be of type IntMatrix, got list"),
+        (lambda: AbHom(_Z, _Z, [[1]]), TypeError, "matrices must be of type IntMatrix, got list"),
+        (lambda: AbHom(1, _Z, IntMatrix.identity(1)), TypeError, "groups must be of type FpAbGroup, got int"),
+        (lambda: AbHom(_Z, None, IntMatrix.identity(1)), TypeError, "groups must be of type FpAbGroup, got NoneType"),
     ],
     ids=[
         "functor-float-p", "functor-bool-p", "is-prime-float", "orbit-float-k", "orbit-float-k-after-memo",
@@ -140,6 +144,7 @@ _Z = FpAbGroup.free(1)
         "criterion-p-0", "criterion-p-4", "criterion-bool-twist", "criterion-float-twist",
         "iso-bool-bound", "iso-float-bound", "fixed-point-p-4", "orbit-functor-p-4", "gset-negative-fixed",
         "gset-negative-float-fixed", "gset-str-fixed", "group-negative-float-ngens", "group-str-ngens",
+        "group-list-relations", "hom-list-matrix", "hom-int-source", "hom-none-target",
     ],
 )
 def test_library_arguments_must_be_ints(call, error, message):
@@ -147,7 +152,9 @@ def test_library_arguments_must_be_ints(call, error, message):
     ``TypeError`` with the library's message, also when it is negative (the
     type is checked before the sign), instead of reaching a matrix built
     unchecked; a p that is not prime raises as in ``twisted_isomorphism``,
-    and so does a negative orbit count."""
+    and so does a negative orbit count.  A matrix that is not an
+    ``IntMatrix`` or a group that is not an ``FpAbGroup`` raises ``TypeError``
+    from the record constructor, which asks only once a field read fails."""
     with pytest.raises(error, match=message):
         call()
 
