@@ -17,11 +17,11 @@ coinvariants of the bottom tensor, glued by Frobenius reciprocity.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain
-from operator import add
+from itertools import accumulate
+from operator import neg
 
-from .intlin import IntMatrix, _check_ints, _Frozen, _memoised, _sparse_rows, _trusted, block_diagonal
-from .abgroup import AbHom, FpAbGroup, _bijective, _check_action, coinvariants, direct_sum, kernel, tensor_product
+from .intlin import IntMatrix, _check_ints, _check_types, _Frozen, _memoised, _sparse_rows, _trusted, block_diagonal
+from .abgroup import AbHom, FpAbGroup, _bijective, _check_action, coinvariants, kernel, tensor_product
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -91,12 +91,17 @@ class MackeyFunctor(_Frozen, fields=("p", "top", "bottom", "gamma", "res", "tr")
     ):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        if (gamma.source, gamma.target) != (bottom, bottom):
-            raise ValueError("gamma must be an endomorphism of the bottom tier")
-        if (res.source, res.target) != (top, bottom):
-            raise ValueError("res must map the top tier to the bottom tier")
-        if (tr.source, tr.target) != (bottom, top):
-            raise ValueError("tr must map the bottom tier to the top tier")
+        try:
+            if (gamma.source, gamma.target) != (bottom, bottom):
+                raise ValueError("gamma must be an endomorphism of the bottom tier")
+            if (res.source, res.target) != (top, bottom):
+                raise ValueError("res must map the top tier to the bottom tier")
+            if (tr.source, tr.target) != (bottom, top):
+                raise ValueError("tr must map the bottom tier to the top tier")
+        except (AttributeError, ValueError):
+            _check_types((top, bottom), FpAbGroup, "groups")
+            _check_types((gamma, res, tr), AbHom, "maps")
+            raise
         self._set_fields(p, top, bottom, gamma, res, tr)
 
     @_memoised
@@ -254,7 +259,12 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
 
     The new transfer sends a bottom class to its ``t(...)`` generator; the
     new restriction is (res ⊗ res) on tensor generators and the action norm
-    on ``t(...)`` generators.
+    on ``t(...)`` generators.  When m's bottom, or else n's, is Z with no
+    relations and the trivial action, the other's bottom, action and memoised
+    norm are the bottom tensor's by value, and are kept.  The top's relations
+    are written in one pass from the factors' sparse rows: rows (a, b) of tops,
+    as in ``tensor_product``, then of bottoms; columns R_t ⊗ 1, 1 ⊗ R_t,
+    [R_b | γ − 1], a ⊗ tr(y) − t(res(a) ⊗ y), then tr(x) ⊗ b − t(x ⊗ res(b)).
 
     >>> from mackeybox.abgroup import invariant_factors
     >>> bb = box_product(burnside(2), burnside(2))
@@ -263,58 +273,42 @@ def box_product(m: MackeyFunctor, n: MackeyFunctor) -> MackeyFunctor:
     """
     if m.p != n.p:
         raise ValueError(f"mismatched primes {m.p} and {n.p}")
-    p = m.p
-    bottom = tensor_product(m.bottom, n.bottom)
-    gamma = AbHom(bottom, bottom, m.gamma.matrix.kron(n.gamma.matrix))
-    coinv, _ = coinvariants(bottom, gamma, p)
-    tops = tensor_product(m.top, n.top)
-    nt, nb = tops.ngens, bottom.ngens
-    top0 = direct_sum(tops, coinv)
-
-    res_m, tr_m = m.res.matrix, m.tr.matrix
-    res_n, tr_n = n.res.matrix, n.tr.matrix
-    eye = IntMatrix.identity
-    # one column per a ⊗ tr(y) = t(res(a) ⊗ y), then per tr(x) ⊗ b = t(x ⊗ res(b))
-    frobenius = eye(m.top.ngens).kron(tr_n).hstack(tr_m.kron(eye(n.top.ngens))).vstack(
-        -res_m.kron(eye(n.bottom.ngens)).hstack(eye(m.bottom.ngens).kron(res_n))
-    )
-    top = FpAbGroup(nt + nb, top0.relations.hstack(frobenius))
-    tr = AbHom(bottom, top, IntMatrix.zeros(nt, nb).vstack(eye(nb)))
-    res_matrix = res_m.kron(res_n).hstack(action_norm(gamma, p).matrix)
-    res = AbHom(top, bottom, res_matrix)
+    p, eye = m.p, IntMatrix.identity
+    for one, other in ((m, n), (n, m)):
+        if one.bottom.ngens == 1 and not one.bottom.relations.cols and one.gamma.matrix.values == (1,):
+            bottom, gamma = other.bottom, other.gamma
+            break
+    else:
+        bottom = tensor_product(m.bottom, n.bottom)
+        gamma = AbHom(bottom, bottom, m.gamma.matrix.kron(n.gamma.matrix))
+    _check_action(bottom, gamma, p)
+    mt, mb, nt, nb, kn = m.top.ngens, m.bottom.ngens, n.top.ngens, n.bottom.ngens, n.top.relations.cols
+    pairs, size, kb = mt * nt, mb * nb, bottom.relations.cols
+    # the first columns of 1 ⊗ R_t, [R_b | γ − 1], the (a, y) and the (x, b) blocks, and the width
+    c2, c3, c4, c5, width = accumulate((m.top.relations.cols * nt, mt * kn, kb + size, mt * nb, mb * nt))
+    offsets, indices, values = [0], [], []
+    right = list(zip(_sparse_rows(n.top.relations), _sparse_rows(n.tr.matrix)))
+    for a, ((ri, rv), (xi, xv)) in enumerate(zip(_sparse_rows(m.top.relations), _sparse_rows(m.tr.matrix))):
+        for b, ((si, sv), (yi, yv)) in enumerate(right):  # row (a, b)
+            indices += [r * nt + b for r in ri]
+            indices += [c2 + a * kn + s for s in si]
+            indices += [c4 + a * nb + y for y in yi]
+            indices += [c5 + x * nt + b for x in xi]
+            values += (*rv, *sv, *yv, *xv)
+            offsets.append(len(values))
+    res_m, res_n = _sparse_rows(m.res.matrix), _sparse_rows(n.res.matrix)
+    for k, (ri, rv) in enumerate(_sparse_rows(bottom.relations.hstack(gamma.matrix - eye(size)))):
+        x, y = divmod(k, nb)  # row (x, y) of [R_b | γ − 1]
+        (ai, av), (bi, bv) = res_m[x], res_n[y]
+        indices += [c3 + r for r in ri]
+        indices += [c4 + a * nb + y for a in ai]
+        indices += [c5 + x * nt + b for b in bi]
+        values += (*rv, *map(neg, av), *map(neg, bv))
+        offsets.append(len(values))
+    top = FpAbGroup(pairs + size, _trusted(pairs + size, width, tuple(offsets), tuple(indices), tuple(values)))
+    tr = AbHom(bottom, top, IntMatrix.zeros(pairs, size).vstack(eye(size)))
+    res = AbHom(top, bottom, m.res.matrix.kron(n.res.matrix).hstack(action_norm(gamma, p).matrix))
     return MackeyFunctor(p, top, bottom, gamma, res, tr)
-
-
-def _box_with_twisted(m: MackeyFunctor, d: int, left: bool) -> MackeyFunctor:
-    """``box_product`` of T = twisted_burnside(p, d), d ≠ 0, and m, T on the ``left``
-    or the right, equal to it by value and written from m's sparse rows.  T's bottom
-    is Z with the trivial action, so the product's bottom and action are m's, and
-    its norm is their memoised orbit.  Its top generators are the pairs (j, i) of
-    T's u, t and m's top, at ``at(j, i, nt)`` as in ``tensor_product``, then m's
-    bottom; its relations: T's top ⊗ m's, [R_b | γ − 1], then Frobenius reciprocity."""
-    _check_action(m.bottom, m.gamma, m.p)
-    p, eye, nt, nb = m.p, IntMatrix.identity, m.top.ngens, m.bottom.ngens
-    kt, kb = m.top.relations.cols, m.bottom.relations.cols
-    at = (lambda j, i, n: j * n + i) if left else (lambda j, i, n: 2 * i + j)
-    frob = 2 * kt + kb + nb  # the first Frobenius column: the pairs (j, x) lead on the left
-    pairs, ones, join = (frob, frob + 2 * nb, add) if left else (frob + nt, frob, lambda pair, one: one + pair)
-    rows = [None] * (2 * nt)
-    for i, ((ri, rv), (ti, tv)) in enumerate(zip(_sparse_rows(m.top.relations), _sparse_rows(m.tr.matrix))):
-        for j in (0, 1):  # row (j, i): j ⊗ R_t, tr(x) paired with j in column (j, x), 1 in column i if j = t
-            pair, one = [(pairs + at(j, x, nb), v) for x, v in zip(ti, tv)], [(ones + i, 1)] * j
-            rows[at(j, i, nt)] = [(at(j, r, kt), v) for r, v in zip(ri, rv)] + join(pair, one)
-    below = zip(*map(_sparse_rows, (m.bottom.relations, m.gamma.matrix - eye(nb), m.res.matrix)))
-    for k, ((bi, bv), (ci, cv), (si, sv)) in enumerate(below):  # row k: R_b, γ − 1, −res_T(j), −res(a)
-        pair = [(pairs + at(0, k, nb), -d), (pairs + at(1, k, nb), -p)]
-        one = [(ones + a, -v) for a, v in zip(si, sv)]
-        rows.append([*zip([2 * kt + r for r in bi], bv), *zip([frob - nb + c for c in ci], cv), *join(pair, one)])
-    offsets = (*accumulate(map(len, rows), initial=0),)
-    indices, values = zip(*chain(*rows)) if offsets[-1] else ((), ())
-    top = FpAbGroup(2 * nt + nb, _trusted(2 * nt + nb, frob + 2 * nb + nt, offsets, indices, values))
-    twist = _trusted(1, 2, (0, 2), (0, 1), (d, p))  # T's res
-    res = (twist.kron(m.res.matrix) if left else m.res.matrix.kron(twist)).hstack(action_norm(m.gamma, p).matrix)
-    tr = AbHom(m.bottom, top, IntMatrix.zeros(2 * nt, nb).vstack(eye(nb)))
-    return MackeyFunctor(p, top, m.bottom, m.gamma, AbHom(top, m.bottom, res), tr)
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -324,10 +318,15 @@ class MackeyMorphism(_Frozen, fields=("source", "target", "phi_top", "phi_bottom
     """A pair of tier maps; see :func:`verify_morphism` for the conditions."""
 
     def __init__(self, source, target, phi_top, phi_bottom):
-        if (phi_top.source, phi_top.target) != (source.top, target.top):
-            raise ValueError("phi_top must map source top to target top")
-        if (phi_bottom.source, phi_bottom.target) != (source.bottom, target.bottom):
-            raise ValueError("phi_bottom must map source bottom to target bottom")
+        try:
+            if (phi_top.source, phi_top.target) != (source.top, target.top):
+                raise ValueError("phi_top must map source top to target top")
+            if (phi_bottom.source, phi_bottom.target) != (source.bottom, target.bottom):
+                raise ValueError("phi_bottom must map source bottom to target bottom")
+        except (AttributeError, ValueError):
+            _check_types((source, target), MackeyFunctor, "functors")
+            _check_types((phi_top, phi_bottom), AbHom, "maps")
+            raise
         self._set_fields(source, target, phi_top, phi_bottom)
 
     def then(self, other: "MackeyMorphism") -> "MackeyMorphism":
@@ -379,8 +378,8 @@ def unit_isomorphism(m: MackeyFunctor) -> MackeyMorphism:
     Tensor generators u ⊗ a go to a, t ⊗ a to tr(res(a)), and transfer
     classes t(1 ⊗ x) to tr(x); on bottoms 1 ⊗ x goes to x.  For every valid
     M this is a Mackey isomorphism (the Burnside functor is the box unit).
-    The source, written from M's rows (``_box_with_twisted``), has M's bottom."""
-    src = _box_with_twisted(m, 1, True)
+    The source is ``box_product(burnside(p), M)``, which keeps M's bottom."""
+    src = box_product(burnside(m.p), m)
     top = IntMatrix.identity(m.top.ngens).hstack((m.tr @ m.res).matrix).hstack(m.tr.matrix)
     return MackeyMorphism(src, m, AbHom(src.top, m.top, top), AbHom.identity(m.bottom))
 

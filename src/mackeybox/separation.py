@@ -30,9 +30,8 @@ from .abgroup import AbHom, FpAbGroup, _bijective, _image, cokernel, invariant_f
 from .mackey import (
     MackeyFunctor,
     MackeyMorphism,
-    _box_with_twisted,
     action_norm,
-    box_product,  # not called here: perfbench/selftest.py checks that the tracer wraps it in this module
+    box_product,
     burnside,
     check_axioms,
     is_mackey_isomorphism,
@@ -254,16 +253,16 @@ def invert(m: MackeyFunctor) -> tuple[MackeyFunctor, MackeyMorphism] | None:
     (``SmithDecomposition.past_units``) without their sections.  The
     certificate is box(witness, 1) followed by twisted(c) ⊠ twisted(x) →
     burnside(p) in closed form: u⊗u, u⊗t, t⊗u, t⊗t and t(1⊗1) go to
-    y·u + (c·x − y)/p·t, c·t, x·t, p·t and t.  The product is written from
-    M's rows (``mackey._box_with_twisted``), with M's bottom and norm, and is
-    not classified: the verified isomorphism carries burnside(p)'s axioms over."""
+    y·u + (c·x − y)/p·t, c·t, x·t, p·t and t.  The product ``box_product(M,
+    inverse)`` keeps a factor's bottom and memoised norm, and is not
+    classified: the verified isomorphism carries burnside(p)'s axioms over."""
     if not classify_invertible(m).invertible:
         return None
     result, (c, t1, t2, a, b) = m._memo["classification"]
     p = m.p
     x = extended_gcd(result.d_class, p)[1] % p
     inverse, target = twisted_burnside(p, x), burnside(p)
-    product = _box_with_twisted(m, x, False)
+    product = box_product(m, inverse)
     w_bottom = m.bottom.smith.past_units()[0]
     w_top = IntMatrix.from_rows([[t2, -t1], [a, b]]) @ m.top.smith.past_units()[0]  # [w | t]⁻¹ @ pi_t
     y = 1 if (c * x - 1) % p == 0 else -1

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mackeybox.abgroup import AbHom, FpAbGroup, coinvariants
-from mackeybox.mackey import GSet, MackeyFunctor, burnside, fixed_point_functor, is_prime, orbit_functor
+from mackeybox.mackey import GSet, MackeyFunctor, MackeyMorphism, burnside, fixed_point_functor, is_prime, orbit_functor
 from mackeybox.separation import try_find_isomorphism, twisted_iso_criterion
 from mackeybox.intlin import (
     IntMatrix,
@@ -103,8 +103,9 @@ def _memoised_orbit_then(k):
     return h.orbit(k)
 
 
-_B5 = burnside(5)
+_B5, _B3 = burnside(5), burnside(3)
 _Z = FpAbGroup.free(1)
+_ONE = AbHom.identity(_Z)
 
 
 @pytest.mark.parametrize(
@@ -137,6 +138,9 @@ _Z = FpAbGroup.free(1)
         (lambda: AbHom(_Z, _Z, [[1]]), TypeError, "matrices must be of type IntMatrix, got list"),
         (lambda: AbHom(1, _Z, IntMatrix.identity(1)), TypeError, "groups must be of type FpAbGroup, got int"),
         (lambda: AbHom(_Z, None, IntMatrix.identity(1)), TypeError, "groups must be of type FpAbGroup, got NoneType"),
+        (lambda: MackeyFunctor(3, _Z, _Z, [[1]], _ONE, _ONE), TypeError, "maps must be of type AbHom, got list"),
+        (lambda: MackeyFunctor(3, [[0]], _Z, _ONE, _ONE, _ONE), TypeError, "groups must be of type FpAbGroup, got list"),
+        (lambda: MackeyMorphism(_B3, _B3, [[1]], _ONE), TypeError, "maps must be of type AbHom, got list"),
     ],
     ids=[
         "functor-float-p", "functor-bool-p", "is-prime-float", "orbit-float-k", "orbit-float-k-after-memo",
@@ -145,6 +149,7 @@ _Z = FpAbGroup.free(1)
         "iso-bool-bound", "iso-float-bound", "fixed-point-p-4", "orbit-functor-p-4", "gset-negative-fixed",
         "gset-negative-float-fixed", "gset-str-fixed", "group-negative-float-ngens", "group-str-ngens",
         "group-list-relations", "hom-list-matrix", "hom-int-source", "hom-none-target",
+        "functor-list-gamma", "functor-list-top", "morphism-list-top-map",
     ],
 )
 def test_library_arguments_must_be_ints(call, error, message):
@@ -153,8 +158,9 @@ def test_library_arguments_must_be_ints(call, error, message):
     type is checked before the sign), instead of reaching a matrix built
     unchecked; a p that is not prime raises as in ``twisted_isomorphism``,
     and so does a negative orbit count.  A matrix that is not an
-    ``IntMatrix`` or a group that is not an ``FpAbGroup`` raises ``TypeError``
-    from the record constructor, which asks only once a field read fails."""
+    ``IntMatrix``, a group that is not an ``FpAbGroup`` or a map that is not
+    an ``AbHom`` raises ``TypeError`` from the record constructor, which asks
+    only once a field read or an endpoint comparison fails."""
     with pytest.raises(error, match=message):
         call()
 

@@ -12,14 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import mackeybox
 from mackeybox.abgroup import AbHom, FpAbGroup, coinvariants, invariant_factors
 from mackeybox.intlin import IntMatrix
 from mackeybox.mackey import (
-    _box_with_twisted,
     GSet,
     MackeyFunctor,
     MackeyMorphism,
@@ -39,7 +36,6 @@ from mackeybox.mackey import (
     verify_morphism,
     zero_functor,
 )
-from mackeybox.separation import invert
 
 from helpers import (
     PRIMES,
@@ -47,7 +43,6 @@ from helpers import (
     constant_box_morphism,
     direct_sum_functors,
     gset_product,
-    pad_functor,
     random_functor,
     same_lattice,
     twisted_box_morphism,
@@ -484,43 +479,6 @@ def test_unit_law_random():
         p = rng.choice(PRIMES)
         m = random_functor(rng, p)
         assert is_mackey_isomorphism(unit_isomorphism(m))
-
-
-@st.composite
-def padded_functors(draw):
-    """A random valid functor at p in {2, 3, 5, 7}, padded with redundant
-    generators (and so relations) zero to two times."""
-    rng = draw(st.randoms(use_true_random=False))
-    m = random_functor(rng, draw(st.sampled_from(PRIMES)))
-    for _ in range(draw(st.integers(0, 2))):
-        m = pad_functor(m, rng)
-    return m
-
-
-_Z3 = FpAbGroup.cyclic(3)
-_TORSION = MackeyFunctor(  # Z/3 on both tiers at p = 3 with the trivial action, res = 1, tr = 0
-    3, _Z3, _Z3, AbHom.identity(_Z3), AbHom.identity(_Z3), AbHom.zero(_Z3, _Z3)
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(padded_functors(), st.integers(-12, 12), st.randoms(use_true_random=False))
-@example(_TORSION, 2, random.Random(0))
-@example(pad_functor(_TORSION, random.Random(1)), -1, random.Random(0))
-def test_the_box_with_a_twisted_burnside_factor_equals_the_box_product(m, d, rng):
-    """The unit's source and the product that ``invert`` certifies are written
-    from M's rows (``mackey._box_with_twisted``); each equals ``box_product``
-    of the same pair by value, with the twisted Burnside factor on the left
-    (the unit, d = 1) or on the right (any d ≠ 0 mod p, and the inverse of M,
-    when M is invertible, and of a padded twisted functor)."""
-    p = m.p
-    assert unit_isomorphism(m).source == box_product(burnside(p), m)
-    d = d if d % p else d + 1
-    assert _box_with_twisted(m, d, False) == box_product(m, twisted_burnside(p, d))
-    assert _box_with_twisted(m, d, True) == box_product(twisted_burnside(p, d), m)
-    for n in (m, pad_functor(twisted_burnside(p, d), rng)):
-        if (inverted := invert(n)) is not None:
-            assert inverted[1].source == box_product(n, inverted[0])
 
 
 def test_box_axioms_random():

@@ -9,8 +9,10 @@ operation-count test pins the logarithmic cost in p.  The Smith transforms
 replayed from the recorded operations are compared with an elimination that
 updates them at each step, the row-operation Hermite form
 with the column-operation version in the test helpers, and the Smith diagonal
-of dense matrices with the Bareiss determinant.  The Kronecker-built Frobenius relations are compared with the
-hand-indexed loop, and the isomorphism search with a brute force over both
+of dense matrices with the Bareiss determinant.  The box product is compared
+by value with the hand-indexed Frobenius loop, ``tensor_product`` and
+``kron``, and Φ's monoidality is checked through a written map.  The
+isomorphism search is compared with a brute force over both
 tiers that decides every morphism condition and bijectivity by equalities
 of lattices in the test helpers, not by the library's membership test or
 its criterion.  The certificate of ``invert``,
@@ -58,6 +60,7 @@ from mackeybox.mackey import (
     box_product,
     burnside,
     check_axioms,
+    constant_z,
     is_mackey_isomorphism,
     orbit_functor,
     permutation_functor,
@@ -648,10 +651,48 @@ def loop_box_top(m: MackeyFunctor, n: MackeyFunctor) -> FpAbGroup:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.randoms(use_true_random=False), st.sampled_from(PRIMES))
-def test_frobenius_block_equals_the_loop(rng, p):
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(PRIMES),
+    st.sampled_from((None, "left", "right")),
+    st.integers(0, 1),
+    st.integers(-6, 6),
+)
+def test_frobenius_block_equals_the_loop(rng, p, trivial, kind, d):
+    """The whole product by value: the top by the hand-indexed loop, the
+    bottom by ``tensor_product``, the action by ``kron``, res as res ⊗ res
+    beside the norm of that action and tr as [0; I].  In two thirds of the
+    examples one factor's bottom is Z with the trivial action, on either
+    side, so the product's bottom reuse is compared with the tensor it
+    replaces."""
     m, n = random_functor(rng, p), random_functor(rng, p)
-    assert box_product(m, n).top == loop_box_top(m, n)
+    z = twisted_burnside(p, d) if kind else constant_z(p)  # bottom Z, no relations, trivial action
+    m, n = (z if trivial == "left" else m), (z if trivial == "right" else n)
+    bottom = tensor_product(m.bottom, n.bottom)
+    gamma = AbHom(bottom, bottom, m.gamma.matrix.kron(n.gamma.matrix))
+    top = loop_box_top(m, n)
+    nt, nb = top.ngens - bottom.ngens, bottom.ngens
+    res = m.res.matrix.kron(n.res.matrix).hstack(action_norm(gamma, p).matrix)
+    tr = IntMatrix.zeros(nt, nb).vstack(IntMatrix.identity(nb))
+    expected = MackeyFunctor(p, top, bottom, gamma, AbHom(top, bottom, res), AbHom(bottom, top, tr))
+    assert box_product(m, n) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(PRIMES), st.integers(0, 1), st.integers(0, 1))
+def test_phi_is_monoidal(rng, p, pad_m, pad_n):
+    """Φ(M ⊠ N).top ≅ Φ(M).top ⊗ Φ(N).top, for the transfer cokernel Φ
+    (``phi_functor``), by the map [I | 0] that keeps the tensor pairs and
+    kills each t(…) class: it is well defined and bijective.  Independent of
+    the box's bottom tier, so it cannot see the sign of a t(…) term."""
+    m, n = random_functor(rng, p), random_functor(rng, p)
+    m, n = (pad_functor(m, rng) if pad_m else m), (pad_functor(n, rng) if pad_n else n)
+    box = phi_functor(box_product(m, n))[0].top
+    tensor = tensor_product(phi_functor(m)[0].top, phi_functor(n)[0].top)
+    keep = IntMatrix.identity(tensor.ngens).hstack(IntMatrix.zeros(tensor.ngens, box.ngens - tensor.ngens))
+    f = AbHom(box, tensor, keep)
+    assert f.is_well_defined()
+    assert _bijective(f)
 
 
 # -- the isomorphism search ----------------------------------------------------------------------
