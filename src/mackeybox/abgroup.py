@@ -11,13 +11,12 @@ Groups and homomorphisms are frozen, so a fact derived from one is computed
 at most once and kept on it (``intlin._memoised``, a lock-free
 ``functools.cached_property``; the memo is not a field, so ``==`` and
 ``hash`` ignore it): a group's Smith decomposition and the columns it
-recognises as relations, a homomorphism's ``[matrix | target.relations]``,
-its Smith decomposition and kernel lattice, and an endomorphism's orbits.
-Some answers are read from how an object was built: a map whose matrix
-leads with the identity (the identity, a map into no generators) is onto,
-and a cokernel knows the two blocks it stacked by identity.  A well-defined
-map is an isomorphism when it is onto and its groups have the same
-invariant factors (``_bijective``, the library's one bijectivity test).
+recognises as relations, a homomorphism's Smith decomposition of
+``[matrix | target.relations]`` and kernel lattice, and an endomorphism's
+orbits.  A map whose matrix leads with the identity (the identity, a map
+into no generators) is onto by construction.  A well-defined map is an
+isomorphism when it is onto and its groups have the same invariant
+factors (``_bijective``, the library's one bijectivity test).
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
     >>> invariant_factors(FpAbGroup.cyclic(6))
     (0, (6,))
     """
-
-    _stacked = (None, None)  # on a cokernel, the two blocks ``cokernel`` stacked into its relations
 
     def __init__(self, ngens: int, relations: IntMatrix):
         if type(ngens) is not int:
@@ -95,18 +92,14 @@ class FpAbGroup(_Frozen, fields=("ngens", "relations")):
         zero in the group: the one membership test behind
         ``is_well_defined`` and ``equals``.
 
-        The two blocks a cokernel's relations were stacked from (the very
-        objects) are members by identity; a column that is zero or plus or
-        minus a relation by inspection (the rows of the query's transpose);
-        with no relations only zero columns are.  Otherwise the group's
-        memoised Smith decomposition (``smith``) answers.
+        A column that is zero or plus or minus a relation is a member by
+        inspection (the rows of the query's transpose); with no relations
+        only zero columns are.  Otherwise the group's memoised Smith
+        decomposition (``smith``) answers.
 
         >>> FpAbGroup.cyclic(4).contains_all(IntMatrix.from_rows([[0, -4, 8]]))
         True
         """
-        first, second = self._stacked
-        if m is first or m is second:
-            return True
         _check_height(m, self.ngens)
         if self.relations.cols == 0 or m.is_zero():
             return m.is_zero()
@@ -149,8 +142,6 @@ def describe_group(g: FpAbGroup) -> str:
 
 class AbHom(_Frozen, fields=("source", "target", "matrix")):
     """A homomorphism of presented groups, as a matrix on coordinates."""
-
-    _well_defined = False  # True on an inclusion that ``_image`` proved well defined
 
     def __init__(self, source: FpAbGroup, target: FpAbGroup, matrix: IntMatrix):
         try:
@@ -219,34 +210,26 @@ class AbHom(_Frozen, fields=("source", "target", "matrix")):
         False
         """
         rel = self.source.relations
-        return self._well_defined or not rel.cols or self.target.contains_all(self.matrix @ rel)
+        return not rel.cols or self.target.contains_all(self.matrix @ rel)
 
     def equals(self, other: "AbHom") -> bool:
-        """Equality as maps on the presented groups (not of matrices); equal
-        matrices answer at once.  Against a zero side the question is whether
-        the other side is a member itself (−n lies in a lattice iff n does),
-        so no negated copy is built and a block that ``cokernel`` stacked is
-        answered by identity."""
+        """Equality as maps on the presented groups (not of matrices): equal
+        matrices answer at once, and otherwise the difference must lie in the
+        target's relation lattice (``contains_all``)."""
         if (self.source, self.target) != (other.source, other.target):
             return False
         m, n = self.matrix, other.matrix
-        return m is n or m == n or self.target.contains_all(n if m.is_zero() else m - n)
-
-    @_memoised
-    def spanning(self) -> IntMatrix:
-        """``[matrix | target.relations]``, stacked once: ``smith`` and
-        ``_image``'s proof read it."""
-        return self.matrix.hstack(self.target.relations)
+        return m is n or m == n or self.target.contains_all(m - n)
 
     @_memoised
     def smith(self) -> SmithDecomposition:
-        """``U @ spanning @ V == S``, memoised.
+        """``U @ [matrix | target.relations] @ V == S``, memoised.
 
         Its column lattice is the image plus the target relations, so the
         diagonal says whether f is onto, V gives the kernel lattice and U
         answers membership in the image (``contains_all``).
         """
-        return smith_normal_form(self.spanning)
+        return smith_normal_form(self.matrix.hstack(self.target.relations))
 
     @_memoised
     def kernel_lattice(self) -> IntMatrix:
@@ -373,12 +356,10 @@ def _image(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     """im f, presented on f's source generators modulo ``f.kernel_lattice``,
     and its inclusion into the target.  The inclusion has f's matrix and
     target, so it keeps f's memoised ``smith`` instead of eliminating
-    ``[matrix | target.relations]`` again, and a proof that it is well
-    defined: f's kernel [K; Z] (K: im's relations) has
-    ``spanning @ [K; Z] == 0``, i.e. matrix·K = relations·(−Z)."""
+    ``[matrix | target.relations]`` again.  It is well defined by the
+    definition of its source's relations."""
     inclusion = AbHom(FpAbGroup(f.source.ngens, f.kernel_lattice), f.target, f.matrix)
-    proved = (f.spanning @ f.smith.kernel()).is_zero()
-    inclusion.__dict__.update(smith=f.smith, _well_defined=proved)
+    inclusion.__dict__["smith"] = f.smith
     return inclusion.source, inclusion
 
 
@@ -393,10 +374,8 @@ def kernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
 
 def cokernel(f: AbHom) -> tuple[FpAbGroup, AbHom]:
     """coker f = target / image, with the projection from the target.  Its
-    relations stack ``[target relations | matrix]``, and it keeps both blocks
-    (``_stacked``), so ``contains_all`` answers either by identity."""
+    relations stack ``[target relations | matrix]``."""
     c = FpAbGroup(f.target.ngens, f.target.relations.hstack(f.matrix))
-    c.__dict__["_stacked"] = (f.target.relations, f.matrix)
     return c, AbHom(f.target, c, IntMatrix.identity(f.target.ngens))
 
 

@@ -559,13 +559,9 @@ class SmithDecomposition(_Frozen, fields=("s", "row_ops", "col_ops")):
         return len(self.s.values)
 
     def kernel(self) -> IntMatrix:
-        """A basis of the integer kernel ``{x : A x = 0}``, memoised: the
-        columns of V past the rank, from the replayed columns without V.
-        For ``[I | R]`` they are ``[-R; I]``."""
-        return self._kernel
-
-    @_memoised
-    def _kernel(self) -> IntMatrix:
+        """A basis of the integer kernel ``{x : A x = 0}``: the columns of V
+        past the rank, from the replayed columns without V.  For ``[I | R]``
+        they are ``[-R; I]``."""
         return _from_dict_columns(self._v_columns[self.rank() :], self.s.cols)
 
     def contains_all(self, m: IntMatrix) -> bool:

@@ -37,7 +37,6 @@ from .mackey import (
     is_mackey_isomorphism,
     is_prime,
     twisted_burnside,
-    verify_morphism,
 )
 
 # Reasons a functor can fail to be invertible.
@@ -115,30 +114,35 @@ class IsotropySequence(
     fields=("gamma_part", "inclusion", "original", "projection", "phi_part", "exact", "report"),
 ):
     """0 → gamma_part → original → phi_part → 0; ``report`` lists the
-    morphism conditions that fail, and ``exact`` is whether none does."""
+    morphism conditions of the inclusion and the projection that fail (at
+    most the inclusion's restriction square), and ``exact`` is whether none
+    does."""
 
     def __init__(self, gamma_part, inclusion, original, projection, phi_part, exact, report):
         self._set_fields(gamma_part, inclusion, original, projection, phi_part, exact, report)
 
 
 def isotropy_sequence(m: MackeyFunctor) -> IsotropySequence:
-    """Assemble the sequence and report the morphism conditions
-    (``verify_morphism``) that the inclusion or the projection fails.
+    """Assemble the sequence and report the one morphism condition that
+    depends on M: the inclusion's restriction square, res∘tr = N.
 
-    Both tiers are exact by construction, so nothing else can fail.
-    Gamma's top is the bottom's generators modulo the transfer's own kernel
-    lattice, so the inclusion (M's transfer on the top, the identity on the
-    bottom) is injective with image im tr.  The projection is the identity
-    onto Phi's top, coker tr, and zero onto Phi's zero bottom, so it is
-    onto with kernel im tr plus the relations.  The inclusion's top map
-    reads ``m.tr.smith`` and the proof ``abgroup._image`` keeps on it;
-    Phi's cokernel group answers the two blocks it stacked by identity.
+    Both tiers are exact by construction: Gamma's top is the bottom's
+    generators modulo the transfer's kernel lattice, so the inclusion (tr on
+    the top, the identity on the bottom) is injective with image im tr, and
+    the projection (the identity onto coker tr, zero onto Phi's zero
+    bottom) is onto with kernel im tr plus the relations.  The other nine
+    conditions hold on every diagram, valid or not: the inclusion's top map
+    is well defined by that kernel lattice, its bottom map is the identity,
+    and both sides of its transfer square are tr; the projection's top map
+    is well defined and its transfer square commutes because the top
+    relations and tr's columns are relations of coker tr, and its bottom
+    conditions compare zero with zero.
     """
     gamma_part, inclusion = gamma_functor(m)
     phi_part, projection = phi_functor(m)
-    report = [f"inclusion: {msg}" for msg in verify_morphism(inclusion)]
-    report.extend(f"projection: {msg}" for msg in verify_morphism(projection))
-    return IsotropySequence(gamma_part, inclusion, m, projection, phi_part, not report, tuple(report))
+    square = (m.res @ inclusion.phi_top).equals(gamma_part.res)
+    report = () if square else ("inclusion: restriction square does not commute",)
+    return IsotropySequence(gamma_part, inclusion, m, projection, phi_part, not report, report)
 
 
 # -- twisted Burnside functors -------------------------------------------------

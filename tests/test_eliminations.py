@@ -210,15 +210,13 @@ def test_u_inverse_undoes_u(dec):
 def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated):
     """After the axiom check, the sequence of the p = 5 (0,1)x(1,1) product
     eliminates only ``[tr | top relations]``, for Gamma's top relations (the
-    transfer's kernel lattice): the inclusion's top map reads the
-    transfer's decomposition, whose kernel also proves that map well
-    defined, so the top's relations are not eliminated.  Only the morphism
-    conditions are checked; the sequence is exact by construction, so no
-    tier map is asked whether it is injective or onto.  Phi's cokernel
-    group answers the two blocks it stacked by identity.  Before the
-    inclusion carried its proof, the top's relations were eliminated too,
-    and before the bottom's identity was known onto by construction, so
-    was its ``[I | relations]``."""
+    transfer's kernel lattice).  Only the inclusion's restriction square is
+    checked: the other morphism conditions hold by construction, and so
+    does exactness, so no tier map is asked whether it is well defined,
+    injective or onto, and the top's relations are not eliminated.  Before
+    the inclusion's top map was known well defined, the top's relations
+    were eliminated too, and before the bottom's identity was known onto
+    by construction, so was its ``[I | relations]``."""
     x = box_product(permutation_functor(5, GSet(0, 1)), permutation_functor(5, GSet(1, 1)))
     assert check_axioms(x) == ()
     del eliminated[:]
@@ -229,12 +227,11 @@ def test_isotropy_sequence_eliminates_only_the_transfer_and_the_top(eliminated):
 
 def test_isotropy_sequence_stacks_the_transfer_once_and_transposes_nothing(monkeypatch):
     """After the axiom check, the sequence of the p = 3 (0,1)x(1,1) product
-    stacks ``[tr | top relations]`` once (``AbHom.spanning``), for the
-    transfer's Smith form and the kernel proof of ``abgroup._image`` alike
-    (three times before, when a middle-exactness check read it too), and
-    builds no transpose: the morphism conditions compare equal matrices,
-    ask about a group without relations, or ask about a block Phi's
-    cokernel stacked (six transposes before, all of them for membership)."""
+    stacks ``[tr | top relations]`` once, for the transfer's Smith form
+    (three times before, when a middle-exactness check and a kernel proof
+    of the inclusion read it too), and builds no transpose: the one
+    condition checked, the inclusion's restriction square, compares equal
+    matrices (six transposes before, all of them for membership)."""
     x = box_product(permutation_functor(3, GSet(0, 1)), permutation_functor(3, GSet(1, 1)))
     assert check_axioms(x) == ()
     stacked, transposed = [], []
@@ -267,7 +264,7 @@ def test_classify_and_invert_of_a_twisted_functor(eliminated):
     certificate = separation.invert(m)[1]
     assert len(eliminated) == 2
     assert certificate.source.top.relations in eliminated
-    assert certificate.phi_top.spanning in eliminated
+    assert certificate.phi_top.matrix.hstack(certificate.phi_top.target.relations) in eliminated
     assert not any(map(leads_with_identity, eliminated))
 
 

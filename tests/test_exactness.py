@@ -2,16 +2,17 @@
 
 ``is_surjective`` is compared with the trivial cokernel presentation it
 replaces, the triviality of ``kernel(f)`` with two fresh preimage
-eliminations, and ``isotropy_sequence``, which reports only the morphism
-conditions, with a copy of its former version, kept below as the
-reference: it also checks injectivity, surjectivity and exactness in the
-middle afresh (the last as an equality of lattices read from the Hermite
-form of each side, ``helpers.same_lattice``), and those checks must add no
-line.  Maps are drawn between groups with and without torsion, and include
-maps that are not well defined, pairs that are not exact and diagrams that
-break the axioms.  Every group, map, functor and morphism that the library
-combines from such parts must rebuild, field by field, through its public
-constructor.
+eliminations, and ``isotropy_sequence``, which checks only the inclusion's
+restriction square, with a copy of its former version, kept below as the
+reference: it checks every morphism condition, and injectivity,
+surjectivity and exactness in the middle afresh (the last as an equality
+of lattices read from the Hermite form of each side,
+``helpers.same_lattice``), and those checks must add no line, on the
+reference's maps or on the sequence's own.  Maps are drawn between groups
+with and without torsion, and include maps that are not well defined,
+pairs that are not exact and diagrams that break the axioms.  Every
+group, map, functor and morphism that the library combines from such parts
+must rebuild, field by field, through its public constructor.
 """
 
 import random
@@ -194,6 +195,13 @@ def reference_isotropy_report(m: MackeyFunctor) -> tuple[tuple[str, ...], tuple[
     _, projection = phi_functor(m)
     report = [f"inclusion: {msg}" for msg in verify_morphism(inclusion)]
     report.extend(f"projection: {msg}" for msg in verify_morphism(projection))
+    exactness = fresh_exactness(inclusion, projection)
+    return tuple(report) + exactness, exactness
+
+
+def fresh_exactness(inclusion: MackeyMorphism, projection: MackeyMorphism) -> tuple[str, ...]:
+    """The lines the reference's fresh checks of injectivity, surjectivity
+    and middle exactness add for the given maps, tier by tier."""
     exactness = []
     for name, inc, proj in (("top", inclusion.phi_top, projection.phi_top),
                             ("bottom", inclusion.phi_bottom, projection.phi_bottom)):
@@ -203,7 +211,7 @@ def reference_isotropy_report(m: MackeyFunctor) -> tuple[tuple[str, ...], tuple[
             exactness.append(f"projection is not surjective on the {name} tier")
         if not same_lattice_exact(inc, proj):
             exactness.append(f"sequence is not exact at the middle {name} tier")
-    return tuple(report + exactness), tuple(exactness)
+    return tuple(exactness)
 
 
 @st.composite
@@ -232,14 +240,22 @@ def diagram(p, top, bottom, gamma, res, tr):
 @given(diagrams())
 @example(diagram(2, Z, Z2, 1, 1, 1))  # tr: Z/2 → Z is not well defined
 @example(diagram(3, FpAbGroup.cyclic(4), Z2, 1, 1, 2))  # res∘tr = 2 ≠ 1 + γ + γ² = 3 on Z/2
+@example(diagram(3, Z, Z, -1, 1, 1))  # γ = −1 has order 2, not 3; res∘tr = 1 = 1 − 1 + 1
+@example(diagram(3, Z2, Z2, 1, 1, 1))  # res∘tr = 1 equals N = 3 only modulo the bottom's relation 2
 def test_isotropy_report_matches_the_reference(m):
-    """The report is the morphism conditions that fail, and the reference's
-    fresh checks of injectivity, surjectivity and middle exactness add no
-    line: the sequence is exact by construction on every diagram."""
+    """The report is the morphism conditions that fail, both on the
+    reference's maps and on the sequence's own: its projection fails none,
+    and its inclusion fails at most the restriction square, the one
+    condition the sequence checks.  The fresh checks of injectivity,
+    surjectivity and middle exactness add no line on either pair of maps:
+    the sequence is exact by construction on every diagram."""
     seq = isotropy_sequence(m)
     report, exactness = reference_isotropy_report(m)
     assert exactness == ()
     assert seq.report == report
+    assert verify_morphism(seq.projection) == ()
+    assert seq.report == tuple(f"inclusion: {msg}" for msg in verify_morphism(seq.inclusion))
+    assert fresh_exactness(seq.inclusion, seq.projection) == ()
     assert seq.exact == (seq.report == ())
 
 

@@ -83,7 +83,7 @@ def fill_memos(record) -> None:
     elif isinstance(record, FpAbGroup):
         record.smith, record._members_by_inspection
     elif isinstance(record, AbHom):
-        record.spanning, record.smith, record.kernel_lattice, record.orbit(5)
+        record.smith, record.kernel_lattice, record.orbit(5)
     elif isinstance(record, MackeyFunctor):
         check_axioms(record)
         classify_invertible(record)
