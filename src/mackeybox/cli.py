@@ -22,6 +22,7 @@ from .mackey import permutation_functor, twisted_burnside
 from .separation import (
     FOUND,
     NOT_ISOMORPHIC,
+    _NotAMackeyFunctor,
     classify_invertible,
     gamma_functor,
     invert,
@@ -39,18 +40,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-class _AxiomsViolated(Exception):
-    """A loaded document violates the axioms: ``run`` lists them on stderr
-    and exits 1."""
-
-
 def _load_mackey(*paths: str):
     """The functors in paths, every one parsed (so an input error comes
-    first) before any is checked against the axioms."""
+    first) before any is checked against the axioms.  ``classify`` and
+    ``invert`` parse their document directly: the classification checks it."""
     functors = [parse_functor(_read(path)) for path in paths]
-    problems = [msg for m in functors for msg in check_axioms(m)]
+    problems = tuple(msg for m in functors for msg in check_axioms(m))
     if problems:
-        raise _AxiomsViolated(problems)
+        raise _NotAMackeyFunctor(problems)
     return functors
 
 
@@ -83,7 +80,7 @@ def _cmd_box(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    (m,) = _load_mackey(args.file)
+    m = parse_functor(_read(args.file))
     result = classify_invertible(m)
     if args.format == "machine":
         if result.invertible:
@@ -101,7 +98,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    (m,) = _load_mackey(args.file)
+    m = parse_functor(_read(args.file))
     outcome = invert(m)
     if outcome is None:
         reason = classify_invertible(m).reason
@@ -207,8 +204,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _AxiomsViolated as exc:
-        for msg in exc.args[0]:
+    except _NotAMackeyFunctor as exc:
+        for msg in exc.violations:
             print(f"mackeybox: axiom violated: {msg}", file=sys.stderr)
         return 1
     except DocumentError as exc:

@@ -25,7 +25,7 @@ import re
 import reprlib
 import sys
 
-from .intlin import IntMatrix
+from .intlin import IntMatrix, _from_column_lists, _from_row_lists
 from .abgroup import AbHom, FpAbGroup, describe_group
 from .mackey import MackeyFunctor, is_prime
 
@@ -183,11 +183,12 @@ def parse_functor(text: str) -> MackeyFunctor:
     if not prime:
         raise NonPrimeError(f"p must be prime, got {p}")
 
-    top = FpAbGroup(nt, IntMatrix.from_columns(seen["top.relations"], rows=nt))
-    bottom = FpAbGroup(nb, IntMatrix.from_columns(seen["bottom.relations"], rows=nb))
-    gamma = AbHom(bottom, bottom, IntMatrix.from_rows(seen["action"], cols=nb))
-    res = AbHom(top, bottom, IntMatrix.from_rows(seen["res"], cols=nt))
-    tr = AbHom(bottom, top, IntMatrix.from_rows(seen["tr"], cols=nb))
+    # every entry and shape is checked above, so the matrices skip intlin's checks
+    top = FpAbGroup(nt, _from_column_lists(seen["top.relations"], nt))
+    bottom = FpAbGroup(nb, _from_column_lists(seen["bottom.relations"], nb))
+    gamma = AbHom(bottom, bottom, _from_row_lists(seen["action"], nb))
+    res = AbHom(top, bottom, _from_row_lists(seen["res"], nt))
+    tr = AbHom(bottom, top, _from_row_lists(seen["tr"], nb))
     for field, hom in (("action", gamma), ("res", res), ("tr", tr)):
         if not hom.is_well_defined():
             raise IllDefinedMapError(

@@ -12,15 +12,15 @@ the vectors handed to ``apply`` and ``solve_linear`` accept only Python ints,
 not bools.  A matrix this module computes from checked matrices (products,
 sums, stacks, transposes, row and column selections, identities and the
 outputs of the eliminations) is built by ``_trusted``, which skips the
-per-entry check.  The eliminations run on dense rows, their replays on sparse ones.
+per-entry check, and the document parser, which checks every entry and
+shape itself, builds through ``_from_row_lists`` and ``_from_column_lists``.
+The eliminations run on dense rows, their replays on sparse ones.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
-from math import gcd
 from operator import add, attrgetter, mul, neg, sub
 
 
@@ -146,21 +146,6 @@ class IntMatrix(_Frozen, fields=("rows", "cols", "offsets", "indices", "values")
                 i += 1
             flat[i * c + idx[k]] = vals[k]
         return tuple(flat)
-
-    def at(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols}")
-        return self._at(i, j)
-
-    def _at(self, i: int, j: int) -> int:
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        k = bisect_left(self.indices, j, lo, hi)
-        return self.values[k] if k < hi and self.indices[k] == j else 0
-
-    def column(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside [0, {self.cols})")
-        return tuple(map(self._at, range(self.rows), repeat(j)))
 
     def to_rows(self) -> list[list[int]]:
         o, idx, vals = self.offsets, self.indices, self.values

@@ -47,6 +47,14 @@ TWIST_NOT_COPRIME = "twist-not-coprime"
 RESTRICTION_NOT_ONTO = "restriction-not-surjective-onto-Z"
 
 
+class _NotAMackeyFunctor(ValueError):
+    """The axioms a diagram violates (``violations``, from ``check_axioms``)."""
+
+    def __init__(self, violations: tuple[str, ...]):
+        super().__init__("not a Mackey functor: " + "; ".join(violations))
+        self.violations = violations
+
+
 class ClassificationResult(
     _Frozen, fields=("invertible", "d_class", "sign_ambiguous", "reason", "twist_found")
 ):
@@ -197,7 +205,7 @@ def _classify(m: MackeyFunctor) -> tuple[ClassificationResult, tuple[int, ...] |
     w = (b, −a) completes (t1, t2) to a basis, with d = res(w)."""
     violations = check_axioms(m)
     if violations:
-        raise ValueError("not a Mackey functor: " + "; ".join(violations))
+        raise _NotAMackeyFunctor(violations)
     p = m.p
 
     bottom = _quotient_iso(m.bottom, 1)
@@ -234,7 +242,8 @@ def classify_invertible(m: MackeyFunctor) -> ClassificationResult:
     The verdict and, for an invertible m, the five integers its witness is
     written from are memoised on m, so :func:`invert` after it, or a second
     call, does not classify m again.  Classifying never builds the witness:
-    only :func:`invert` does.
+    only :func:`invert` does.  A diagram that violates the axioms raises a
+    ``ValueError`` that carries the violations, which the CLI prints.
 
     >>> classify_invertible(twisted_burnside(5, 7)).d_class
     2
@@ -384,7 +393,9 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
 
     Tier invariant factors rule out quickly.  Otherwise the witness is the
     first of the ``_matrix_candidates`` (lexicographic in the entries, each
-    within [-bound, bound]) that ``is_mackey_isomorphism`` accepts.
+    within [-bound, bound]) whose top map is bijective: a candidate is a
+    point of the morphism lattice, whose equations are the five morphism
+    conditions, and its bottom map passed the gate.
     Exhaustion yields UNKNOWN (the bound may simply be too small).  A
     negative bound raises ValueError.
     """
@@ -401,7 +412,7 @@ def try_find_isomorphism(m: MackeyFunctor, n: MackeyFunctor, bound: int) -> IsoS
                 f"{invariant_factors(gm)} vs {invariant_factors(gn)}",
             )
     for candidate in _matrix_candidates(m, n, bound):
-        if is_mackey_isomorphism(candidate):
+        if _bijective(candidate.phi_top):
             return IsoSearchResult(FOUND, witness=candidate)
     return IsoSearchResult(UNKNOWN, detail=f"no isomorphism with entries within {bound}")
 

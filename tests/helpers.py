@@ -336,10 +336,10 @@ def c2_orbit_box_morphism() -> MackeyMorphism:
             v[orbit_index[(k, l)]] = 1
             cols.append(v)
     phi_b = IntMatrix.from_columns(cols, rows=4)
-    top_cols = [solve_linear(tgt.res.matrix, phi_b.apply(src.res.matrix.column(0)))]
+    top_cols = [solve_linear(tgt.res.matrix, phi_b.apply(src.res.matrix.transpose().to_rows()[0]))]
     for k in range(2):
         for l in range(2):
-            top_cols.append(tgt.tr.matrix.apply(phi_b.column(2 * k + l)))
+            top_cols.append(tgt.tr.matrix.apply(cols[2 * k + l]))
     phi_top = IntMatrix.from_columns(top_cols, rows=tgt.top.ngens)
     return MackeyMorphism(
         src,

@@ -273,7 +273,8 @@ def test_criterion_6_smith_normal_form():
         assert dec.u @ a @ dec.v == dec.s
         assert abs(det(dec.u)) == 1 and abs(det(dec.v)) == 1
         diag = dec.diagonal()
-        assert all(dec.s.at(i2, j2) == 0 for i2 in range(m) for j2 in range(n) if i2 != j2)
+        s = dec.s.to_rows()
+        assert all(s[i2][j2] == 0 for i2 in range(m) for j2 in range(n) if i2 != j2)
         assert all(x >= 0 for x in diag)
         nonzero = [x for x in diag if x]
         assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))

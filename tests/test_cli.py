@@ -519,6 +519,92 @@ def test_classify_sheared_twist_is_byte_identical(capsys, monkeypatch):
     assert (code, out) == (1, "NotInvertible(twist-not-coprime, twist=21)\n")
 
 
+# The outputs that the CI workflow pins for the README examples: Gamma and Phi
+# of the box c⊠d of the permutation documents c = (p 3, 0 fixed, 1 free) and
+# d = (p 3, 1 fixed, 1 free).
+GAMMA_OF_BOX_C_D = HEADER + """\
+p: 3
+top.generators: 12
+top.relations: [[0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0, 0], [0, 0, 0, 1, 0, -1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0], [0, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, -1, 0, 0, 0, -1, 1, 0], [0, 0, 0, 1, 0, -1, -1, 1, 0, -1, 0, 1], [1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, -1, 0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, -1, -1, 0, 0, 0, 1, 1]]
+bottom.generators: 12
+bottom.relations: []
+action: [[0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]]
+res: [[1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]]
+tr: [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]]
+"""
+
+PHI_OF_BOX_C_D = HEADER + """\
+p: 3
+top.generators: 14
+top.relations: [[0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1], [3, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0], [0, 1, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0], [0, 1, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1, 0], [0, 1, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, -1], [1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, -1, -1, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]]
+bottom.generators: 0
+bottom.relations: []
+action: []
+res: []
+tr: [[], [], [], [], [], [], [], [], [], [], [], [], [], []]
+"""
+
+TORSION_DOCUMENT = """\
+p: 3
+top.generators: 1
+top.relations: [[3]]
+bottom.generators: 1
+bottom.relations: [[3]]
+action: [[1]]
+res: [[{}]]
+tr: [[{}]]
+"""
+
+
+def test_the_outputs_pinned_in_ci_are_byte_identical(tmp_path, capsys, monkeypatch):
+    """Each output that the CI workflow pins for the README examples, read in
+    process, so that a changed byte shows in a tier-1 run too: the inverse of
+    twist 2 at p = 5, the text box and the iso of twists 2 and 3, the gamma,
+    phi and check of c⊠d, the iso of d with itself, and the isos of the two
+    Z/3 documents m1 (res = 1, tr = 0) and m2 (res = 0, tr = 1)."""
+    def doc(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    a = doc("a.mk", render_machine(twisted_burnside(5, 2)))
+    b = doc("b.mk", render_machine(twisted_burnside(5, 3)))
+    c = doc("c.mk", render_machine(permutation_functor(3, GSet(0, 1))))
+    d = doc("d.mk", render_machine(permutation_functor(3, GSet(1, 1))))
+    m1, m2 = doc("m1.mk", TORSION_DOCUMENT.format(1, 0)), doc("m2.mk", TORSION_DOCUMENT.format(0, 1))
+    assert cli(["invert", a], capsys)[:2] == (0, HEADER + """\
+p: 5
+top.generators: 2
+top.relations: []
+bottom.generators: 1
+bottom.relations: []
+action: [[1]]
+res: [[3, 5]]
+tr: [[0], [1]]
+""")
+    assert cli(["box", a, b, "--format", "text"], capsys)[:2] == (
+        0,
+        "Z^2\n |  ^\nres tr\n v  |\nZ\n\np: 5\nres: [[6, 10, 15, 25, 5]]\ntr: [[0], [0], [0], [0], [1]]\naction: [[1]]\n",
+    )
+    assert cli(["iso", a, b, "--bound", "4"], capsys)[:2] == (
+        0, "status: found\nphi_top: [[1, 0], [-1, -1]]\nphi_bottom: [[-1]]\n"
+    )
+    code, box, _ = cli(["box", c, d], capsys)
+    assert code == 0
+    assert cli(["gamma", "-"], capsys, monkeypatch, stdin_text=box)[:2] == (0, GAMMA_OF_BOX_C_D)
+    assert cli(["phi", "-"], capsys, monkeypatch, stdin_text=box)[:2] == (0, PHI_OF_BOX_C_D)
+    assert cli(["check", "-"], capsys, monkeypatch, stdin_text=box)[:2] == (0, "status: pass\n")
+    assert cli(["iso", d, d, "--bound", "1"], capsys)[:2] == (
+        0,
+        "status: found\nphi_top: [[-1, 0], [-1, -1]]\n"
+        "phi_bottom: [[-1, 0, 0, 0], [-1, -1, 0, 0], [-1, 0, -1, 0], [-1, 0, 0, -1]]\n",
+    )
+    assert cli(["iso", m1, m1, "--bound", "1"], capsys)[:2] == (0, "status: found\nphi_top: [[-1]]\nphi_bottom: [[-1]]\n")
+    assert cli(["iso", m1, m2, "--bound", "2"], capsys)[:2] == (
+        1, "status: unknown\ndetail: no isomorphism with entries within 2\n"
+    )
+
+
 # -- argparse plumbing ----------------------------------------------------------------
 
 

@@ -232,12 +232,12 @@ def test_every_operation_gives_a_checked_matrix(ops):
 @example(IntMatrix.zeros(2, 0), [0])
 @example(IntMatrix.from_rows([[1, 0, 2], [0, 3, 4]]), [0, 2])  # an ascending proper subset of the columns
 def test_rows_and_columns_check_their_indices(a, picks):
-    """``column``, ``take_rows`` and ``take_columns`` raise ``IndexError``
-    outside [0, n), negative indices included, and in range build what the
-    checked constructors build; a single row is ``take_rows((i,))``."""
-    for take, n, access, build in (
-        (a.take_rows, a.rows, lambda i: a.take_rows((i,)), lambda ps: IntMatrix.from_rows([a.to_rows()[i] for i in ps], cols=a.cols)),
-        (a.take_columns, a.cols, a.column, lambda ps: IntMatrix.from_columns([a.column(j) for j in ps], rows=a.rows)),
+    """``take_rows`` and ``take_columns`` raise ``IndexError`` outside
+    [0, n), negative indices included, for a selection and for the bad index
+    alone, and in range build what the checked constructors build."""
+    for take, n, build in (
+        (a.take_rows, a.rows, lambda ps: IntMatrix.from_rows([a.to_rows()[i] for i in ps], cols=a.cols)),
+        (a.take_columns, a.cols, lambda ps: IntMatrix.from_columns([a.transpose().to_rows()[j] for j in ps], rows=a.rows)),
     ):
         if all(0 <= i < n for i in picks):
             assert rechecked(take(picks)) == build(picks)
@@ -245,7 +245,7 @@ def test_rows_and_columns_check_their_indices(a, picks):
             with pytest.raises(IndexError):
                 take(picks)
             with pytest.raises(IndexError):
-                access(next(i for i in picks if not 0 <= i < n))
+                take((next(i for i in picks if not 0 <= i < n),))
 
 
 # -- entrywise arithmetic agrees with dense loops --------------------------------------------

@@ -535,24 +535,25 @@ def test_box_quotient_only_divides_out_frobenius():
     gamma = AbHom(bt, bt, m.gamma.matrix.kron(n.gamma.matrix))
     coinv, _ = co(bt, gamma, p)
     base = ds(tp(m.top, n.top), coinv).relations
-    cols = [base.column(j) for j in range(base.cols)]
+    cols = base.transpose().to_rows()
     nt = m.top.ngens * n.top.ngens
     nb = bt.ngens
+    n_tr, m_res, m_tr, n_res = (f.matrix.to_rows() for f in (n.tr, m.res, m.tr, n.res))
     for i in range(m.top.ngens):
         for l in range(n.bottom.ngens):
             v = [0] * (nt + nb)
             for j in range(n.top.ngens):
-                v[i * n.top.ngens + j] += n.tr.matrix.at(j, l)
+                v[i * n.top.ngens + j] += n_tr[j][l]
             for k in range(m.bottom.ngens):
-                v[nt + k * n.bottom.ngens + l] -= m.res.matrix.at(k, i)
+                v[nt + k * n.bottom.ngens + l] -= m_res[k][i]
             cols.append(tuple(v))
     for k in range(m.bottom.ngens):
         for j in range(n.top.ngens):
             v = [0] * (nt + nb)
             for i in range(m.top.ngens):
-                v[i * n.top.ngens + j] += m.tr.matrix.at(i, k)
+                v[i * n.top.ngens + j] += m_tr[i][k]
             for l in range(n.bottom.ngens):
-                v[nt + k * n.bottom.ngens + l] -= n.res.matrix.at(l, j)
+                v[nt + k * n.bottom.ngens + l] -= n_res[l][j]
             cols.append(tuple(v))
     expected = IM.from_columns(cols, rows=nt + nb)
     assert same_lattice(mn.top.relations, expected)

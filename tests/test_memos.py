@@ -134,17 +134,30 @@ def test_the_classification_memo_keeps_five_integers_per_functor():
 
 
 def test_cli_invert_of_a_non_invertible_functor_classifies_once(monkeypatch, tmp_path, capsys):
-    """``invert`` checks the axioms as it loads the document, tries to invert,
-    then reads the reason: two axiom checks (the load's and the
-    classification's, since the verdict is not memoised) and one
-    classification."""
+    """``invert`` parses the document, tries to invert, then reads the
+    reason from the memoised verdict: one axiom check (the
+    classification's; the command does not check the document as it loads
+    it) and one classification."""
     axioms = count_calls(monkeypatch, "check_axioms", mackey, separation, cli)
     classified = count_calls(monkeypatch, "_classify", separation)
     path = tmp_path / "c.mk"
     path.write_text(render_machine(constant_z(3)))
     assert run(["invert", str(path)]) == 1
     assert "not invertible: top-not-rank-2" in capsys.readouterr().err
-    assert list(axioms.values()) == [2]
+    assert list(axioms.values()) == [1]
+    assert list(classified.values()) == [1]
+
+
+def test_cli_classify_of_a_non_invertible_functor_checks_once(monkeypatch, tmp_path, capsys):
+    """``classify`` parses the document and classifies it: the
+    classification's axiom check is the one check."""
+    axioms = count_calls(monkeypatch, "check_axioms", mackey, separation, cli)
+    classified = count_calls(monkeypatch, "_classify", separation)
+    path = tmp_path / "c.mk"
+    path.write_text(render_machine(constant_z(3)))
+    assert run(["classify", str(path)]) == 1
+    assert capsys.readouterr().out == "verdict: not-invertible\nreason: top-not-rank-2\n"
+    assert list(axioms.values()) == [1]
     assert list(classified.values()) == [1]
 
 

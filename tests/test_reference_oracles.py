@@ -23,7 +23,9 @@ which asks a well-defined onto map only for equal invariant factors, is
 compared with injectivity read from a fresh kernel lattice
 (``helpers.preimage_gens``); since the search gates its bottom maps on that
 test alone, every bottom map its gate sees is shown well defined and
-equivariant by equalities of lattices.
+equivariant by equalities of lattices.  The search accepts a candidate on
+its top map's bijectivity alone, so the points of its morphism lattice are
+checked against every morphism condition (``verify_morphism``).
 """
 
 import itertools
@@ -66,6 +68,7 @@ from mackeybox.mackey import (
     permutation_functor,
     twisted_burnside,
     unit_isomorphism,
+    verify_morphism,
 )
 from mackeybox.separation import (
     FOUND,
@@ -367,7 +370,7 @@ def membership_cases(draw):
 @example((IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.zeros(2, 0)))  # no query columns
 def test_lattice_contains_all_equals_solve_per_column(case):
     rel, m = case
-    expected = all(solve_linear(rel, m.column(j)) is not None for j in range(m.cols))
+    expected = all(solve_linear(rel, col) is not None for col in m.transpose().to_rows())
     assert smith_normal_form(rel).contains_all(m) == expected
 
 
@@ -394,13 +397,13 @@ def test_matrix_solve_answers_every_column_at_once(case):
     b = a @ x0
     x = dec.solve(b)
     assert (x.rows, x.cols) == (a.cols, b.cols) and a @ x == b
-    for j in range(b.cols):
-        assert solve_linear(a, b.column(j)) == x.column(j)
+    for b_col, x_col in zip(b.transpose().to_rows(), x.transpose().to_rows(), strict=True):
+        assert solve_linear(a, b_col) == tuple(x_col)
     wider = dec.solve(b.hstack(c))
     if dec.contains_all(c):
         assert a @ wider == b.hstack(c)
     else:
-        assert wider is None and solve_linear(a, c.column(0)) is None
+        assert wider is None and solve_linear(a, c.entries) is None
 
 
 # -- Smith transforms built when first read -------------------------------------------------
@@ -613,7 +616,7 @@ def test_reduced_orbit_equals_the_exact_one(case):
     power, norm = gamma.orbit(p)
     assert power.equals(AbHom(g, g, loop_power(gamma.matrix, p)))
     assert norm.equals(AbHom(g, g, loop_norm(gamma.matrix, p)))
-    d = g.relations.at(0, 0)
+    d = g.relations.entries[0]
     if gamma.matrix != IntMatrix.identity(g.ngens):
         assert all(0 <= e < d for m in (power, norm) for e in m.matrix.entries)
 
@@ -629,22 +632,23 @@ def loop_box_top(m: MackeyFunctor, n: MackeyFunctor) -> FpAbGroup:
     coinv, _ = coinvariants(bt, gamma, m.p)
     tt = tensor_product(m.top, n.top)
     nt, nb = tt.ngens, bt.ngens
+    n_tr, m_res, m_tr, n_res = (f.matrix.to_rows() for f in (n.tr, m.res, m.tr, n.res))
     frobenius = []
     for i in range(m.top.ngens):
         for l in range(n.bottom.ngens):
             v = [0] * (nt + nb)
             for j in range(n.top.ngens):
-                v[i * n.top.ngens + j] += n.tr.matrix.at(j, l)
+                v[i * n.top.ngens + j] += n_tr[j][l]
             for k in range(m.bottom.ngens):
-                v[nt + k * n.bottom.ngens + l] -= m.res.matrix.at(k, i)
+                v[nt + k * n.bottom.ngens + l] -= m_res[k][i]
             frobenius.append(v)
     for k in range(m.bottom.ngens):
         for j in range(n.top.ngens):
             v = [0] * (nt + nb)
             for i in range(m.top.ngens):
-                v[i * n.top.ngens + j] += m.tr.matrix.at(i, k)
+                v[i * n.top.ngens + j] += m_tr[i][k]
             for l in range(n.bottom.ngens):
-                v[nt + k * n.bottom.ngens + l] -= n.res.matrix.at(l, j)
+                v[nt + k * n.bottom.ngens + l] -= n_res[l][j]
             frobenius.append(v)
     base = direct_sum(tt, coinv)
     return FpAbGroup(base.ngens, base.relations.hstack(IntMatrix.from_columns(frobenius, rows=nt + nb)))
@@ -805,6 +809,32 @@ def test_iso_search_equals_brute_force(rng, p, related):
     expected = brute_force_iso(m, n, bound)
     assert result.status == (UNKNOWN if expected is None else FOUND)
     assert result.witness == expected
+    if result.status == FOUND:
+        assert is_mackey_isomorphism(result.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from((2, 3, 5)), st.booleans(), st.booleans())
+# on most random pairs the other conditions imply these two, so each has a pair whose lattice needs it
+@example(random.Random(17), 2, False, False)  # bottom well-definedness
+@example(random.Random(45), 3, False, True)  # equivariance: a free orbit at p = 3 and a change of basis of it
+def test_every_point_of_the_morphism_lattice_is_a_morphism(rng, p, padded, related):
+    """The search accepts a candidate on its top map's bijectivity alone, so
+    every point of the lattice must satisfy the five morphism conditions:
+    the first 40 points within bound 1 each pass ``verify_morphism``. The
+    pairs are random functors with tiers of up to 3 generators, or of up to
+    2 padded by a redundant generator; a related pair is a functor and a
+    change of basis of it, whose many endomorphisms test equivariance."""
+    size = 2 if padded else 3
+    m = random_functor(rng, p, max_gens=size)
+    n = base_change(m, rng) if related else random_functor(rng, p, max_gens=size)
+    if padded:
+        m, n = pad_functor(m, rng), pad_functor(n, rng)
+    head = n.bottom.ngens * m.bottom.ngens
+    for flat in itertools.islice(_bounded_points(_morphism_lattice(m, n), 1), 40):
+        phi_b = AbHom(m.bottom, n.bottom, IntMatrix(n.bottom.ngens, m.bottom.ngens, flat[:head]))
+        phi_t = AbHom(m.top, n.top, IntMatrix(n.top.ngens, m.top.ngens, flat[head:]))
+        assert verify_morphism(MackeyMorphism(m, n, phi_t, phi_b)) == ()
 
 
 _Z3 = FpAbGroup.cyclic(3)

@@ -56,10 +56,9 @@ def test_access_reads_the_dense_entries(a, data):
     m = built(rows, c)
     for i in range(r):
         assert m.to_rows()[i] == rows[i]
-        for j in range(c):
-            assert m.at(i, j) == rows[i][j]
-    for j in range(c):
-        assert list(m.column(j)) == [row[j] for row in rows]
+    assert m.entries == tuple(x for row in rows for x in row)
+    for j, column in enumerate(m.transpose().to_rows()):
+        assert column == [row[j] for row in rows]
     assert m.is_zero() == (not any(map(any, rows)))
     same(IntMatrix.from_columns(dense_transpose(rows, c), rows=r), rows, c)
     vec = data.draw(st.lists(VALUE, min_size=c, max_size=c))
