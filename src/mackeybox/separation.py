@@ -24,7 +24,6 @@ from .intlin import (
     block_diagonal,
     extended_gcd,
     lattice_basis,
-    smith_normal_form,
 )
 from .abgroup import AbHom, FpAbGroup, _bijective, _image, cokernel, invariant_factors
 from .mackey import (
@@ -343,8 +342,8 @@ def _morphism_lattice(m: MackeyFunctor, n: MackeyFunctor) -> IntMatrix:
     tier of N.  With vec(L·X·R) = (L ⊗ Rᵀ)·vec(X), a condition reads
     rows·Σ L·X·R (``SmithDecomposition.past_units``) in the lattice of the
     torsion factors on a diagonal, whose block mod ⊗ I adds unknowns only
-    for N's torsion.  One Smith form gives the kernel, read on its first
-    coordinates."""
+    for N's torsion.  The Hermite basis of [maps | modulus] over [I | 0]
+    holds the lattice: below the system, the columns past its pivots."""
     eye = IntMatrix.identity
     mb, nb = m.bottom.ngens, n.bottom.ngens
     mt, nt = m.top.ngens, n.top.ngens
@@ -366,8 +365,9 @@ def _morphism_lattice(m: MackeyFunctor, n: MackeyFunctor) -> IntMatrix:
         blocks = [(rows @ left).kron(right.transpose()) @ pick for left, right, pick in terms]
         maps = maps.vstack(sum(blocks[1:], blocks[0]))
         modulus = block_diagonal(modulus, mod.kron(eye(terms[0][1].cols)))  # one per column of L·φ·R
-    kernel = smith_normal_form(maps.hstack(modulus)).kernel()
-    return lattice_basis(kernel.take_rows(range(maps.cols)))
+    k, u = maps.rows, maps.cols  # [I | 0] below the system has a row per unknown
+    basis = lattice_basis(maps.hstack(modulus).vstack(eye(u).hstack(IntMatrix.zeros(u, modulus.cols))))
+    return basis.take_rows(range(k, k + u)).take_columns(range(len({*basis.take_rows(range(k)).indices}), basis.cols))
 
 
 def _matrix_candidates(m: MackeyFunctor, n: MackeyFunctor, bound: int):

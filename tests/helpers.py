@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from mackeybox.intlin import IntMatrix, block_diagonal, kernel_basis, solve_linear
+from mackeybox.intlin import IntMatrix, block_diagonal, kernel_basis, lattice_basis, solve_linear
 from mackeybox.abgroup import AbHom, FpAbGroup, direct_sum, invariant_factors
 from mackeybox.mackey import (
     GSet,
@@ -29,6 +29,16 @@ def preimage_gens(matrix: IntMatrix, modulo: IntMatrix) -> IntMatrix:
     fresh elimination of its own: the top rows of ``kernel_basis([matrix |
     modulo])``.  An oracle for the kernel lattices the library memoises."""
     return kernel_basis(matrix.hstack(modulo)).take_rows(range(matrix.cols))
+
+
+def smith_kernel_lattice(system: IntMatrix, unknowns: int) -> IntMatrix:
+    """The Hermite basis of ``{x : [x; y] in the kernel of system}`` for the
+    first ``unknowns`` coordinates, read the long way: the Smith kernel of
+    the whole system (the columns of V past the rank), its top rows, and a
+    second Hermite pass over them.  A reference for the one Hermite form
+    that ``separation._morphism_lattice`` reads; V's entries can run to
+    thousands of bits on padded presentations, so keep its inputs small."""
+    return lattice_basis(kernel_basis(system).take_rows(range(unknowns)))
 
 
 def det(a: IntMatrix) -> int:

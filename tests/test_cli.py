@@ -544,6 +544,29 @@ res: []
 tr: [[], [], [], [], [], [], [], [], [], [], [], [], [], []]
 """
 
+PADDED_DOCUMENTS = (  # two paddings of one p = 2 functor (helpers: random_functor and pad_functor, random.Random(171))
+    """\
+p: 2
+top.generators: 4
+top.relations: [[-2, 2, 0, 0], [-2, 2, 0, 0], [1, -2, -2, 0], [1, -2, -2, 0], [-2, -2, -1, 0], [-2, -2, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [-2, 3, 1, -1]]
+bottom.generators: 4
+bottom.relations: [[-2, 2, 0, 0], [-2, 2, 0, 0], [1, -2, -2, 0], [1, -2, -2, 0], [-2, -2, -1, 0], [-2, -2, -1, 0], [3, 1, -2, -1]]
+action: [[1, 0, 0, 3], [0, 1, 0, 1], [0, 0, 1, -2], [0, 0, 0, 0]]
+res: [[2, 0, 0, -4], [0, 2, 0, 6], [0, 0, 2, 2], [0, 0, 0, 0]]
+tr: [[1, 0, 0, 3], [0, 1, 0, 1], [0, 0, 1, -2], [0, 0, 0, 0]]
+""",
+    """\
+p: 2
+top.generators: 4
+top.relations: [[-2, 2, 0, 0], [-2, 2, 0, 0], [1, -2, -2, 0], [1, -2, -2, 0], [-2, -2, -1, 0], [-2, -2, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [-2, 3, -3, -1]]
+bottom.generators: 4
+bottom.relations: [[-2, 2, 0, 0], [-2, 2, 0, 0], [1, -2, -2, 0], [1, -2, -2, 0], [-2, -2, -1, 0], [-2, -2, -1, 0], [-2, -3, 3, -1]]
+action: [[1, 0, 0, -2], [0, 1, 0, -3], [0, 0, 1, 3], [0, 0, 0, 0]]
+res: [[2, 0, 0, -4], [0, 2, 0, 6], [0, 0, 2, -6], [0, 0, 0, 0]]
+tr: [[1, 0, 0, -2], [0, 1, 0, -3], [0, 0, 1, 3], [0, 0, 0, 0]]
+""",
+)
+
 TORSION_DOCUMENT = """\
 p: 3
 top.generators: 1
@@ -560,8 +583,9 @@ def test_the_outputs_pinned_in_ci_are_byte_identical(tmp_path, capsys, monkeypat
     """Each output that the CI workflow pins for the README examples, read in
     process, so that a changed byte shows in a tier-1 run too: the inverse of
     twist 2 at p = 5, the text box and the iso of twists 2 and 3, the gamma,
-    phi and check of c⊠d, the iso of d with itself, and the isos of the two
-    Z/3 documents m1 (res = 1, tr = 0) and m2 (res = 0, tr = 1)."""
+    phi and check of c⊠d, the iso of d with itself, the isos of the two
+    Z/3 documents m1 (res = 1, tr = 0) and m2 (res = 0, tr = 1), and the iso
+    of two paddings of one p = 2 functor."""
     def doc(name, text):
         path = tmp_path / name
         path.write_text(text)
@@ -602,6 +626,12 @@ tr: [[0], [1]]
     assert cli(["iso", m1, m1, "--bound", "1"], capsys)[:2] == (0, "status: found\nphi_top: [[-1]]\nphi_bottom: [[-1]]\n")
     assert cli(["iso", m1, m2, "--bound", "2"], capsys)[:2] == (
         1, "status: unknown\ndetail: no isomorphism with entries within 2\n"
+    )
+    pa, pb = doc("pa.mk", PADDED_DOCUMENTS[0]), doc("pb.mk", PADDED_DOCUMENTS[1])
+    assert cli(["iso", pa, pb, "--bound", "1"], capsys)[:2] == (
+        0,
+        "status: found\nphi_top: [[-1, -1, -1, -1], [-1, -1, -1, -1], [1, -1, 0, 1], [-1, 0, -1, 0]]\n"
+        "phi_bottom: [[-1, -1, -1, -1], [-1, -1, -1, 0], [0, -1, -1, 0], [1, 0, 1, 1]]\n",
     )
 
 

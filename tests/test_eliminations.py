@@ -1,8 +1,9 @@
 """Each linear system is eliminated once.
 
 A caller that needs a particular solution and the kernel of one system (the
-fixed points, the isomorphism search) reads both from one Smith
-decomposition, and the classification reads each tier's projection and
+fixed points) reads both from one Smith decomposition, the isomorphism
+search reads its morphism lattice from one Hermite form, and the
+classification reads each tier's projection and
 section from the rows of that tier's U and the columns of its U⁻¹, both
 replayed from the tier's one decomposition.  Every elimination goes
 through ``intlin.smith_normal_form``; the counts below are pinned by
@@ -42,8 +43,8 @@ from helpers import pad_functor
 
 @pytest.fixture
 def eliminated(monkeypatch):
-    """The matrices handed to ``smith_normal_form`` (``abgroup`` and
-    ``separation`` import it by name)."""
+    """The matrices handed to ``smith_normal_form`` (``abgroup`` imports it
+    by name)."""
     inputs = []
     original = intlin.smith_normal_form
 
@@ -51,7 +52,7 @@ def eliminated(monkeypatch):
         inputs.append(a)
         return original(a)
 
-    for module in (intlin, abgroup, separation):
+    for module in (intlin, abgroup):
         monkeypatch.setattr(module, "smith_normal_form", recording)
     return inputs
 
@@ -70,19 +71,20 @@ def test_a_fixed_point_functor_takes_two_eliminations(eliminated):
 
 
 def test_isomorphism_search_eliminates_each_system_once(eliminated):
-    """One Smith form of the morphism system gives the lattice of pairs
-    (φ_bottom, φ_top) that the whole search walks, plus one per tier map
-    tested for bijectivity but the identity, which is onto with kernel
-    lattice ``-relations`` by construction.  Only bottom maps that extend to
-    a morphism are tested.  (56 while the bottom maps were walked alone and
-    each bottom isomorphism started a top system of its own, 60 while the
-    four identity bottom candidates took the closed form, since removed, of
-    ``[I | relations]``, 80 before the walks solved and took the kernel
-    separately.)"""
+    """One Smith form per tier map tested for bijectivity but the identity,
+    which is onto with kernel lattice ``-relations`` by construction.  The
+    lattice of pairs (φ_bottom, φ_top) that the whole search walks is one
+    Hermite form of the morphism system and eliminates nothing here, and
+    only bottom maps that extend to a morphism are tested.  (40 while each
+    of the nine searches took a Smith kernel of its system, 56 while the
+    bottom maps were walked alone and each bottom isomorphism started a top
+    system of its own, 60 while the four identity bottom candidates took
+    the closed form, since removed, of ``[I | relations]``, 80 before the
+    walks solved and took the kernel separately.)"""
     for p in (3, 5, 7):
         for c, d in ((2, 3), (1, 2), (2, 2 + p)):
             separation.try_find_isomorphism(twisted_burnside(p, c), twisted_burnside(p, d), 2)
-    assert len(eliminated) == 40
+    assert len(eliminated) == 31
 
 
 def test_morphism_system_reads_the_conditions_modulo_the_torsion_of_n(monkeypatch):
@@ -92,10 +94,11 @@ def test_morphism_system_reads_the_conditions_modulo_the_torsion_of_n(monkeypatc
     basis of M's relations and modulo N's torsion factors, it has one
     auxiliary unknown per factor above 1 and column of a condition (10),
     and the witness is the one the search of bottom maps, then top maps,
-    found."""
+    found.  The system reaches ``lattice_basis`` stacked over ``[I | 0]``,
+    whose columns are the system's."""
     systems = []
-    original = separation.smith_normal_form
-    monkeypatch.setattr(separation, "smith_normal_form", lambda a: systems.append(a) or original(a))
+    original = separation.lattice_basis
+    monkeypatch.setattr(separation, "lattice_basis", lambda a: systems.append(a) or original(a))
 
     def functor(top_rels, bottom_rels, res, tr):
         top = FpAbGroup(2, IntMatrix.from_columns(top_rels, rows=2))
@@ -109,8 +112,11 @@ def test_morphism_system_reads_the_conditions_modulo_the_torsion_of_n(monkeypatc
     assert result.status == separation.FOUND
     assert result.witness.phi_top.matrix.to_rows() == [[-1, -1], [-1, 0]]
     assert result.witness.phi_bottom.matrix.to_rows() == [[-1, -1], [-1, 1]]
-    (system,) = systems
+    _, _, system = systems  # after the Hermite bases of M's bottom and top relations
     assert system.cols - 8 < 20  # 8 unknowns: the entries of φ_top and φ_bottom
+    assert system.take_rows(range(system.rows - 8, system.rows)) == IntMatrix.identity(8).hstack(
+        IntMatrix.zeros(8, system.cols - 8)
+    )
 
 
 @pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (7, 3), (3, 6)])

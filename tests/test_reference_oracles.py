@@ -25,7 +25,9 @@ compared with injectivity read from a fresh kernel lattice
 test alone, every bottom map its gate sees is shown well defined and
 equivariant by equalities of lattices.  The search accepts a candidate on
 its top map's bijectivity alone, so the points of its morphism lattice are
-checked against every morphism condition (``verify_morphism``).
+checked against every morphism condition (``verify_morphism``), and the
+lattice, read from one Hermite form, against the Hermite basis of a Smith
+kernel's top rows (``helpers.smith_kernel_lattice``).
 """
 
 import itertools
@@ -70,6 +72,7 @@ from mackeybox.mackey import (
     unit_isomorphism,
     verify_morphism,
 )
+from mackeybox import separation
 from mackeybox.separation import (
     FOUND,
     NOT_ISOMORPHIC,
@@ -91,6 +94,7 @@ from helpers import (
     random_functor,
     random_presentation,
     same_lattice,
+    smith_kernel_lattice,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -822,12 +826,11 @@ def test_every_point_of_the_morphism_lattice_is_a_morphism(rng, p, padded, relat
     """The search accepts a candidate on its top map's bijectivity alone, so
     every point of the lattice must satisfy the five morphism conditions:
     the first 40 points within bound 1 each pass ``verify_morphism``. The
-    pairs are random functors with tiers of up to 3 generators, or of up to
-    2 padded by a redundant generator; a related pair is a functor and a
-    change of basis of it, whose many endomorphisms test equivariance."""
-    size = 2 if padded else 3
-    m = random_functor(rng, p, max_gens=size)
-    n = base_change(m, rng) if related else random_functor(rng, p, max_gens=size)
+    pairs are random functors with tiers of up to 3 generators, padded or
+    not by a redundant generator; a related pair is a functor and a change
+    of basis of it, whose many endomorphisms test equivariance."""
+    m = random_functor(rng, p, max_gens=3)
+    n = base_change(m, rng) if related else random_functor(rng, p, max_gens=3)
     if padded:
         m, n = pad_functor(m, rng), pad_functor(n, rng)
     head = n.bottom.ngens * m.bottom.ngens
@@ -835,6 +838,27 @@ def test_every_point_of_the_morphism_lattice_is_a_morphism(rng, p, padded, relat
         phi_b = AbHom(m.bottom, n.bottom, IntMatrix(n.bottom.ngens, m.bottom.ngens, flat[:head]))
         phi_t = AbHom(m.top, n.top, IntMatrix(n.top.ngens, m.top.ngens, flat[head:]))
         assert verify_morphism(MackeyMorphism(m, n, phi_t, phi_b)) == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(search_pair, st.randoms(use_true_random=False), st.sampled_from((2, 3, 5)), st.booleans()),
+       st.randoms(use_true_random=False), st.booleans())
+def test_morphism_lattice_equals_the_smith_kernel_route(pair, rng, padded):
+    """The morphism lattice is read from one Hermite form of the system
+    stacked over ``[I | 0]``: below the system, the columns past its
+    pivots.  Hermite bases are canonical, so it must equal the Hermite basis
+    of the top rows of the system's Smith kernel, on search pairs and on
+    those pairs padded by a redundant generator."""
+    m, n = pair
+    if padded:
+        m, n = pad_functor(m, rng), pad_functor(n, rng)
+    stacked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(separation, "lattice_basis", lambda a: stacked.append(a) or lattice_basis(a))
+        lattice = _morphism_lattice(m, n)
+    unknowns = n.bottom.ngens * m.bottom.ngens + n.top.ngens * m.top.ngens
+    system = stacked[-1].take_rows(range(stacked[-1].rows - unknowns))
+    assert lattice == smith_kernel_lattice(system, unknowns)
 
 
 _Z3 = FpAbGroup.cyclic(3)

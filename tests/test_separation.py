@@ -415,6 +415,20 @@ def test_search_identity_case():
         assert is_mackey_isomorphism(res.witness)
 
 
+@pytest.mark.parametrize("seed, p", [(75, None), (133, None), (171, None), (186, None), (359, None), (171, 2)])
+def test_search_of_two_paddings_of_one_functor_finds_a_witness(seed, p):
+    """Two paddings of one random functor with tiers of up to 3 generators
+    (4 + 4 each) are isomorphic with a witness within bound 1.  The Smith
+    kernel of their morphism systems has entries of thousands to millions
+    of bits, so the search reads the lattice from one Hermite form of the
+    system stacked over ``[I | 0]`` instead: well under a second a pair."""
+    rng = random.Random(seed)
+    m = random_functor(rng, rng.choice((2, 3, 5)) if p is None else p, 3)
+    res = try_find_isomorphism(pad_functor(m, rng), pad_functor(m, rng), bound=1)
+    assert res.status == FOUND
+    assert is_mackey_isomorphism(res.witness)
+
+
 def test_search_handles_padded_presentations():
     rng = random.Random(12)
     m = twisted_burnside(3, 1)
